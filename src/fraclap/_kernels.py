@@ -8,8 +8,6 @@ Two selectable backends:
 Set ``FRACLAP_NUMBA=0`` to force the numpy path; ``FRACLAP_THREADS=k`` caps
 the numba threading layer. FFT-based convolution (used automatically above a
 size threshold, where it always wins) is numpy in both backends.
-
-``benchmarks/bench_kernels.py`` compares the paths.
 """
 
 import os

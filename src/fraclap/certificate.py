@@ -25,7 +25,7 @@ import numpy as np
 
 from ._kernels import convolve_lattice
 from .coefficient import c1_threshold
-from .errors import DomainError, GridResolutionError
+from .errors import DomainError, GridResolutionError, require_finite
 from .operators import require_alpha
 from .spectral import GridSpec, SpectralField
 
@@ -250,6 +250,7 @@ class CertificateParams:
 
     def __post_init__(self):
         require_alpha(self.alpha)
+        require_finite(gamma=self.gamma, rho=self.rho, C1=self.C1, A=self.A)
         if self.n < 1 or int(self.n) != self.n:
             raise DomainError("dimension n must be a positive integer")
 

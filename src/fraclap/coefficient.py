@@ -12,7 +12,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, require_finite
 from .spectral import SpectralField
 
 KINDS = ("dirac", "bessel_symbol", "custom_symbol")
@@ -47,6 +47,7 @@ class CoefficientSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise DomainError(f"coefficient kind must be one of {KINDS}, got {self.kind!r}")
+        require_finite(C=self.C, rho=self.rho)
         if self.C < 0:
             raise DomainError(f"coefficient amplitude must satisfy C >= 0, got {self.C}")
         if self.rho < 0:

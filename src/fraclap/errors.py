@@ -5,6 +5,8 @@ the CLI can surface it verbatim (exit code 1). Usage problems (bad arguments,
 unreadable config) are raised as UsageError (exit code 2).
 """
 
+import math
+
 
 class FraclapError(Exception):
     """Base class for all library errors."""
@@ -28,3 +30,11 @@ class NonConvergenceError(FraclapError):
 
 class UsageError(FraclapError):
     """Malformed invocation: unknown subcommand, unreadable or invalid config."""
+
+
+def require_finite(**values):
+    """Raise DomainError naming the first keyword argument that is nan or
+    infinite."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise DomainError(f"{name} = {value} fails -inf < {name} < inf")

@@ -13,7 +13,18 @@ recurrence
 
     I(t_{i+1}) = exp(-dt (-Lap)^(alpha/2)) [ I(t_i) + dt/2 G(t_i) ] + dt/2 G(t_{i+1})
 
-so a sweep costs O(M) transforms instead of O(M^2).
+so a sweep costs O(M) transform work instead of O(M^2).
+
+The iterate is one (M+1, *grid.shape) stack of node coefficients, updated in
+place. A sweep walks the node axis in chunks of as many nodes as fit a
+256 KiB budget (dozens per chunk on 1-D grids, one on a 256^2 or 128^3
+grid): per chunk, G is one batched inverse and one forward FFT over the
+spatial axes, the recurrence steps node by node, and the chunk's H1 norms,
+residual and coefficient extrema are taken before its rows are replaced.
+Batched transforms, elementwise ops and per-row sums apply the same
+arithmetic to each node as a call on that node alone, so every result is
+bitwise identical to a per-node sweep (tests/oracles.py keeps that loop as
+the reference).
 
 Blow-up handling: past the true explosion time the iterates diverge doubly
 exponentially in the sweep index and would overflow float range, so
@@ -33,7 +44,7 @@ import numpy as np
 
 from ._kernels import sweep_step
 from .coefficient import CoefficientSpec, sobolev_norm_of_b
-from .errors import DomainError, NonConvergenceError
+from .errors import DomainError, NonConvergenceError, require_finite
 from .operators import require_alpha, semigroup_symbol
 from .spectral import GridSpec, SpectralField, field_to_csv, h1_dot_norm, h1_norm
 
@@ -49,6 +60,7 @@ def omega_initial_field(grid, amplitude, symmetrize=True):
     real field. The hat values stay >= the one-sided bump pointwise, so every
     Fourier lower bound for the one-sided datum holds a fortiori.
     """
+    require_finite(u0_amplitude=amplitude)
     axes = np.meshgrid(*grid.xi_axes, indexing="ij")
     r2_plus = sum((g - XI0_COMPONENT) ** 2 for g in axes)
     hat = (r2_plus < BUMP_RADIUS ** 2).astype(float)
@@ -65,6 +77,7 @@ def random_nonneg_initial_field(grid, h1_amplitude, seed, max_mode=None):
     discrete H1 norm (zero field for amplitude 0). Used for positivity and
     linear-exactness experiments.
     """
+    require_finite(u0_amplitude=h1_amplitude)
     rng = np.random.default_rng(seed)
     if max_mode is None:
         max_mode = max(2, grid.N // 6)
@@ -105,6 +118,8 @@ class ProblemConfig:
 
     def __post_init__(self):
         require_alpha(self.alpha)
+        require_finite(T0=self.T0, dt=self.dt, picard_tol=self.picard_tol,
+                       overflow_threshold=self.overflow_threshold, C_abs=self.C_abs)
         if self.alpha > 1.0:
             if not (0.0 <= self.gamma < self.alpha - 1.0):
                 raise DomainError(
@@ -122,6 +137,9 @@ class ProblemConfig:
             raise DomainError("picard_tol must be > 0")
         if self.overflow_threshold <= 0:
             raise DomainError("overflow_threshold must be > 0")
+        if self.picard_max_iter < 1:
+            raise DomainError(
+                f"picard_max_iter = {self.picard_max_iter} fails picard_max_iter >= 1")
         if self.u0.grid != self.grid:
             raise DomainError("initial datum lives on a different grid")
         if not self.u0.is_real:
@@ -183,40 +201,75 @@ class Trajectory:
         return paths
 
 
+# scratch budget for one chunk of the node stack: a 1-D sweep batches many
+# nodes per transform call, a 256^2 or 128^3 field goes one node at a time
+_CHUNK_BYTES = 256 * 1024
+
+
 class _SweepState:
-    """Per-run precomputed multipliers and the nonlinearity evaluator."""
+    """Per-run precomputed multipliers, and G and the H1 norm over node stacks.
+
+    A node stack is a (k, *grid.shape) coefficient array holding consecutive
+    time nodes. Every operation is elementwise, a transform over the spatial
+    axes only, or a sum over one row, so each row comes out bit for bit as if
+    the node had been processed on its own.
+    """
 
     def __init__(self, config):
         grid = config.grid
         self.grid = grid
+        self.axes = tuple(range(1, grid.n + 1))
         self.Nn = grid.N ** grid.n
         xi2 = grid.xi_norm_sq
         self.abs_xi = np.sqrt(xi2)
-        self.mask = grid.dealias_mask
+        self.dropped = ~grid.dealias_mask
         self.decay_dt = semigroup_symbol(grid, config.dt, config.alpha)
         self.alpha = config.alpha
         self.h1_weight = grid.L ** grid.n * (1.0 + xi2)
-        times = config.times
-        if config.coefficient.time_modulation is None:
-            base = config.coefficient.symbol_on(0.0, xi2)
-            self.b_syms = [base] * len(times)
+        self.modulated = config.coefficient.time_modulation is not None
+        if self.modulated:
+            self.b_sym = np.stack([config.coefficient.symbol_on(t, xi2)
+                                   for t in config.times])
         else:
-            self.b_syms = [config.coefficient.symbol_on(t, xi2) for t in times]
+            self.b_sym = config.coefficient.symbol_on(0.0, xi2)
 
     def linear_part(self, u0_coeffs, t):
         return semigroup_symbol(self.grid, t, self.alpha) * u0_coeffs
 
-    def nonlinearity(self, coeffs, i):
-        """G(u)(t_i): coefficients of b * dealias( ((-Lap)^(1/2) u)^2 )."""
-        v = np.fft.ifftn(self.abs_xi * coeffs) * self.Nn
-        w = np.fft.fftn(v * v) / self.Nn
-        w = np.where(self.mask, w, 0.0)
-        return w * self.b_syms[i]
+    def nonlinearity(self, u, lo, h1=None, thresh=None, work=None):
+        """G(u)(t_i) for the stack u of nodes i = lo, ..., lo + len(u) - 1:
+        coefficients of b * dealias( ((-Lap)^(1/2) u)^2 ).
 
-    def h1_of(self, coeffs):
-        if not np.all(np.isfinite(coeffs)):
-            return float("inf")
-        return float(np.sqrt((self.h1_weight * (coeffs.real ** 2 + coeffs.imag ** 2)).sum()))
+        With h1 (the rows' H1 norms), a row whose norm exceeds thresh is
+        rescaled down to it first (saturated forcing) and a row whose norm
+        is not finite gets G = 0. work is optional scratch shaped like u.
+        """
+        a = np.multiply(self.abs_xi, u, out=work)
+        if h1 is not None:
+            for r in np.flatnonzero(~(h1 <= thresh)):
+                if np.isfinite(h1[r]):
+                    np.multiply(u[r], thresh / h1[r], out=a[r])
+                    np.multiply(self.abs_xi, a[r], out=a[r])
+                else:
+                    a[r] = 0.0
+        v = np.fft.ifftn(a, axes=self.axes)
+        np.multiply(v, self.Nn, out=v)
+        np.multiply(v, v, out=v)
+        w = np.fft.fftn(v, axes=self.axes)
+        np.true_divide(w, self.Nn, out=w)
+        np.copyto(w, 0.0, where=self.dropped)
+        np.multiply(w, self.b_sym[lo:lo + len(u)] if self.modulated else self.b_sym,
+                    out=w)
+        if h1 is not None:
+            w[~np.isfinite(h1)] = 0.0
+        return w
+
+    def h1_rows(self, u):
+        """Discrete H1 norm of each row of the stack u; +inf for a row with a
+        non-finite coefficient."""
+        h = np.sqrt((self.h1_weight * (u.real ** 2 + u.imag ** 2)).sum(axis=self.axes))
+        h[~np.isfinite(h)] = np.inf
+        return h
 
 
 def picard_solve(config):
@@ -229,22 +282,31 @@ def picard_solve(config):
     NonConvergenceError carrying the residual history.
     """
     state = _SweepState(config)
+    grid = config.grid
     M = config.n_steps
     times = config.times
     u0c = config.u0.coeffs
-    lin = [state.linear_part(u0c, t) for t in times]
     thresh = config.overflow_threshold
     half_dt = 0.5 * config.dt
+    lin = np.empty((M + 1,) + grid.shape, dtype=np.complex128)
+    for i, t in enumerate(times):
+        lin[i] = state.linear_part(u0c, t)
+    chunk = max(1, _CHUNK_BYTES // lin[0].nbytes)
 
-    def crossing_of(h1_list):
-        for i, h in enumerate(h1_list):
-            if not np.isfinite(h) or h > thresh:
-                return i
-        return None
+    def crossing_of(h1):
+        over = np.flatnonzero(~np.isfinite(h1) | (h1 > thresh))
+        return int(over[0]) if len(over) else None
 
-    prev = [c.copy() for c in lin]
-    prev_h1 = [state.h1_of(c) for c in prev]
+    # the iterate is updated in place, chunk by chunk: the G values a chunk
+    # needs from the previous iterate are taken before its rows are replaced,
+    # and later nodes only read later rows
+    prev = lin.copy()
+    # norms chunk by chunk: whole-stack temporaries would raise peak memory
+    prev_h1 = np.concatenate([state.h1_rows(prev[lo:lo + chunk])
+                              for lo in range(0, M + 1, chunk)])
     prev_cross = crossing_of(prev_h1)
+    work = np.empty((chunk,) + grid.shape, dtype=np.complex128)
+    rows = np.empty_like(work)
 
     residuals = []
     min_re, max_re, max_im = np.inf, -np.inf, 0.0
@@ -258,34 +320,45 @@ def picard_solve(config):
         # iteration inside float range and free of on/off limit cycles;
         # saturation only ever influences times at or past the crossing,
         # which are truncated from the result anyway)
-        new = [lin[0].copy()]
-        I = np.zeros_like(u0c)
-        g_last = _saturated_nonlinearity(state, prev, prev_h1, 0, thresh)
-        for i in range(1, M + 1):
-            g_cur = _saturated_nonlinearity(state, prev, prev_h1, i, thresh)
-            I = sweep_step(I, state.decay_dt, g_last, g_cur, half_dt)
-            g_last = g_cur
-            new.append(lin[i] + I)
-        new_h1 = [state.h1_of(c) for c in new]
-        new_cross = crossing_of(new_h1)
-
+        new_cross = None
         res = 0.0
         scale = 0.0
-        valid = M + 1 if new_cross is None else new_cross
-        for i in range(valid):
-            res = max(res, state.h1_of(new[i] - prev[i]))
-            scale = max(scale, new_h1[i])
+        I = np.zeros_like(u0c)
+        for lo in range(0, M + 1, chunk):
+            hi = min(lo + chunk, M + 1)
+            k = hi - lo
+            g = state.nonlinearity(prev[lo:hi], lo, prev_h1[lo:hi], thresh, work[:k])
+            new = rows[:k]
+            for r in range(k):
+                i = lo + r
+                if i == 0:
+                    new[0] = lin[0]
+                else:
+                    I = sweep_step(I, state.decay_dt, g_last, g[r], half_dt)
+                    np.add(lin[i], I, out=new[r])
+                g_last = g[r]
+            new_h1 = state.h1_rows(new)
+            if new_cross is None:
+                valid = k
+                crossing = crossing_of(new_h1)
+                if crossing is not None:
+                    new_cross = lo + crossing
+                    valid = crossing
+                if valid:
+                    c = new[:valid]
+                    diff = np.subtract(c, prev[lo:lo + valid], out=work[:valid])
+                    res = max(res, float(state.h1_rows(diff).max()))
+                    scale = max(scale, float(new_h1[:valid].max()))
+                    min_re = min(min_re, float(np.min(c.real)))
+                    max_re = max(max_re, float(np.max(c.real)))
+                    max_im = max(max_im, float(np.max(np.abs(c.imag))))
+            prev[lo:hi] = new
+            prev_h1[lo:hi] = new_h1
         residuals.append(res)
-
-        for i in range(valid):
-            c = new[i]
-            min_re = min(min_re, float(np.min(c.real)))
-            max_re = max(max_re, float(np.max(c.real)))
-            max_im = max(max_im, float(np.max(np.abs(c.imag))))
 
         rel = res / scale if scale > 0 else 0.0
         stable = new_cross == prev_cross
-        prev, prev_h1, prev_cross = new, new_h1, new_cross
+        prev_cross = new_cross
         if rel <= config.picard_tol and stable:
             converged = True
             break
@@ -300,13 +373,13 @@ def picard_solve(config):
     fields = []
     for i in range(keep):
         over = prev_cross is not None and i >= prev_cross
-        fields.append(SpectralField(config.grid, prev[i], is_real=config.u0.is_real,
+        fields.append(SpectralField(grid, prev[i], is_real=config.u0.is_real,
                                     overflowed=over))
     h1d = np.array([h1_dot_norm(f) for f in fields])
     return Trajectory(
         times=times[:keep],
         fields=fields,
-        h1_norms=np.array(prev_h1[:keep]),
+        h1_norms=prev_h1[:keep].copy(),
         h1_dot_norms=h1d,
         overflow_at=None if prev_cross is None else float(times[prev_cross]),
         picard_residuals=residuals,
@@ -314,15 +387,6 @@ def picard_solve(config):
         converged=converged,
         iterate_extrema=(float(min_re), float(max_re), float(max_im)),
     )
-
-
-def _saturated_nonlinearity(state, prev, prev_h1, i, thresh):
-    h = prev_h1[i]
-    if not np.isfinite(h):
-        return np.zeros_like(prev[i])
-    if h > thresh:
-        return state.nonlinearity(prev[i] * (thresh / h), i)
-    return state.nonlinearity(prev[i], i)
 
 
 def duhamel_step(u_history, t, config):
@@ -350,7 +414,7 @@ def duhamel_step(u_history, t, config):
         dt = config.dt
         for j in range(i_t + 1):
             w = dt if 0 < j < i_t else 0.5 * dt
-            g = state.nonlinearity(u_history.fields[j].coeffs, j)
+            g = state.nonlinearity(u_history.fields[j].coeffs[None], j)[0]
             acc = acc + w * semigroup_symbol(config.grid, t - j * dt, config.alpha) * g
     return SpectralField(config.grid, acc, is_real=config.u0.is_real)
 

@@ -237,6 +237,12 @@ class TestCertify:
         assert report.verdict == "not-certified"
         assert any("rho + alpha <= 5n + 2" in v for v in report.violations)
 
+    @pytest.mark.parametrize("kw", [{"C1": math.inf}, {"A": math.nan},
+                                    {"gamma": math.nan}, {"rho": math.inf}])
+    def test_nonfinite_params_rejected(self, kw):
+        with pytest.raises(DomainError):
+            params1(**kw)
+
     def test_grid_inadequacy_raises(self):
         with pytest.raises(GridResolutionError):
             certify(params1(), grid=GridSpec(1, 16 * np.pi, 64))

@@ -65,6 +65,17 @@ class TestExitCodes:
         assert code == 1
         assert "gamma < alpha - 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("args", [
+        ("solve", "T0=nan"), ("solve", "dt=nan"), ("solve", "T0=inf"),
+        ("solve", "picard_max_iter=0"), ("solve", "C=nan"),
+        ("solve", "u0_amplitude=nan"), ("solve", "picard_tol=nan"),
+        ("solve", "overflow_threshold=nan"), ("certify", "C1=inf")])
+    def test_nonfinite_or_empty_input_is_domain_error(self, outdir, capsys, args):
+        code = run([args[0], "-o", str(outdir), *args[1:]])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "domain error" in err and "Traceback" not in err
+
 
 class TestSubcommands:
     def test_certify_reference_run(self, outdir, capsys):

@@ -73,6 +73,13 @@ class TestBuildSymbol:
         # C = 0 allowed: the zero coefficient (pure linear runs)
         CoefficientSpec(kind="dirac", C=0.0, n=1, alpha=2.0, gamma=0.0)
 
+    @pytest.mark.parametrize("kw", [{"C": np.nan}, {"C": np.inf}, {"rho": np.nan}])
+    def test_nonfinite_rejected(self, kw):
+        base = dict(kind="bessel_symbol", C=1.0, rho=2.0, n=1, alpha=2.0, gamma=0.0)
+        base.update(kw)
+        with pytest.raises(DomainError):
+            CoefficientSpec(**base)
+
 
 class TestAdmissibility:
     def test_point_mass_one_dimensional(self):

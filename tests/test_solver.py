@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+from fraclap import solver
 from fraclap import (CoefficientSpec, DomainError, GridSpec,
                      NonConvergenceError, ProblemConfig, SpectralField,
                      duhamel_step, existence_budget, h1_dot_norm, h1_norm,
                      omega_initial_field, picard_solve,
                      random_nonneg_initial_field, semigroup_apply)
+from oracles import reference_picard_solve
 
 L1D = 16 * np.pi
 
@@ -62,6 +64,20 @@ class TestInitialData:
         c[1] = 1.0  # not Hermitian
         with pytest.raises(DomainError):
             make_config(u0=SpectralField(g, c, is_real=False))
+
+    @pytest.mark.parametrize("kw", [
+        {"T0": np.nan}, {"T0": np.inf}, {"dt": np.nan}, {"picard_tol": np.nan},
+        {"overflow_threshold": np.nan}, {"C_abs": np.inf}, {"picard_max_iter": 0}])
+    def test_config_rejects_nonfinite_and_zero_sweeps(self, kw):
+        with pytest.raises(DomainError):
+            make_config(**kw)
+
+    @pytest.mark.parametrize("amplitude", [np.nan, np.inf])
+    def test_initial_fields_reject_nonfinite_amplitude(self, amplitude):
+        with pytest.raises(DomainError):
+            omega_initial_field(grid1(), amplitude)
+        with pytest.raises(DomainError):
+            random_nonneg_initial_field(grid1(), amplitude, seed=0)
 
 
 class TestDuhamelStep:
@@ -205,6 +221,90 @@ class TestPicard:
         with pytest.raises(NonConvergenceError) as exc:
             picard_solve(cfg)
         assert len(exc.value.residuals) == 2
+
+
+def _blowup_config(overflow_threshold=1e6, max_iter=120):
+    g = grid1(256)
+    coeff = CoefficientSpec(kind="dirac", C=2048.0, n=1, alpha=2.0, gamma=0.9)
+    return ProblemConfig(grid=g, alpha=2.0, gamma=0.9, coefficient=coeff,
+                         u0=omega_initial_field(g, 128.0), T0=1e-6, dt=5e-9,
+                         picard_max_iter=max_iter, overflow_threshold=overflow_threshold)
+
+
+def _config_2d():
+    g = GridSpec(2, 16 * np.pi, 32)
+    coeff = bessel_coeff(C=5.0, n=2)
+    return make_config(g=g, coeff=coeff, gamma=0.0, T0=0.125, dt=1.0 / 128.0,
+                       u0=random_nonneg_initial_field(g, 0.3, seed=4),
+                       picard_tol=1e-12)
+
+
+def _config_modulated():
+    coeff = CoefficientSpec(kind="bessel_symbol", C=20.0, rho=2.0, n=1, alpha=2.0,
+                            gamma=0.0, time_modulation=lambda t: 1.0 / (1.0 + 4.0 * t))
+    return make_config(coeff=coeff, gamma=0.0, picard_tol=1e-12,
+                       u0=random_nonneg_initial_field(grid1(), 0.2, seed=9))
+
+
+def _config_nodes(n_nodes):
+    g = grid1(512)
+    dt = 1.0 / 256.0
+    return make_config(g=g, coeff=bessel_coeff(C=10.0), gamma=0.0,
+                       T0=(n_nodes - 1) * dt, dt=dt, picard_tol=1e-12,
+                       u0=random_nonneg_initial_field(g, 0.2, seed=2))
+
+
+_CHUNK_512 = solver._CHUNK_BYTES // (16 * 512)   # nodes per sweep chunk at N=512
+
+ORACLE_CASES = {
+    "contraction-1d": lambda: make_config(
+        coeff=bessel_coeff(C=1.0), gamma=0.0, T0=0.25, dt=1.0 / 256.0,
+        picard_tol=1e-14, u0=random_nonneg_initial_field(grid1(), 0.02, seed=3)),
+    "blowup-threshold-1e6": _blowup_config,
+    # iterates overflow to inf past the crossing: the G = 0 rows
+    "nonfinite-rows": lambda: _blowup_config(1e300, max_iter=40),
+    "grid-2d-N32": _config_2d,
+    "time-modulated": _config_modulated,
+    "nodes-below-chunk": lambda: _config_nodes(_CHUNK_512 // 2),
+    "nodes-equal-chunk": lambda: _config_nodes(_CHUNK_512),
+    "nodes-two-chunks": lambda: _config_nodes(2 * _CHUNK_512),
+    "nodes-not-multiple": lambda: _config_nodes(2 * _CHUNK_512 + 1),
+}
+
+
+class TestChunkedSweepOracle:
+    """picard_solve batches each sweep over chunks of the node stack; it must
+    reproduce the per-node reference loop bit for bit."""
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+    def test_bitwise_equal_to_per_node_loop(self, case):
+        cfg = ORACLE_CASES[case]()
+        got = picard_solve(cfg)
+        ref = reference_picard_solve(cfg)
+        assert np.array_equal(got.h1_norms, ref.h1_norms)
+        assert np.array_equal(got.h1_dot_norms, ref.h1_dot_norms, equal_nan=True)
+        assert len(got.fields) == len(ref.fields)
+        for f, r in zip(got.fields, ref.fields):
+            assert np.array_equal(f.coeffs, r.coeffs, equal_nan=True)
+            assert f.overflowed == r.overflowed
+        assert np.array_equal(got.picard_residuals, ref.picard_residuals)
+        assert np.array_equal(got.iterate_extrema, ref.iterate_extrema)
+        assert got.iterations == ref.iterations
+        assert got.converged == ref.converged
+        assert got.overflow_at == ref.overflow_at
+
+    def test_nonconvergence_residuals_match(self):
+        g = grid1()
+        cfg = make_config(g=g, coeff=bessel_coeff(C=20.0), gamma=0.0,
+                          u0=random_nonneg_initial_field(g, 0.2, seed=1),
+                          picard_tol=1e-12, picard_max_iter=3)
+        with pytest.raises(NonConvergenceError) as got:
+            picard_solve(cfg)
+        with pytest.raises(NonConvergenceError) as ref:
+            reference_picard_solve(cfg)
+        assert np.array_equal(got.value.residuals, ref.value.residuals)
 
 
 class TestBudget:
