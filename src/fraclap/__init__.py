@@ -2,12 +2,12 @@
 fractional-diffusion equation with a squared-gradient nonlinearity convolved
 against a singular coefficient."""
 
-from ._kernels import NUMBA_ENABLED, backend_name, convolve_lattice, sweep_step
 from .certificate import (CertificateParams, CertificateReport, FreqWindow,
                           InductionRecord, OmegaLevel, OmegaSeed,
                           blowup_constants, build_omega_sequence, bump_weight,
-                          bump_weight_log, certify, default_certificate_grid,
-                          default_k_max, divergence_partial_sums,
+                          bump_weight_log, certify, convolve_lattice,
+                          default_certificate_grid, default_k_max,
+                          divergence_partial_sums,
                           series_prefactor_log, series_term_log, unit_ball_volume,
                           verify_induction_chain)
 from .coefficient import (AdmissibilityReport, CoefficientSpec, build_symbol,
@@ -20,7 +20,7 @@ from .operators import (FractionalParams, KernelEstimateReport, bessel_apply,
                         riesz_apply, semigroup_apply, semigroup_symbol)
 from .solver import (ExistenceBudget, ProblemConfig, Trajectory, duhamel_step,
                      existence_budget, omega_initial_field, picard_solve,
-                     random_nonneg_initial_field)
+                     random_nonneg_initial_field, sweep_step)
 from .spectral import (GridSpec, NormReport, SpectralField, dealias,
                        field_from_csv, field_to_csv, forward_transform,
                        h1_dot_norm, h1_norm, inverse_transform,

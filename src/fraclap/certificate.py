@@ -23,7 +23,6 @@ from typing import List, Optional
 
 import numpy as np
 
-from ._kernels import convolve_lattice
 from .coefficient import c1_threshold
 from .errors import DomainError, GridResolutionError, require_finite
 from .operators import require_alpha
@@ -204,6 +203,27 @@ def _level_from_window(k, win, n, prev_l1):
         doubling_error=doubling,
         min_value=float(win.values.min()),
     )
+
+
+def convolve_lattice(a, b, spacing):
+    """Linear convolution of two sampled functions on a uniform frequency
+    lattice, scaled by ``spacing**ndim`` so it approximates the continuum
+    convolution integral.
+
+    Returns the full convolution (len(a) + len(b) - 1 per axis), computed by
+    zero-padded real FFTs of power-of-two size; outside the Minkowski sum of
+    the input supports it holds roundoff noise rather than exact zeros.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.ndim != b.ndim:
+        raise ValueError("operands must have matching dimensionality")
+    out_shape = tuple(sa + sb - 1 for sa, sb in zip(a.shape, b.shape))
+    fshape = tuple(1 << int(np.ceil(np.log2(s))) for s in out_shape)
+    axes = tuple(range(a.ndim))
+    out = np.fft.irfftn(np.fft.rfftn(a, s=fshape, axes=axes)
+                        * np.fft.rfftn(b, s=fshape, axes=axes), s=fshape, axes=axes)
+    return out[tuple(slice(0, s) for s in out_shape)] * spacing ** a.ndim
 
 
 def build_omega_sequence(k_max, grid):

@@ -8,8 +8,7 @@ certificate.csv, kernel.csv, omega_k{K}.csv, budget.txt.
 
 Exit codes: 0 success, 1 domain error (message quotes the violated
 inequality), 2 usage error. Identical config and seed give bitwise identical
-CSV output. FRACLAP_THREADS caps the numba threading layer; FRACLAP_NUMBA=0
-selects the pure-numpy kernels.
+CSV output.
 """
 
 import math

@@ -87,6 +87,27 @@ def build_symbol(spec, t, grid):
     return SpectralField(grid, values.astype(np.complex128), is_real=True)
 
 
+def gamma_case(alpha, gamma, for_blowup=False):
+    """(case, message) for the regularity order gamma of the coefficient.
+
+    Case 1 (1 < alpha <= 2) admits 0 <= gamma < alpha - 1; case 2
+    (0 < alpha <= 1) admits 1 - alpha < gamma < 1, relaxed to
+    1 - alpha <= gamma for the blow-up argument. message quotes the violated
+    inequality, or is None when gamma is admissible.
+    """
+    if alpha > 1.0:
+        if 0.0 <= gamma < alpha - 1.0:
+            return 1, None
+        return 1, (f"gamma = {gamma} fails 0 <= gamma < alpha - 1 = {alpha - 1} "
+                   "(required when 1 < alpha <= 2)")
+    lo_ok = 1.0 - alpha <= gamma if for_blowup else 1.0 - alpha < gamma
+    if lo_ok and gamma < 1.0:
+        return 2, None
+    rel = "<=" if for_blowup else "<"
+    return 2, (f"gamma = {gamma} fails 1 - alpha {rel} gamma < 1 "
+               "(required when 0 < alpha <= 1)")
+
+
 @dataclass
 class AdmissibilityReport:
     """Per-condition flags; admissible iff every flag is true."""
@@ -117,22 +138,10 @@ def check_admissibility(spec, for_blowup=False):
     """
     n, alpha, gamma, rho = spec.n, spec.alpha, spec.gamma, spec.rho
     messages = []
-    if alpha > 1.0:
-        case = 1
-        sobolev_ok = 0.0 <= gamma < alpha - 1.0
-        if not sobolev_ok:
-            messages.append(
-                f"gamma = {gamma} fails 0 <= gamma < alpha - 1 = {alpha - 1} "
-                "(required when 1 < alpha <= 2)")
-    else:
-        case = 2
-        lo_strict = not for_blowup
-        sobolev_ok = (1.0 - alpha < gamma < 1.0) if lo_strict else (1.0 - alpha <= gamma < 1.0)
-        if not sobolev_ok:
-            rel = "<" if lo_strict else "<="
-            messages.append(
-                f"gamma = {gamma} fails 1 - alpha {rel} gamma < 1 "
-                "(required when 0 < alpha <= 1)")
+    case, message = gamma_case(alpha, gamma, for_blowup)
+    sobolev_ok = message is None
+    if message:
+        messages.append(message)
 
     threshold = c1_threshold(n, alpha, rho)
     if for_blowup:

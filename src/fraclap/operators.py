@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, GridResolutionError
+from .errors import DomainError, GridResolutionError, require_finite
 from .spectral import GridSpec, SpectralField, inverse_transform
 
 _DC_TOL = 1e-13
@@ -241,9 +241,12 @@ def kernel_l1_report(s, alpha, t_values, grid=None):
     diagnostic error instead of producing silently wrong norms.
     """
     require_alpha(alpha)
+    require_finite(s=s)
     if s < 0:
         raise DomainError(f"smoothing order must satisfy s >= 0, got {s}")
     t_values = [float(t) for t in t_values]
+    for t in t_values:
+        require_finite(t_values=t)
     if not t_values or min(t_values) <= 0:
         raise DomainError("all probe times must satisfy t > 0")
     if grid is None:

@@ -42,14 +42,12 @@ from typing import List, Optional
 
 import numpy as np
 
-from ._kernels import sweep_step
-from .coefficient import CoefficientSpec, sobolev_norm_of_b
+from .certificate import BUMP_RADIUS, XI0_COMPONENT
+from .coefficient import CoefficientSpec, gamma_case, sobolev_norm_of_b
 from .errors import DomainError, NonConvergenceError, require_finite
 from .operators import require_alpha, semigroup_symbol
-from .spectral import GridSpec, SpectralField, field_to_csv, h1_dot_norm, h1_norm
-
-XI0_COMPONENT = 1.5
-BUMP_RADIUS = 0.5
+from .spectral import (GridSpec, SpectralField, _weighted_norm, dealiased_square,
+                       field_to_csv, h1_dot_norm, h1_norm, h1_weight)
 
 
 def omega_initial_field(grid, amplitude, symmetrize=True):
@@ -120,15 +118,9 @@ class ProblemConfig:
         require_alpha(self.alpha)
         require_finite(T0=self.T0, dt=self.dt, picard_tol=self.picard_tol,
                        overflow_threshold=self.overflow_threshold, C_abs=self.C_abs)
-        if self.alpha > 1.0:
-            if not (0.0 <= self.gamma < self.alpha - 1.0):
-                raise DomainError(
-                    f"gamma = {self.gamma} fails 0 <= gamma < alpha - 1 = "
-                    f"{self.alpha - 1} (required when 1 < alpha <= 2)")
-        elif not (1.0 - self.alpha < self.gamma < 1.0):
-            raise DomainError(
-                f"gamma = {self.gamma} fails 1 - alpha < gamma < 1 "
-                "(required when 0 < alpha <= 1)")
+        _, message = gamma_case(self.alpha, self.gamma)
+        if message:
+            raise DomainError(message)
         if self.T0 <= 0:
             raise DomainError(f"horizon must satisfy T0 > 0, got {self.T0}")
         if self.dt <= 0 or self.dt > self.T0:
@@ -201,6 +193,13 @@ class Trajectory:
         return paths
 
 
+def sweep_step(I, decay, g_prev, g_new, half_dt):
+    """One trapezoid step of ``int_0^t exp(-(t-s)L) G(s) ds`` with the decay
+    multiplier applied exactly:
+    I_new = decay * (I + half_dt * g_prev) + half_dt * g_new."""
+    return decay * (I + half_dt * g_prev) + half_dt * g_new
+
+
 # scratch budget for one chunk of the node stack: a 1-D sweep batches many
 # nodes per transform call, a 256^2 or 128^3 field goes one node at a time
 _CHUNK_BYTES = 256 * 1024
@@ -219,13 +218,11 @@ class _SweepState:
         grid = config.grid
         self.grid = grid
         self.axes = tuple(range(1, grid.n + 1))
-        self.Nn = grid.N ** grid.n
         xi2 = grid.xi_norm_sq
         self.abs_xi = np.sqrt(xi2)
-        self.dropped = ~grid.dealias_mask
         self.decay_dt = semigroup_symbol(grid, config.dt, config.alpha)
         self.alpha = config.alpha
-        self.h1_weight = grid.L ** grid.n * (1.0 + xi2)
+        self.h1_weight = h1_weight(grid)
         self.modulated = config.coefficient.time_modulation is not None
         if self.modulated:
             self.b_sym = np.stack([config.coefficient.symbol_on(t, xi2)
@@ -252,12 +249,7 @@ class _SweepState:
                     np.multiply(self.abs_xi, a[r], out=a[r])
                 else:
                     a[r] = 0.0
-        v = np.fft.ifftn(a, axes=self.axes)
-        np.multiply(v, self.Nn, out=v)
-        np.multiply(v, v, out=v)
-        w = np.fft.fftn(v, axes=self.axes)
-        np.true_divide(w, self.Nn, out=w)
-        np.copyto(w, 0.0, where=self.dropped)
+        w = dealiased_square(a, self.grid, self.axes)
         np.multiply(w, self.b_sym[lo:lo + len(u)] if self.modulated else self.b_sym,
                     out=w)
         if h1 is not None:
@@ -267,9 +259,7 @@ class _SweepState:
     def h1_rows(self, u):
         """Discrete H1 norm of each row of the stack u; +inf for a row with a
         non-finite coefficient."""
-        h = np.sqrt((self.h1_weight * (u.real ** 2 + u.imag ** 2)).sum(axis=self.axes))
-        h[~np.isfinite(h)] = np.inf
-        return h
+        return _weighted_norm(self.h1_weight, u, self.axes)
 
 
 def picard_solve(config):
@@ -442,21 +432,13 @@ def existence_budget(config):
     Budgets are indicative: C_abs defaults to 1 and is reported alongside.
     """
     alpha, gamma = config.alpha, config.gamma
-    if alpha > 1.0:
-        if not (0.0 <= gamma < alpha - 1.0):
-            raise DomainError(
-                f"gamma = {gamma} fails 0 <= gamma < alpha - 1 = {alpha - 1} "
-                "(required when 1 < alpha <= 2)")
-        case = 1
+    case, message = gamma_case(alpha, gamma)
+    if message:
+        raise DomainError(message)
+    if case == 1:
         order = -gamma
         exponent = 1.0 - (1.0 + gamma) / alpha
     else:
-        if not (1.0 - alpha < gamma < 1.0):
-            raise DomainError(
-                f"gamma = {gamma} fails 1 - alpha < gamma < 1 "
-                "(required when 0 < alpha <= 1); no admissible regime for "
-                f"alpha = {alpha}")
-        case = 2
         order = gamma
         exponent = 1.0 - (1.0 - gamma) / alpha
 

@@ -22,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainError, GridResolutionError
+from .errors import DomainError, GridResolutionError, require_finite
 
 TWO_PI = 2.0 * np.pi
 
@@ -48,6 +48,7 @@ class GridSpec:
     def __post_init__(self):
         if self.n not in (1, 2, 3):
             raise DomainError("spatial dimension must satisfy 1 <= n <= 3")
+        require_finite(L=self.L)
         if self.L <= 0:
             raise DomainError("box size must satisfy L > 0")
         if self.N < 8 or self.N % 2 != 0:
@@ -205,48 +206,57 @@ def inverse_transform(fld):
     return values
 
 
+def _weighted_norm(weight, coeffs, axes=None, scale=1.0):
+    """sqrt(scale * sum(weight * (re^2 + im^2))) of coeffs over axes (all by
+    default); +inf where a summed coefficient is not finite. The scalar scale
+    multiplies the sum once instead of every term."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        h = np.sqrt(scale * (weight * (coeffs.real ** 2 + coeffs.imag ** 2)).sum(axis=axes))
+    return np.where(np.isfinite(h), h, np.inf)
+
+
 def sobolev_norms(fld, orders=(1.0,)):
     """Parseval-weighted discrete norms; +inf sentinels for overflowed fields."""
     grid = fld.grid
-    if not np.all(np.isfinite(fld.coeffs)):
+    c = fld.coeffs
+    if not np.all(np.isfinite(c)):
         if not fld.overflowed:
             raise DomainError("non-finite field without overflow flag")
         inf = float("inf")
         return NormReport(inf, {float(s): inf for s in orders},
                           {float(s): inf for s in orders}, inf)
     w = grid.L ** grid.n
-    mag2 = np.abs(fld.coeffs) ** 2
     xi2 = grid.xi_norm_sq
-    l2 = float(np.sqrt(w * mag2.sum()))
+    l2 = float(_weighted_norm(1.0, c, scale=w))
     hs = {}
     hs_dot = {}
     for s in orders:
         s = float(s)
-        hs[s] = float(np.sqrt(w * ((1.0 + xi2) ** s * mag2).sum()))
+        # L^n inside the weight, as in h1_weight: hs[1.0] is h1_norm bit for bit
+        hs[s] = float(_weighted_norm(w * (1.0 + xi2) ** s, c))
         with np.errstate(divide="ignore"):
             riesz_w = np.where(xi2 > 0, xi2 ** s, 1.0 if s == 0 else 0.0)
-        hs_dot[s] = float(np.sqrt(w * (riesz_w * mag2).sum()))
+        hs_dot[s] = float(_weighted_norm(riesz_w, c, scale=w))
     # L1(dxi) of the hat-side function: (L/2pi)^n * sum|c| * dxi^n collapses
     # to the plain coefficient sum
-    l1f = float(np.abs(fld.coeffs).sum())
+    l1f = float(np.abs(c).sum())
     return NormReport(l2, hs, hs_dot, l1f)
 
 
+def h1_weight(grid):
+    """Weight L^n * (1 + |xi|^2) of the discrete H1 norm."""
+    return grid.L ** grid.n * (1.0 + grid.xi_norm_sq)
+
+
 def h1_norm(fld):
-    """Fast path for the solver's working norm."""
-    if not np.all(np.isfinite(fld.coeffs)):
-        return float("inf")
-    grid = fld.grid
-    return float(np.sqrt(grid.L ** grid.n *
-                         ((1.0 + grid.xi_norm_sq) * np.abs(fld.coeffs) ** 2).sum()))
+    """The solver's working norm; +inf for a non-finite field."""
+    return float(_weighted_norm(h1_weight(fld.grid), fld.coeffs))
 
 
 def h1_dot_norm(fld):
-    if not np.all(np.isfinite(fld.coeffs)):
-        return float("inf")
+    """Homogeneous H1 norm; +inf for a non-finite field."""
     grid = fld.grid
-    return float(np.sqrt(grid.L ** grid.n *
-                         (grid.xi_norm_sq * np.abs(fld.coeffs) ** 2).sum()))
+    return float(_weighted_norm(grid.xi_norm_sq, fld.coeffs, scale=grid.L ** grid.n))
 
 
 def dealias(fld):
@@ -255,18 +265,30 @@ def dealias(fld):
     return SpectralField(fld.grid, c, fld.is_real, fld.overflowed)
 
 
-def pointwise_square(fld):
-    """Coefficients of the pointwise square of a real-flagged field, dealiased.
+def dealiased_square(coeffs, grid, axes=None):
+    """Coefficients of the pointwise square of the field(s) with coefficients
+    coeffs, dealiased; axes are the spatial axes (all by default, the trailing
+    n for a stack of nodes). Returns a new array.
 
     Computed as inverse transform -> square -> forward transform, which equals
     the lattice autoconvolution of the coefficients on the retained modes
     (the 2/3 rule removes exactly the aliased band).
     """
+    Nn = grid.N ** grid.n
+    v = np.fft.ifftn(coeffs, axes=axes)
+    np.multiply(v, Nn, out=v)
+    np.multiply(v, v, out=v)
+    w = np.fft.fftn(v, axes=axes)
+    np.true_divide(w, Nn, out=w)
+    np.copyto(w, 0.0, where=~grid.dealias_mask)
+    return w
+
+
+def pointwise_square(fld):
+    """Coefficients of the pointwise square of a real-flagged field, dealiased."""
     if not fld.is_real:
         raise DomainError("pointwise_square requires a real-flagged field")
-    phys = inverse_transform(fld)
-    sq = np.fft.fftn(phys * phys) / fld.grid.N ** fld.grid.n
-    return dealias(SpectralField(fld.grid, sq, is_real=True))
+    return SpectralField(fld.grid, dealiased_square(fld.coeffs, fld.grid), is_real=True)
 
 
 def field_to_csv(fld, path):

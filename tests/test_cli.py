@@ -69,7 +69,11 @@ class TestExitCodes:
         ("solve", "T0=nan"), ("solve", "dt=nan"), ("solve", "T0=inf"),
         ("solve", "picard_max_iter=0"), ("solve", "C=nan"),
         ("solve", "u0_amplitude=nan"), ("solve", "picard_tol=nan"),
-        ("solve", "overflow_threshold=nan"), ("certify", "C1=inf")])
+        ("solve", "overflow_threshold=nan"), ("certify", "C1=inf"),
+        ("solve", "L=nan"), ("solve", "L=inf"), ("budget", "L=nan"),
+        ("kernel-check", "L=nan"), ("kernel-check", "t_values=nan"),
+        ("kernel-check", "t_values=inf"), ("kernel-check", "t_values=0.5,nan"),
+        ("kernel-check", "s=nan"), ("kernel-check", "s=inf")])
     def test_nonfinite_or_empty_input_is_domain_error(self, outdir, capsys, args):
         code = run([args[0], "-o", str(outdir), *args[1:]])
         err = capsys.readouterr().err

@@ -1,79 +1,20 @@
-"""Backend equivalence: numba kernels against the pure-numpy fallbacks, plus
-the env-flag selection (exercised in a subprocess)."""
-
-import os
-import subprocess
-import sys
+"""Lattice convolution of the certificate against the brute-force oracle."""
 
 import numpy as np
-import pytest
 
-from fraclap import _kernels
-from fraclap._kernels import convolve_lattice, sweep_step
+from fraclap.certificate import convolve_lattice
 from oracles import brute_window_conv
 
 
 def test_direct_conv_1d_matches_oracle():
     rng = np.random.default_rng(0)
     a = rng.uniform(0, 1, 37)
-    out = convolve_lattice(a, a, 0.25, method="direct")
+    out = convolve_lattice(a, a, 0.25)
     assert np.abs(out - brute_window_conv(a, a, 0.25)).max() <= 1e-13
 
 
 def test_direct_conv_2d_matches_oracle():
     rng = np.random.default_rng(1)
     a = rng.uniform(0, 1, (9, 11))
-    out = convolve_lattice(a, a, 0.5, method="direct")
+    out = convolve_lattice(a, a, 0.5)
     assert np.abs(out - brute_window_conv(a, a, 0.5)).max() <= 1e-12
-
-
-@pytest.mark.parametrize("shape", [(64,), (24, 24)])
-def test_fft_matches_direct(shape):
-    rng = np.random.default_rng(2)
-    a = rng.uniform(0, 1, shape)
-    b = rng.uniform(0, 1, shape)
-    fft = convolve_lattice(a, b, 0.125, method="fft")
-    direct = convolve_lattice(a, b, 0.125, method="direct")
-    assert np.abs(fft - direct).max() <= 1e-12 * np.abs(direct).max()
-
-
-def test_numpy_fallbacks_match_active_backend():
-    rng = np.random.default_rng(3)
-    a = rng.uniform(0, 1, 41)
-    got = _kernels._conv_direct(a, a)
-    ref = _kernels._conv1_numpy(a, a)
-    assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
-    a2 = rng.uniform(0, 1, (13, 7))
-    got2 = _kernels._conv_direct(a2, a2)
-    ref2 = _kernels._conv2_numpy(a2, a2)
-    assert np.abs(got2 - ref2).max() <= 1e-13 * np.abs(ref2).max()
-
-
-def test_sweep_step_matches_numpy_expression():
-    rng = np.random.default_rng(4)
-    I = rng.standard_normal(128) + 1j * rng.standard_normal(128)
-    decay = np.exp(-rng.uniform(0, 3, 128))
-    g0 = rng.standard_normal(128) + 1j * rng.standard_normal(128)
-    g1 = rng.standard_normal(128) + 1j * rng.standard_normal(128)
-    got = sweep_step(I, decay, g0, g1, 0.01)
-    ref = _kernels._sweep_numpy(I, decay, g0, g1, 0.01)
-    assert np.abs(got - ref).max() <= 1e-15 * np.abs(ref).max()
-
-
-def test_env_flag_selects_numpy_backend():
-    env = dict(os.environ, FRACLAP_NUMBA="0")
-    code = ("import fraclap; "
-            "print(fraclap.backend_name(), fraclap._kernels.NUMBA_ENABLED)")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, env=env, check=True)
-    assert out.stdout.split() == ["numpy", "False"]
-
-
-def test_thread_cap_env_accepted():
-    env = dict(os.environ, FRACLAP_THREADS="1")
-    code = ("import numpy as np, fraclap; "
-            "out = fraclap.convolve_lattice(np.ones(16), np.ones(16), 1.0); "
-            "print(float(out.max()))")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, env=env, check=True)
-    assert float(out.stdout.strip()) == 16.0

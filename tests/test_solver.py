@@ -4,9 +4,10 @@ import pytest
 from fraclap import solver
 from fraclap import (CoefficientSpec, DomainError, GridSpec,
                      NonConvergenceError, ProblemConfig, SpectralField,
-                     duhamel_step, existence_budget, h1_dot_norm, h1_norm,
-                     omega_initial_field, picard_solve,
-                     random_nonneg_initial_field, semigroup_apply)
+                     check_admissibility, duhamel_step, existence_budget,
+                     h1_dot_norm, h1_norm, omega_initial_field, picard_solve,
+                     random_nonneg_initial_field, semigroup_apply,
+                     sobolev_norms)
 from oracles import reference_picard_solve
 
 L1D = 16 * np.pi
@@ -344,3 +345,46 @@ class TestBudget:
         with pytest.raises(DomainError, match="1 - alpha < gamma"):
             make_config(alpha=0.8, gamma=0.1,
                         coeff=bessel_coeff(alpha=0.8, gamma=0.1))
+
+    # (alpha, gamma, admissible, admissible for blow-up) at gamma = alpha - 1,
+    # 0 and 1 - alpha in each case (dyadic values: the boundaries are exact)
+    @pytest.mark.parametrize("alpha, gamma, ok, ok_blowup", [
+        (1.5, 0.5, False, False), (1.5, 0.0, True, True), (1.5, -0.5, False, False),
+        (0.75, -0.25, False, False), (0.75, 0.0, False, False),
+        (0.75, 0.25, False, True)])
+    def test_gamma_boundaries_agree_across_validators(self, alpha, gamma, ok,
+                                                      ok_blowup):
+        coeff = bessel_coeff(alpha=alpha, gamma=gamma)
+        rep = check_admissibility(coeff)
+        assert rep.sobolev_ok == ok
+        assert check_admissibility(coeff, for_blowup=True).sobolev_ok == ok_blowup
+        inside = 0.25 if alpha > 1 else 0.5
+        cfg = make_config(coeff=coeff, alpha=alpha, gamma=inside)
+        cfg.gamma = gamma
+        if ok:
+            make_config(coeff=coeff, alpha=alpha, gamma=gamma)
+            existence_budget(cfg)
+        else:
+            with pytest.raises(DomainError) as built:
+                make_config(coeff=coeff, alpha=alpha, gamma=gamma)
+            with pytest.raises(DomainError) as budget:
+                existence_budget(cfg)
+            assert str(built.value) == str(budget.value) == rep.messages[0]
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("kind", ["omega", "random", "complex"])
+def test_h1_routines_agree_bitwise(n, kind):
+    g = GridSpec(n, L1D, 64 if n == 1 else 32)
+    if kind == "omega":
+        f = omega_initial_field(g, 3.0)
+    elif kind == "random":
+        f = random_nonneg_initial_field(g, 0.7, seed=11)
+    else:
+        rng = np.random.default_rng(12)
+        f = SpectralField(g, rng.standard_normal(g.shape)
+                          + 1j * rng.standard_normal(g.shape))
+    cfg = make_config(g=g, coeff=zero_coeff(n=n), u0=omega_initial_field(g, 1.0))
+    rows = solver._SweepState(cfg).h1_rows(f.coeffs[None])
+    assert rows.shape == (1,)
+    assert h1_norm(f) == sobolev_norms(f).hs[1.0] == rows[0]
