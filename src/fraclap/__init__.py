@@ -15,9 +15,9 @@ from .coefficient import (AdmissibilityReport, CoefficientSpec, build_symbol,
                           norm_divergence_probe, sobolev_norm_of_b)
 from .errors import (DomainError, FraclapError, GridResolutionError,
                      NonConvergenceError, UsageError)
-from .operators import (FractionalParams, KernelEstimateReport, bessel_apply,
-                        kernel_field, kernel_l1_report, kernel_samples,
-                        riesz_apply, semigroup_apply, semigroup_symbol)
+from .operators import (KernelEstimateReport, bessel_apply, kernel_field,
+                        kernel_l1_report, kernel_samples, riesz_apply,
+                        semigroup_apply, semigroup_symbol)
 from .solver import (ExistenceBudget, ProblemConfig, Trajectory, duhamel_step,
                      existence_budget, omega_initial_field, picard_solve,
                      random_nonneg_initial_field, sweep_step)

@@ -26,7 +26,7 @@ import numpy as np
 from .coefficient import c1_threshold
 from .errors import DomainError, GridResolutionError, require_finite
 from .operators import require_alpha
-from .spectral import GridSpec, SpectralField
+from .spectral import GridSpec, SpectralField, write_csv
 
 LN2 = math.log(2.0)
 
@@ -77,9 +77,6 @@ class FreqWindow:
     def l1(self):
         return float(self.values.sum() * self.h ** self.n)
 
-    def l2_sq(self):
-        return float((self.values ** 2).sum() * self.h ** self.n)
-
     def mass_where(self, mask):
         return float(np.abs(self.values[mask]).sum() * self.h ** self.n)
 
@@ -103,15 +100,12 @@ class FreqWindow:
         return SpectralField.from_hat_values(grid, hat)
 
     def to_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("# frequency window: per-axis xi (dimensionless frequency), value\n")
-            fh.write(f"# spacing={self.h!r} start={self.start!r}\n")
-            cols = ",".join(f"xi{a + 1}" for a in range(self.n))
-            fh.write(f"{cols},value\n")
-            axes = self.axes()
-            for idx in np.ndindex(self.values.shape):
-                coords = ",".join(repr(float(axes[a][idx[a]])) for a in range(self.n))
-                fh.write(f"{coords},{float(self.values[idx])!r}\n")
+        xi = np.meshgrid(*self.axes(), indexing="ij")
+        write_csv(path,
+                  ["frequency window: per-axis xi (dimensionless frequency), value",
+                   f"spacing={self.h!r} start={self.start!r}"],
+                  "".join(f"xi{a + 1}," for a in range(self.n)) + "value",
+                  [g.ravel() for g in xi] + [self.values.ravel()])
 
 
 @dataclass
@@ -273,6 +267,10 @@ class CertificateParams:
         require_finite(gamma=self.gamma, rho=self.rho, C1=self.C1, A=self.A)
         if self.n < 1 or int(self.n) != self.n:
             raise DomainError("dimension n must be a positive integer")
+        if self.A <= 0:
+            raise DomainError(f"amplitude A = {self.A} fails A > 0")
+        if self.C1 <= 0:
+            raise DomainError(f"C1 = {self.C1} fails C1 > 0")
 
     @property
     def t_star(self):
@@ -433,21 +431,28 @@ def verify_induction_chain(levels, params, t, conv_tol=1e-10):
     return records
 
 
+def _log2_ratio(params):
+    return (2.0 * math.log2(params.A)
+            - params.t_star * 2.0 ** (params.alpha + 1.0) / LN2
+            - (10.0 + 2.0 * params.n))
+
+
 def blowup_constants(params):
     """(ratio, t_star, A_min) with ratio = A^2 / (e^{t_star 2^(alpha+1)} 2^(10+2n)),
     the quantity whose >= 1 makes the series terms non-vanishing. Computed in
-    log domain; exactly 1 at A = A_min."""
-    log2_ratio = (2.0 * math.log2(params.A)
-                  - params.t_star * 2.0 ** (params.alpha + 1.0) / LN2
-                  - (10.0 + 2.0 * params.n))
-    return 2.0 ** log2_ratio, params.t_star, params.A_min
+    log domain; exactly 1 at A = A_min, inf past float range."""
+    log2_ratio = _log2_ratio(params)
+    ratio = 2.0 ** log2_ratio if log2_ratio < 1024 else math.inf
+    return ratio, params.t_star, params.A_min
 
 
 def series_term_log(k, params):
-    """ln of term_k = ratio^(2^k) * v_n^(2^(k+1)) * 2^(k(9n+2))."""
-    ratio, _, _ = blowup_constants(params)
+    """ln of term_k = ratio^(2^k) * v_n^(2^(k+1)) * 2^(k(9n+2)).
+
+    ln(ratio) comes from its log2 exponent, not from the ratio itself, which
+    underflows to 0.0 for tiny A."""
     vn = unit_ball_volume(params.n)
-    return (2.0 ** k * math.log(ratio)
+    return (2.0 ** k * (_log2_ratio(params) * LN2)
             + 2.0 ** (k + 1) * math.log(vn)
             + k * (9.0 * params.n + 2.0) * LN2)
 
@@ -465,8 +470,9 @@ def divergence_partial_sums(params, K):
 
     Returned in log domain on purpose: with admissible constants S_K exceeds
     float range from K around 6 (the terms dominate like 2^(2^(k+1)))."""
-    if K < 1:
-        raise DomainError("need K >= 1 partial sums")
+    # 2^(k+1) in the last term must stay inside float range
+    if not 1 <= K <= 1023:
+        raise DomainError(f"series terms K = {K} fails 1 <= K <= 1023")
     pref = series_prefactor_log(params)
     log_sums = []
     acc = None

@@ -131,12 +131,10 @@ def _default_grid(n):
     return GridSpec(3, 16.0 * math.pi, 128)
 
 
-def _build_grid(values):
-    n = _get(values, "n")
-    default = _default_grid(n)
-    L = values.get("L", default.L)
-    N = values.get("N", default.N)
-    return GridSpec(n, L, N)
+def _grid(values, n, default):
+    """n-D grid with L and N from values where given, else from default(n)."""
+    d = default(n)
+    return GridSpec(n, values.get("L", d.L), values.get("N", d.N))
 
 
 def _build_coefficient(values):
@@ -164,7 +162,7 @@ def _build_initial(values, grid):
 
 
 def build_problem(values):
-    grid = _build_grid(values)
+    grid = _grid(values, _get(values, "n"), _default_grid)
     return ProblemConfig(
         grid=grid,
         alpha=_get(values, "alpha"),
@@ -216,8 +214,7 @@ def _cmd_certify(values, outdir):
     n = params.n
     grid = None
     if "L" in values or "N" in values:
-        default = cert.default_certificate_grid(n)
-        grid = GridSpec(n, values.get("L", default.L), values.get("N", default.N))
+        grid = _grid(values, n, cert.default_certificate_grid)
     k_max = values.get("k_max", cert.default_k_max(n))
     report = cert.certify(params, grid=grid, k_max=k_max,
                           series_terms=_get(values, "K"))
@@ -236,9 +233,10 @@ def _cmd_kernel_check(values, outdir):
         t_values = [float(x) for x in _get(values, "t_values").split(",") if x.strip()]
     except ValueError as exc:
         raise UsageError(f"t_values must be comma-separated numbers: {exc}") from exc
+    # no L or N: the report sizes its own grid
     grid = None
     if "L" in values or "N" in values:
-        grid = GridSpec(1, values.get("L", 16.0 * math.pi), values.get("N", 512))
+        grid = _grid(values, 1, _default_grid)
     report = kernel_l1_report(_get(values, "s"), _get(values, "alpha"), t_values,
                               grid=grid)
     path = os.path.join(outdir, "kernel.csv")
@@ -251,9 +249,7 @@ def _cmd_kernel_check(values, outdir):
 
 def _cmd_omega(values, outdir):
     n = _get(values, "n")
-    grid = cert.default_certificate_grid(n)
-    if "L" in values or "N" in values:
-        grid = GridSpec(n, values.get("L", grid.L), values.get("N", grid.N))
+    grid = _grid(values, n, cert.default_certificate_grid)
     k_max = values.get("k_max", cert.default_k_max(n))
     levels = cert.build_omega_sequence(k_max, grid)
     for lev in levels:

@@ -77,9 +77,6 @@ class CoefficientSpec:
                 raise DomainError("coefficient symbol must be nonnegative everywhere")
         return self.modulation(t) * base
 
-    def is_zero(self):
-        return self.kind in ("dirac", "bessel_symbol") and self.C == 0.0
-
 
 def build_symbol(spec, t, grid):
     """Nonnegative symbol array b_hat(t, xi_m) over the lattice as a field."""

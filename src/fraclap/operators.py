@@ -18,20 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, GridResolutionError, require_finite
-from .spectral import GridSpec, SpectralField, inverse_transform
+from .spectral import GridSpec, SpectralField, inverse_transform, write_csv
 
 _DC_TOL = 1e-13
-
-
-@dataclass(frozen=True)
-class FractionalParams:
-    """Diffusion exponent alpha in (0, 2] plus a potential order s."""
-
-    alpha: float
-    s: float = 0.0
-
-    def __post_init__(self):
-        require_alpha(self.alpha)
 
 
 def require_alpha(alpha):
@@ -136,25 +125,19 @@ class KernelEstimateReport:
     bound_constant: float
     grid: GridSpec
 
-    @property
-    def l1_norms(self):
-        return self.l1_bessel
-
     def ratio_spread(self):
         r = np.asarray(self.homogeneity_ratios)
         return float((r.max() - r.min()) / r.mean())
 
     def to_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("# stable-kernel smoothed L1 report: t (time units), "
-                     "discrete L1 of |xi|^s- and (1+|xi|^2)^(s/2)-weighted kernels, "
-                     "ratio = l1_riesz * t^(s/alpha) (dimensionless)\n")
-            fh.write(f"# s={self.s!r} alpha={self.alpha!r} L={self.grid.L!r} "
-                     f"N={self.grid.N} bound_constant={self.bound_constant!r}\n")
-            fh.write("t,l1_riesz,l1_bessel,ratio\n")
-            for t, lr, lb, q in zip(self.t_values, self.l1_riesz,
-                                    self.l1_bessel, self.homogeneity_ratios):
-                fh.write(f"{t!r},{lr!r},{lb!r},{q!r}\n")
+        write_csv(path,
+                  ["stable-kernel smoothed L1 report: t (time units), "
+                   "discrete L1 of |xi|^s- and (1+|xi|^2)^(s/2)-weighted kernels, "
+                   "ratio = l1_riesz * t^(s/alpha) (dimensionless)",
+                   f"s={self.s!r} alpha={self.alpha!r} L={self.grid.L!r} "
+                   f"N={self.grid.N} bound_constant={self.bound_constant!r}"],
+                  "t,l1_riesz,l1_bessel,ratio",
+                  [self.t_values, self.l1_riesz, self.l1_bessel, self.homogeneity_ratios])
 
 
 # -- grid adequacy -----------------------------------------------------------

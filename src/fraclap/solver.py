@@ -47,7 +47,7 @@ from .coefficient import CoefficientSpec, gamma_case, sobolev_norm_of_b
 from .errors import DomainError, NonConvergenceError, require_finite
 from .operators import require_alpha, semigroup_symbol
 from .spectral import (GridSpec, SpectralField, _weighted_norm, dealiased_square,
-                       field_to_csv, h1_dot_norm, h1_norm, h1_weight)
+                       field_to_csv, h1_dot_norm, h1_norm, h1_weight, write_csv)
 
 
 def omega_initial_field(grid, amplitude, symmetrize=True):
@@ -76,6 +76,8 @@ def random_nonneg_initial_field(grid, h1_amplitude, seed, max_mode=None):
     linear-exactness experiments.
     """
     require_finite(u0_amplitude=h1_amplitude)
+    if h1_amplitude < 0:
+        raise DomainError(f"u0_amplitude = {h1_amplitude} fails u0_amplitude >= 0")
     rng = np.random.default_rng(seed)
     if max_mode is None:
         max_mode = max(2, grid.N // 6)
@@ -166,15 +168,13 @@ class Trajectory:
         return np.array([np.abs(f.coeffs).max() for f in self.fields])
 
     def to_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("# trajectory: t (time units), discrete H1 and homogeneous H1 "
-                     "norms (field units), max |coefficient|\n")
-            fh.write(f"# overflow_at={self.overflow_at!r} iterations={self.iterations} "
-                     f"converged={int(self.converged)}\n")
-            fh.write("t,h1,h1_dot,max_abs_coeff\n")
-            maxes = self.max_abs_coeff()
-            for t, a, b, mx in zip(self.times, self.h1_norms, self.h1_dot_norms, maxes):
-                fh.write(f"{float(t)!r},{float(a)!r},{float(b)!r},{float(mx)!r}\n")
+        write_csv(path,
+                  ["trajectory: t (time units), discrete H1 and homogeneous H1 "
+                   "norms (field units), max |coefficient|",
+                   f"overflow_at={self.overflow_at!r} iterations={self.iterations} "
+                   f"converged={int(self.converged)}"],
+                  "t,h1,h1_dot,max_abs_coeff",
+                  [self.times, self.h1_norms, self.h1_dot_norms, self.max_abs_coeff()])
 
     def field_at(self, t):
         i = int(np.argmin(np.abs(self.times - t)))

@@ -180,12 +180,6 @@ class NormReport:
     hs_dot: dict
     l1_fourier: float
 
-    def hs_at(self, s):
-        return self.hs[s]
-
-    def hs_dot_at(self, s):
-        return self.hs_dot[s]
-
 
 def forward_transform(physical_field, grid, is_real=True):
     """Coefficients of a sampled field; DC coefficient equals the mean."""
@@ -291,30 +285,52 @@ def pointwise_square(fld):
     return SpectralField(fld.grid, dealiased_square(fld.coeffs, fld.grid), is_real=True)
 
 
+#: rows per formatting block; bounds the Python objects alive at once
+_CSV_BLOCK_ROWS = 1 << 16
+
+
+def write_csv(path, comments, header, columns):
+    """Write a table: ``# {c}`` per comment, the header row, then one row per
+    entry of the equal-length 1-D columns.
+
+    Each cell is repr() of the Python int or float the entry converts to
+    (shortest round-trip digits). Rows are formatted in blocks through
+    ``tolist()``, which also keeps numpy scalar reprs out of the file.
+    """
+    columns = [np.asarray(c) for c in columns]
+    fmt = ",".join(["%r"] * len(columns)) + "\n"
+    with open(path, "w") as fh:
+        fh.writelines(f"# {c}\n" for c in comments)
+        fh.write(header + "\n")
+        for lo in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
+            block = [c[lo:lo + _CSV_BLOCK_ROWS].tolist() for c in columns]
+            fh.write("".join(map(fmt.__mod__, zip(*block))))
+
+
 def field_to_csv(fld, path):
     """Write the full coefficient lattice as rows (m1, m2, m3, re, im)."""
     grid = fld.grid
-    with open(path, "w") as fh:
-        fh.write("# spectral field: mode indices per axis (dimensionless), "
-                 "coefficient real/imag parts (field units)\n")
-        fh.write(f"# n={grid.n} L={grid.L!r} N={grid.N} is_real={int(fld.is_real)}\n")
-        fh.write("m1,m2,m3,re,im\n")
-        modes = grid.modes
-        idx = np.meshgrid(*((modes,) * grid.n), indexing="ij")
-        flat = [g.ravel() for g in idx] + [np.zeros(fld.coeffs.size, dtype=np.int64)] * (3 - grid.n)
-        re = fld.coeffs.ravel().real
-        im = fld.coeffs.ravel().imag
-        for i in range(fld.coeffs.size):
-            fh.write(f"{flat[0][i]},{flat[1][i]},{flat[2][i]},"
-                     f"{float(re[i])!r},{float(im[i])!r}\n")
+    modes = np.meshgrid(*((grid.modes,) * grid.n), indexing="ij")
+    unused = [np.zeros(fld.coeffs.size, dtype=np.int64)] * (3 - grid.n)
+    c = fld.coeffs.ravel()
+    write_csv(path,
+              ["spectral field: mode indices per axis (dimensionless), "
+               "coefficient real/imag parts (field units)",
+               f"n={grid.n} L={grid.L!r} N={grid.N} is_real={int(fld.is_real)}"],
+              "m1,m2,m3,re,im",
+              [m.ravel() for m in modes] + unused + [c.real, c.imag])
 
 
 def field_from_csv(path, grid):
-    data = np.loadtxt(path, delimiter=",", skiprows=3)
+    """Read a field_to_csv file back onto grid; a mode outside [-N/2, N/2)
+    is a DomainError."""
+    data = np.atleast_2d(np.loadtxt(path, delimiter=",", skiprows=3))
+    m = data[:, :grid.n].astype(np.int64)
+    half = grid.N // 2
+    bad = (m < -half) | (m >= half)
+    if bad.any():
+        raise DomainError(f"{path}: mode index {int(m[bad][0])} fails "
+                          f"-{half} <= m < {half} (N = {grid.N})")
     c = np.zeros(grid.shape, dtype=np.complex128)
-    modes = grid.modes
-    pos = {m: i for i, m in enumerate(modes)}
-    for row in np.atleast_2d(data):
-        key = tuple(pos[int(row[ax])] for ax in range(grid.n))
-        c[key] = row[3] + 1j * row[4]
+    c[tuple((m % grid.N).T)] = data[:, 3] + 1j * data[:, 4]
     return SpectralField(grid, c)

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from fraclap import (CertificateParams, DomainError, GridResolutionError,
-                     GridSpec, blowup_constants, build_omega_sequence,
+from fraclap import (CertificateParams, DomainError, FreqWindow,
+                     GridResolutionError, GridSpec, blowup_constants, build_omega_sequence,
                      bump_weight, bump_weight_log, certify,
                      default_certificate_grid, divergence_partial_sums,
                      series_prefactor_log, series_term_log, unit_ball_volume,
@@ -86,6 +86,20 @@ class TestOmegaSequence:
         assert hat.max() == pytest.approx(levels[1].window.values.max(), rel=1e-12)
         rep_l1 = np.abs(fld.coeffs).sum()  # hat L1 in the coefficient sum form
         assert rep_l1 == pytest.approx(levels[1].l1, rel=1e-12)
+
+    def test_window_csv_text(self, tmp_path):
+        values = np.array([[0.1, -0.0, np.nan], [np.inf, 1e-300, 2.0]])
+        win = FreqWindow((-1, 2), values, 0.25)
+        path = tmp_path / "omega.csv"
+        win.to_csv(path)
+        rows = [f"{(-1 + i) * 0.25!r},{(2 + j) * 0.25!r},{values[i, j].item()!r}"
+                for i in range(2) for j in range(3)]
+        assert rows == ["-0.25,0.5,0.1", "-0.25,0.75,-0.0", "-0.25,1.0,nan",
+                        "0.0,0.5,inf", "0.0,0.75,1e-300", "0.0,1.0,2.0"]
+        assert path.read_text().splitlines() == [
+            "# frequency window: per-axis xi (dimensionless frequency), value",
+            "# spacing=0.25 start=(-1, 2)",
+            "xi1,xi2,value"] + rows
 
 
 class TestBumpWeight:

@@ -73,7 +73,10 @@ class TestExitCodes:
         ("solve", "L=nan"), ("solve", "L=inf"), ("budget", "L=nan"),
         ("kernel-check", "L=nan"), ("kernel-check", "t_values=nan"),
         ("kernel-check", "t_values=inf"), ("kernel-check", "t_values=0.5,nan"),
-        ("kernel-check", "s=nan"), ("kernel-check", "s=inf")])
+        ("kernel-check", "s=nan"), ("kernel-check", "s=inf"),
+        ("certify", "K=1024"), ("certify", "K=1100"), ("certify", "A=0"),
+        ("certify", "A=-1"), ("certify", "C1=0"), ("certify", "C1=-5"),
+        ("budget", "u0=random", "u0_amplitude=-1", "N=128")])
     def test_nonfinite_or_empty_input_is_domain_error(self, outdir, capsys, args):
         code = run([args[0], "-o", str(outdir), *args[1:]])
         err = capsys.readouterr().err
@@ -89,6 +92,15 @@ class TestSubcommands:
         text = (outdir / "certificate.txt").read_text()
         assert "verdict: certified-divergent" in text
         assert (outdir / "certificate.csv").exists()
+
+    @pytest.mark.parametrize("args, verdict", [
+        (("n=2", "A=1e-300"), "not-certified"),
+        (("A=1e300",), "certified-divergent")])
+    def test_certify_ratio_outside_float_range(self, outdir, capsys, args, verdict):
+        # the ratio under- or overflows a float; the series stays in log domain
+        code = run(["certify", "-o", str(outdir), *args])
+        assert code == 0, capsys.readouterr().err
+        assert f"verdict: {verdict}" in (outdir / "certificate.txt").read_text()
 
     def test_certify_bare_defaults(self, outdir, capsys):
         # with no config at all the floors are used and the run certifies

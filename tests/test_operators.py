@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fraclap import (DomainError, GridResolutionError, GridSpec, SpectralField,
+from fraclap import (DomainError, GridResolutionError, GridSpec,
+                     KernelEstimateReport, SpectralField,
                      bessel_apply, forward_transform, kernel_field,
                      kernel_l1_report, kernel_samples, riesz_apply,
                      semigroup_apply, sobolev_norms)
@@ -187,3 +188,21 @@ class TestKernelReport:
         data = np.loadtxt(path, delimiter=",", skiprows=3)
         assert data.shape == (2, 4)
         assert data[0, 0] == 0.5
+
+    def test_csv_text(self, tmp_path):
+        rep = KernelEstimateReport(
+            s=1.0, alpha=2.0, t_values=[0.1, 1e-300], l1_riesz=[-0.0, np.nan],
+            l1_bessel=[np.inf, 0.1], homogeneity_ratios=[1.0, 2.5],
+            bound_constant=0.5, grid=grid1(8))
+        path = tmp_path / "kernel.csv"
+        rep.to_csv(path)
+        rows = ["0.1,-0.0,inf,1.0", "1e-300,nan,0.1,2.5"]
+        assert rows == [",".join(repr(float(v)) for v in r)
+                        for r in zip(rep.t_values, rep.l1_riesz, rep.l1_bessel,
+                                     rep.homogeneity_ratios)]
+        assert path.read_text().splitlines() == [
+            "# stable-kernel smoothed L1 report: t (time units), discrete L1 of "
+            "|xi|^s- and (1+|xi|^2)^(s/2)-weighted kernels, "
+            "ratio = l1_riesz * t^(s/alpha) (dimensionless)",
+            f"# s=1.0 alpha=2.0 L={L1D!r} N=8 bound_constant=0.5",
+            "t,l1_riesz,l1_bessel,ratio"] + rows

@@ -4,7 +4,7 @@ import pytest
 from fraclap import solver
 from fraclap import (CoefficientSpec, DomainError, GridSpec,
                      NonConvergenceError, ProblemConfig, SpectralField,
-                     check_admissibility, duhamel_step, existence_budget,
+                     Trajectory, check_admissibility, duhamel_step, existence_budget,
                      h1_dot_norm, h1_norm, omega_initial_field, picard_solve,
                      random_nonneg_initial_field, semigroup_apply,
                      sobolev_norms)
@@ -388,3 +388,24 @@ def test_h1_routines_agree_bitwise(n, kind):
     rows = solver._SweepState(cfg).h1_rows(f.coeffs[None])
     assert rows.shape == (1,)
     assert h1_norm(f) == sobolev_norms(f).hs[1.0] == rows[0]
+
+
+def test_trajectory_csv_text(tmp_path):
+    g = grid1(8)
+    fields = [SpectralField(g, np.full(g.shape, c, dtype=np.complex128))
+              for c in (0.1, 1e-300, np.inf)]
+    traj = Trajectory(times=np.array([0.0, 0.1, 0.2]), fields=fields,
+                      h1_norms=np.array([-0.0, np.nan, 1e-300]),
+                      h1_dot_norms=np.array([np.inf, 0.1, 3.0]), overflow_at=0.2,
+                      picard_residuals=[], iterations=7, converged=True)
+    path = tmp_path / "trajectory.csv"
+    traj.to_csv(path)
+    rows = ["0.0,-0.0,inf,0.1", "0.1,nan,0.1,1e-300", "0.2,1e-300,3.0,inf"]
+    assert rows == [",".join(repr(float(v)) for v in r)
+                    for r in zip(traj.times, traj.h1_norms, traj.h1_dot_norms,
+                                 traj.max_abs_coeff())]
+    assert path.read_text().splitlines() == [
+        "# trajectory: t (time units), discrete H1 and homogeneous H1 norms "
+        "(field units), max |coefficient|",
+        "# overflow_at=0.2 iterations=7 converged=1",
+        "t,h1,h1_dot,max_abs_coeff"] + rows

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from fraclap import (DomainError, GridSpec, SpectralField, dealias,
                      field_from_csv, field_to_csv, forward_transform,
                      inverse_transform, pointwise_square, sobolev_norms)
+from fraclap import spectral
 from oracles import brute_mode_autoconv
 
 L1D = 16 * np.pi
@@ -216,10 +217,41 @@ class TestPointwiseSquare:
 
 class TestSerialization:
     def test_csv_round_trip(self, tmp_path):
-        g = grid1(16)
-        rng = np.random.default_rng(6)
-        f = forward_transform(rng.standard_normal(g.shape), g)
+        for g in (grid1(16), grid2(8), GridSpec(3, L1D, 8)):
+            rng = np.random.default_rng(6)
+            f = forward_transform(rng.standard_normal(g.shape), g)
+            path = tmp_path / f"field{g.n}.csv"
+            field_to_csv(f, path)
+            back = field_from_csv(path, g)
+            assert np.abs(back.coeffs - f.coeffs).max() == 0.0
+
+    def test_csv_rejects_out_of_range_mode(self, tmp_path):
+        # modes -8..7 of an N=16 file do not fit N=8's [-4, 4): no wrapping
         path = tmp_path / "field.csv"
-        field_to_csv(f, path)
-        back = field_from_csv(path, g)
-        assert np.abs(back.coeffs - f.coeffs).max() == 0.0
+        field_to_csv(SpectralField.zero(grid1(16)), path)
+        with pytest.raises(DomainError):
+            field_from_csv(path, grid1(8))
+
+    def test_csv_text(self, tmp_path, monkeypatch):
+        g = grid2(8)
+        values = [0.1, -0.0, np.nan, np.inf, 1e-300, -np.inf, 2.5, 1.0]
+        c = np.zeros(g.shape, dtype=np.complex128)
+        c.real[0] = values
+        c.imag[:, 0] = values[::-1]
+        path = tmp_path / "field.csv"
+        field_to_csv(SpectralField(g, c), path)
+        modes = [0, 1, 2, 3, -4, -3, -2, -1]
+        rows = [f"{modes[i]},{modes[j]},0,{float(c[i, j].real)!r},{float(c[i, j].imag)!r}"
+                for i in range(8) for j in range(8)]
+        assert path.read_text().splitlines() == [
+            "# spectral field: mode indices per axis (dimensionless), "
+            "coefficient real/imag parts (field units)",
+            f"# n=2 L={L1D!r} N=8 is_real=0",
+            "m1,m2,m3,re,im"] + rows
+        assert rows[:8] == ["0,0,0,0.1,1.0", "0,1,0,-0.0,0.0", "0,2,0,nan,0.0",
+                            "0,3,0,inf,0.0", "0,-4,0,1e-300,0.0", "0,-3,0,-inf,0.0",
+                            "0,-2,0,2.5,0.0", "0,-1,0,1.0,0.0"]
+        # rows split across formatting blocks, the last one partial
+        monkeypatch.setattr(spectral, "_CSV_BLOCK_ROWS", 5)
+        field_to_csv(SpectralField(g, c), tmp_path / "blocks.csv")
+        assert (tmp_path / "blocks.csv").read_text() == path.read_text()
