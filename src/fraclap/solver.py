@@ -24,7 +24,18 @@ residual and coefficient extrema are taken before its rows are replaced.
 Batched transforms, elementwise ops and per-row sums apply the same
 arithmetic to each node as a call on that node alone, so every result is
 bitwise identical to a per-node sweep (tests/oracles.py keeps that loop as
-the reference).
+the reference). G runs in place in a reused buffer per chunk.
+
+G at a node depends only on the previous iterate, so when one node fills a
+chunk (256^2 and 128^3 grids) a second thread computes G of chunk c + 1
+while this one runs chunk c's recurrence, norms and row update; numpy's
+FFTs and elementwise loops release the interpreter lock, so the two
+overlap. The worker is created inside picard_solve and joined before it
+returns, and it runs each G in a copy of the caller's context, so
+np.errstate applies to it. 1-D grids (dozens of nodes per chunk) stay on
+one thread: there, handing the interpreter lock back and forth costs more
+than the overlap saves. Both regimes do the same arithmetic and give the
+same bits.
 
 Blow-up handling: past the true explosion time the iterates diverge doubly
 exponentially in the sweep index and would overflow float range, so
@@ -36,6 +47,8 @@ first crossing, whose field is kept and flagged, and convergence is declared
 on the pre-crossing prefix with a stable crossing index.
 """
 
+import contextlib
+import contextvars
 import os
 from dataclasses import dataclass
 from typing import List, Optional
@@ -78,6 +91,8 @@ def random_nonneg_initial_field(grid, h1_amplitude, seed, max_mode=None):
     require_finite(u0_amplitude=h1_amplitude)
     if h1_amplitude < 0:
         raise DomainError(f"u0_amplitude = {h1_amplitude} fails u0_amplitude >= 0")
+    if seed < 0:
+        raise DomainError(f"seed = {seed} fails seed >= 0")
     rng = np.random.default_rng(seed)
     if max_mode is None:
         max_mode = max(2, grid.N // 6)
@@ -233,15 +248,16 @@ class _SweepState:
     def linear_part(self, u0_coeffs, t):
         return semigroup_symbol(self.grid, t, self.alpha) * u0_coeffs
 
-    def nonlinearity(self, u, lo, h1=None, thresh=None, work=None):
+    def nonlinearity(self, u, lo, h1=None, thresh=None, out=None):
         """G(u)(t_i) for the stack u of nodes i = lo, ..., lo + len(u) - 1:
         coefficients of b * dealias( ((-Lap)^(1/2) u)^2 ).
 
         With h1 (the rows' H1 norms), a row whose norm exceeds thresh is
         rescaled down to it first (saturated forcing) and a row whose norm
-        is not finite gets G = 0. work is optional scratch shaped like u.
+        is not finite gets G = 0. out is an optional complex buffer shaped
+        like u; every step runs in place in it and it is returned.
         """
-        a = np.multiply(self.abs_xi, u, out=work)
+        a = np.multiply(self.abs_xi, u, out=out)
         if h1 is not None:
             for r in np.flatnonzero(~(h1 <= thresh)):
                 if np.isfinite(h1[r]):
@@ -249,7 +265,7 @@ class _SweepState:
                     np.multiply(self.abs_xi, a[r], out=a[r])
                 else:
                     a[r] = 0.0
-        w = dealiased_square(a, self.grid, self.axes)
+        w = dealiased_square(a, self.grid, self.axes, out=a)
         np.multiply(w, self.b_sym[lo:lo + len(u)] if self.modulated else self.b_sym,
                     out=w)
         if h1 is not None:
@@ -260,6 +276,16 @@ class _SweepState:
         """Discrete H1 norm of each row of the stack u; +inf for a row with a
         non-finite coefficient."""
         return _weighted_norm(self.h1_weight, u, self.axes)
+
+
+def _worker(needed):
+    """Context manager for the one worker thread of a pipelined sweep, which
+    exits by joining it; it yields None when not needed."""
+    if not needed:
+        return contextlib.nullcontext()
+    # imported here: the module costs every CLI call import time
+    from concurrent.futures import ThreadPoolExecutor
+    return ThreadPoolExecutor(max_workers=1, thread_name_prefix="fraclap-G")
 
 
 def picard_solve(config):
@@ -297,61 +323,87 @@ def picard_solve(config):
     prev_cross = crossing_of(prev_h1)
     work = np.empty((chunk,) + grid.shape, dtype=np.complex128)
     rows = np.empty_like(work)
+    # one node fills a chunk (256^2 and 128^3 grids): a worker thread computes
+    # G of chunk ci + 1 while this thread runs chunk ci. The worker reads only
+    # chunk ci + 1's rows of prev and prev_h1, which this thread replaces only
+    # after it has taken that G
+    pipelined = chunk == 1
+    # G buffers in rotation: chunk ci's G, chunk ci - 1's (its last row is the
+    # recurrence's g_last) and, pipelined, chunk ci + 1's being computed
+    g_bufs = [np.empty_like(work) for _ in range(3 if pipelined else 2)]
+    n_chunks = -(-(M + 1) // chunk)
+
+    def g_of(ci):
+        lo = ci * chunk
+        hi = min(lo + chunk, M + 1)
+        return state.nonlinearity(prev[lo:hi], lo, prev_h1[lo:hi], thresh,
+                                  g_bufs[ci % len(g_bufs)][:hi - lo])
 
     residuals = []
     min_re, max_re, max_im = np.inf, -np.inf, 0.0
     converged = False
     iterations = 0
 
-    for j in range(config.picard_max_iter):
-        iterations = j + 1
-        # G of the previous iterate; at over-threshold nodes the field is
-        # rescaled down to the threshold first (saturated forcing keeps the
-        # iteration inside float range and free of on/off limit cycles;
-        # saturation only ever influences times at or past the crossing,
-        # which are truncated from the result anyway)
-        new_cross = None
-        res = 0.0
-        scale = 0.0
-        I = np.zeros_like(u0c)
-        for lo in range(0, M + 1, chunk):
-            hi = min(lo + chunk, M + 1)
-            k = hi - lo
-            g = state.nonlinearity(prev[lo:hi], lo, prev_h1[lo:hi], thresh, work[:k])
-            new = rows[:k]
-            for r in range(k):
-                i = lo + r
-                if i == 0:
-                    new[0] = lin[0]
-                else:
-                    I = sweep_step(I, state.decay_dt, g_last, g[r], half_dt)
-                    np.add(lin[i], I, out=new[r])
-                g_last = g[r]
-            new_h1 = state.h1_rows(new)
-            if new_cross is None:
-                valid = k
-                crossing = crossing_of(new_h1)
-                if crossing is not None:
-                    new_cross = lo + crossing
-                    valid = crossing
-                if valid:
-                    c = new[:valid]
-                    diff = np.subtract(c, prev[lo:lo + valid], out=work[:valid])
-                    res = max(res, float(state.h1_rows(diff).max()))
-                    scale = max(scale, float(new_h1[:valid].max()))
-                    min_re = min(min_re, float(np.min(c.real)))
-                    max_re = max(max_re, float(np.max(c.real)))
-                    max_im = max(max_im, float(np.max(np.abs(c.imag))))
-            prev[lo:hi] = new
-            prev_h1[lo:hi] = new_h1
-        residuals.append(res)
+    with _worker(pipelined) as pool:
+        for j in range(config.picard_max_iter):
+            iterations = j + 1
+            # G of the previous iterate; at over-threshold nodes the field is
+            # rescaled down to the threshold first (saturated forcing keeps
+            # the iteration inside float range and free of on/off limit
+            # cycles; saturation only ever influences times at or past the
+            # crossing, which are truncated from the result anyway)
+            new_cross = None
+            res = 0.0
+            scale = 0.0
+            I = np.zeros_like(u0c)
+            g = g_of(0)
+            for ci in range(n_chunks):
+                lo = ci * chunk
+                hi = min(lo + chunk, M + 1)
+                k = hi - lo
+                # the worker starts from this thread's context, so it raises
+                # under the caller's np.errstate as an inline call would
+                g_next = None
+                if pool is not None and ci + 1 < n_chunks:
+                    g_next = pool.submit(contextvars.copy_context().run, g_of, ci + 1)
+                new = rows[:k]
+                for r in range(k):
+                    i = lo + r
+                    if i == 0:
+                        new[0] = lin[0]
+                    else:
+                        I = sweep_step(I, state.decay_dt, g_last, g[r], half_dt)
+                        np.add(lin[i], I, out=new[r])
+                    g_last = g[r]
+                new_h1 = state.h1_rows(new)
+                if new_cross is None:
+                    valid = k
+                    crossing = crossing_of(new_h1)
+                    if crossing is not None:
+                        new_cross = lo + crossing
+                        valid = crossing
+                    if valid:
+                        c = new[:valid]
+                        diff = np.subtract(c, prev[lo:lo + valid], out=work[:valid])
+                        res = max(res, float(state.h1_rows(diff).max()))
+                        scale = max(scale, float(new_h1[:valid].max()))
+                        min_re = min(min_re, float(np.min(c.real)))
+                        max_re = max(max_re, float(np.max(c.real)))
+                        max_im = max(max_im, float(np.max(np.abs(c.imag))))
+                prev[lo:hi] = new
+                prev_h1[lo:hi] = new_h1
+                if g_next is not None:
+                    g = g_next.result()
+                elif ci + 1 < n_chunks:
+                    g = g_of(ci + 1)
+            residuals.append(res)
 
-        rel = res / scale if scale > 0 else 0.0
-        stable = new_cross == prev_cross
-        prev_cross = new_cross
-        if rel <= config.picard_tol and stable:
-            converged = True
-            break
+            rel = res / scale if scale > 0 else 0.0
+            stable = new_cross == prev_cross
+            prev_cross = new_cross
+            if rel <= config.picard_tol and stable:
+                converged = True
+                break
 
     if not converged and prev_cross is None:
         raise NonConvergenceError(

@@ -259,23 +259,26 @@ def dealias(fld):
     return SpectralField(fld.grid, c, fld.is_real, fld.overflowed)
 
 
-def dealiased_square(coeffs, grid, axes=None):
+def dealiased_square(coeffs, grid, axes=None, out=None):
     """Coefficients of the pointwise square of the field(s) with coefficients
     coeffs, dealiased; axes are the spatial axes (all by default, the trailing
-    n for a stack of nodes). Returns a new array.
+    n for a stack of nodes).
 
-    Computed as inverse transform -> square -> forward transform, which equals
-    the lattice autoconvolution of the coefficients on the retained modes
-    (the 2/3 rule removes exactly the aliased band).
+    The result is written to out (a complex array shaped like coeffs, which
+    may be coeffs itself) and returned; without out it goes to a new array.
+    Both transforms run in that one buffer. Computed as inverse transform ->
+    square -> forward transform, which equals the lattice autoconvolution of
+    the coefficients on the retained modes (the 2/3 rule removes exactly the
+    aliased band).
     """
     Nn = grid.N ** grid.n
-    v = np.fft.ifftn(coeffs, axes=axes)
+    v = np.fft.ifftn(coeffs, axes=axes, out=out)
     np.multiply(v, Nn, out=v)
     np.multiply(v, v, out=v)
-    w = np.fft.fftn(v, axes=axes)
-    np.true_divide(w, Nn, out=w)
-    np.copyto(w, 0.0, where=~grid.dealias_mask)
-    return w
+    np.fft.fftn(v, axes=axes, out=v)
+    np.true_divide(v, Nn, out=v)
+    np.copyto(v, 0.0, where=~grid.dealias_mask)
+    return v
 
 
 def pointwise_square(fld):

@@ -76,7 +76,8 @@ class TestExitCodes:
         ("kernel-check", "s=nan"), ("kernel-check", "s=inf"),
         ("certify", "K=1024"), ("certify", "K=1100"), ("certify", "A=0"),
         ("certify", "A=-1"), ("certify", "C1=0"), ("certify", "C1=-5"),
-        ("budget", "u0=random", "u0_amplitude=-1", "N=128")])
+        ("budget", "u0=random", "u0_amplitude=-1", "N=128"),
+        ("budget", "u0=random", "seed=-1", "N=16")])
     def test_nonfinite_or_empty_input_is_domain_error(self, outdir, capsys, args):
         code = run([args[0], "-o", str(outdir), *args[1:]])
         err = capsys.readouterr().err

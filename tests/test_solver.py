@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -295,6 +298,60 @@ class TestChunkedSweepOracle:
         assert got.iterations == ref.iterations
         assert got.converged == ref.converged
         assert got.overflow_at == ref.overflow_at
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+    def test_pipelined_sweep_bitwise_equal(self, case, monkeypatch):
+        # a one-byte budget puts one node in every chunk, which computes G of
+        # the next chunk on the worker thread while the recurrence runs
+        monkeypatch.setattr(solver, "_CHUNK_BYTES", 1)
+        self.test_bitwise_equal_to_per_node_loop(case)
+
+    def test_errstate_applies_on_the_worker(self, monkeypatch):
+        # np.errstate lives in a context variable, which a new thread does
+        # not inherit: G on the worker must raise where inline G does
+        cfg = ORACLE_CASES["nonfinite-rows"]()
+        raised = []
+        for chunk_bytes in (solver._CHUNK_BYTES, 1):
+            monkeypatch.setattr(solver, "_CHUNK_BYTES", chunk_bytes)
+            with np.errstate(over="raise"), pytest.raises(FloatingPointError) as exc:
+                picard_solve(cfg)
+            raised.append((str(exc.value), exc.traceback[-1].name))
+        assert raised[0] == raised[1]
+
+    def test_concurrent_pipelined_solves(self, monkeypatch):
+        # four solves, each with its own worker, under a tiny switch interval:
+        # a G read from or written to a row at the wrong time breaks equality
+        monkeypatch.setattr(solver, "_CHUNK_BYTES", 1)
+        cfg = ORACLE_CASES["grid-2d-N32"]()
+        ref = reference_picard_solve(cfg)
+        results = [None] * 4
+
+        def solve(slot):
+            results[slot] = picard_solve(cfg)
+
+        threads = [threading.Thread(target=solve, args=(s,)) for s in range(4)]
+        alive_before = threading.active_count()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        # every solve joined its worker before returning
+        assert threading.active_count() == alive_before
+        for got in results:
+            assert got is not None
+            assert len(got.fields) == len(ref.fields)
+            assert np.array_equal(got.h1_norms, ref.h1_norms)
+            assert got.picard_residuals == ref.picard_residuals
+            for f, r in zip(got.fields, ref.fields):
+                assert np.array_equal(f.coeffs, r.coeffs)
 
     def test_nonconvergence_residuals_match(self):
         g = grid1()
