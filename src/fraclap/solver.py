@@ -45,6 +45,15 @@ unlike an on/off cutoff, which orbits a limit cycle). Saturation only affects
 nodes at or past the crossing; the returned trajectory is truncated at the
 first crossing, whose field is kept and flagged, and convergence is declared
 on the pre-crossing prefix with a stable crossing index.
+Once a sweep has crossed at node c, the next sweep computes nodes 0..c only.
+The map is causal (node i of the new iterate reads nodes 0..i of the previous
+one), so those nodes come out exactly as in a full sweep, and when the new
+crossing lies at or below c, nothing past it reaches the residual, the
+extrema, the crossing or the returned prefix: every output is bitwise that
+of full sweeps. If such a sweep finds no crossing, the full sweep's crossing
+(if any) lies at a node it did not compute, so the run starts over from the
+linear part with full sweeps throughout. A run therefore costs at most one
+truncated pass more than full sweeps would.
 """
 
 import contextlib
@@ -316,11 +325,8 @@ def picard_solve(config):
     # the iterate is updated in place, chunk by chunk: the G values a chunk
     # needs from the previous iterate are taken before its rows are replaced,
     # and later nodes only read later rows
-    prev = lin.copy()
-    # norms chunk by chunk: whole-stack temporaries would raise peak memory
-    prev_h1 = np.concatenate([state.h1_rows(prev[lo:lo + chunk])
-                              for lo in range(0, M + 1, chunk)])
-    prev_cross = crossing_of(prev_h1)
+    prev = np.empty_like(lin)
+    prev_h1 = np.empty(M + 1)
     work = np.empty((chunk,) + grid.shape, dtype=np.complex128)
     rows = np.empty_like(work)
     # one node fills a chunk (256^2 and 128^3 grids): a worker thread computes
@@ -331,78 +337,98 @@ def picard_solve(config):
     # G buffers in rotation: chunk ci's G, chunk ci - 1's (its last row is the
     # recurrence's g_last) and, pipelined, chunk ci + 1's being computed
     g_bufs = [np.empty_like(work) for _ in range(3 if pipelined else 2)]
-    n_chunks = -(-(M + 1) // chunk)
 
     def g_of(ci):
         lo = ci * chunk
-        hi = min(lo + chunk, M + 1)
+        hi = min(lo + chunk, end)
         return state.nonlinearity(prev[lo:hi], lo, prev_h1[lo:hi], thresh,
                                   g_bufs[ci % len(g_bufs)][:hi - lo])
 
-    residuals = []
-    min_re, max_re, max_im = np.inf, -np.inf, 0.0
-    converged = False
-    iterations = 0
-
     with _worker(pipelined) as pool:
-        for j in range(config.picard_max_iter):
-            iterations = j + 1
-            # G of the previous iterate; at over-threshold nodes the field is
-            # rescaled down to the threshold first (saturated forcing keeps
-            # the iteration inside float range and free of on/off limit
-            # cycles; saturation only ever influences times at or past the
-            # crossing, which are truncated from the result anyway)
-            new_cross = None
-            res = 0.0
-            scale = 0.0
-            I = np.zeros_like(u0c)
-            g = g_of(0)
-            for ci in range(n_chunks):
-                lo = ci * chunk
-                hi = min(lo + chunk, M + 1)
-                k = hi - lo
-                # the worker starts from this thread's context, so it raises
-                # under the caller's np.errstate as an inline call would
-                g_next = None
-                if pool is not None and ci + 1 < n_chunks:
-                    g_next = pool.submit(contextvars.copy_context().run, g_of, ci + 1)
-                new = rows[:k]
-                for r in range(k):
-                    i = lo + r
-                    if i == 0:
-                        new[0] = lin[0]
-                    else:
-                        I = sweep_step(I, state.decay_dt, g_last, g[r], half_dt)
-                        np.add(lin[i], I, out=new[r])
-                    g_last = g[r]
-                new_h1 = state.h1_rows(new)
-                if new_cross is None:
-                    valid = k
-                    crossing = crossing_of(new_h1)
-                    if crossing is not None:
-                        new_cross = lo + crossing
-                        valid = crossing
-                    if valid:
-                        c = new[:valid]
-                        diff = np.subtract(c, prev[lo:lo + valid], out=work[:valid])
-                        res = max(res, float(state.h1_rows(diff).max()))
-                        scale = max(scale, float(new_h1[:valid].max()))
-                        min_re = min(min_re, float(np.min(c.real)))
-                        max_re = max(max_re, float(np.max(c.real)))
-                        max_im = max(max_im, float(np.max(np.abs(c.imag))))
-                prev[lo:hi] = new
-                prev_h1[lo:hi] = new_h1
-                if g_next is not None:
-                    g = g_next.result()
-                elif ci + 1 < n_chunks:
-                    g = g_of(ci + 1)
-            residuals.append(res)
+        # the first pass stops each sweep at the previous sweep's crossing;
+        # a sweep that finds no crossing then sends the run to the second
+        # pass, which starts over with full sweeps
+        for truncate in (True, False):
+            prev[...] = lin
+            # norms chunk by chunk: whole-stack temporaries would raise peak
+            # memory
+            for lo in range(0, M + 1, chunk):
+                prev_h1[lo:lo + chunk] = state.h1_rows(prev[lo:lo + chunk])
+            prev_cross = crossing_of(prev_h1)
+            residuals = []
+            min_re, max_re, max_im = np.inf, -np.inf, 0.0
+            converged = stale = False
+            for j in range(config.picard_max_iter):
+                iterations = j + 1
+                # rows past the previous crossing may be stale in prev; no
+                # row up to it is (see the module docstring)
+                end = M + 1 if prev_cross is None or not truncate else prev_cross + 1
+                n_chunks = -(-end // chunk)
+                # G of the previous iterate; at over-threshold nodes the field
+                # is rescaled down to the threshold first (saturated forcing
+                # keeps the iteration inside float range and free of on/off
+                # limit cycles; saturation only ever influences nodes at or
+                # past the previous crossing, the last node this sweep
+                # computes once there is one)
+                new_cross = None
+                res = 0.0
+                scale = 0.0
+                I = np.zeros_like(u0c)
+                g = g_of(0)
+                for ci in range(n_chunks):
+                    lo = ci * chunk
+                    hi = min(lo + chunk, end)
+                    k = hi - lo
+                    # the worker starts from this thread's context, so it
+                    # raises under the caller's np.errstate as an inline call
+                    # would
+                    g_next = None
+                    if pool is not None and ci + 1 < n_chunks:
+                        g_next = pool.submit(contextvars.copy_context().run, g_of, ci + 1)
+                    new = rows[:k]
+                    for r in range(k):
+                        i = lo + r
+                        if i == 0:
+                            new[0] = lin[0]
+                        else:
+                            I = sweep_step(I, state.decay_dt, g_last, g[r], half_dt)
+                            np.add(lin[i], I, out=new[r])
+                        g_last = g[r]
+                    new_h1 = state.h1_rows(new)
+                    if new_cross is None:
+                        valid = k
+                        crossing = crossing_of(new_h1)
+                        if crossing is not None:
+                            new_cross = lo + crossing
+                            valid = crossing
+                        if valid:
+                            c = new[:valid]
+                            diff = np.subtract(c, prev[lo:lo + valid], out=work[:valid])
+                            res = max(res, float(state.h1_rows(diff).max()))
+                            scale = max(scale, float(new_h1[:valid].max()))
+                            min_re = min(min_re, float(np.min(c.real)))
+                            max_re = max(max_re, float(np.max(c.real)))
+                            max_im = max(max_im, float(np.max(np.abs(c.imag))))
+                    prev[lo:hi] = new
+                    prev_h1[lo:hi] = new_h1
+                    if g_next is not None:
+                        g = g_next.result()
+                    elif ci + 1 < n_chunks:
+                        g = g_of(ci + 1)
+                # no crossing below end: a full sweep's crossing, if any, lies
+                # in rows this sweep left stale
+                stale = new_cross is None and end <= M
+                if stale:
+                    break
+                residuals.append(res)
 
-            rel = res / scale if scale > 0 else 0.0
-            stable = new_cross == prev_cross
-            prev_cross = new_cross
-            if rel <= config.picard_tol and stable:
-                converged = True
+                rel = res / scale if scale > 0 else 0.0
+                stable = new_cross == prev_cross
+                prev_cross = new_cross
+                if rel <= config.picard_tol and stable:
+                    converged = True
+                    break
+            if not stale:
                 break
 
     if not converged and prev_cross is None:

@@ -134,20 +134,6 @@ class SpectralField:
     overflowed: bool = False
 
     @classmethod
-    def from_coeffs(cls, grid, coeffs, is_real=False):
-        """Validating constructor: shape, finiteness and (if claimed) Hermitian
-        symmetry are checked here; internal code paths construct directly."""
-        c = np.asarray(coeffs, dtype=np.complex128)
-        if c.shape != grid.shape:
-            raise DomainError(f"coefficient shape {c.shape} does not match grid {grid.shape}")
-        if not np.all(np.isfinite(c)):
-            raise DomainError("non-finite coefficients")
-        f = cls(grid, c, is_real=is_real)
-        if is_real and not f.check_hermitian():
-            raise DomainError("field flagged real but coefficients are not Hermitian-symmetric")
-        return f
-
-    @classmethod
     def zero(cls, grid, is_real=True):
         return cls(grid, np.zeros(grid.shape, dtype=np.complex128), is_real=is_real)
 

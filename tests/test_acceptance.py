@@ -227,3 +227,23 @@ def test_criterion_11_blowup_proxy():
         assert gap <= 0.20
     report(11, timer, f"numerical blow-up at t = {crossings[512]:.3e} (N=512) "
                       f"vs {crossings[1024]:.3e} (N=1024), gap = {gap:.1%}")
+
+
+def test_criterion_11_blowup_proxy_dt_refinement():
+    with Timed(300.0) as timer:
+        coeff = CoefficientSpec(kind="dirac", C=2048.0, n=1, alpha=2.0, gamma=0.9)
+        g = GridSpec(1, 16 * np.pi, 512)
+        crossings = {}
+        for dt in (5e-9, 2.5e-9):
+            cfg = ProblemConfig(grid=g, alpha=2.0, gamma=0.9, coefficient=coeff,
+                                u0=omega_initial_field(g, 128.0),
+                                T0=1e-6, dt=dt, picard_tol=1e-8,
+                                picard_max_iter=150)
+            traj = picard_solve(cfg)
+            assert traj.overflow_at is not None
+            crossings[dt] = len(traj.times) - 1
+        # crossing node indices, compared on the fine lattice: the two times
+        # differ by at most one coarse step
+        assert abs(crossings[2.5e-9] - 2 * crossings[5e-9]) <= 2
+    report(11, timer, f"numerical blow-up at t = {crossings[5e-9] * 5e-9:.3e} "
+                      f"(dt=5e-9) vs {crossings[2.5e-9] * 2.5e-9:.3e} (dt=2.5e-9)")

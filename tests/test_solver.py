@@ -320,6 +320,29 @@ class TestChunkedSweepOracle:
             raised.append((str(exc.value), exc.traceback[-1].name))
         assert raised[0] == raised[1]
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_sweeps_stop_at_previous_crossing(self, monkeypatch):
+        # a full sweep makes M recurrence steps. Sweeps stopped at the previous
+        # crossing make fewer; nonfinite-rows loses its crossing at one sweep,
+        # so the run restarts with full sweeps and makes more
+        calls = []
+        step = solver.sweep_step
+
+        def counted(*args):
+            calls.append(None)
+            return step(*args)
+
+        monkeypatch.setattr(solver, "sweep_step", counted)
+        for chunk_bytes in (solver._CHUNK_BYTES, 1):
+            monkeypatch.setattr(solver, "_CHUNK_BYTES", chunk_bytes)
+            for case, fewer in (("blowup-threshold-1e6", True), ("nonfinite-rows", False)):
+                cfg = ORACLE_CASES[case]()
+                calls.clear()
+                traj = picard_solve(cfg)
+                full = traj.iterations * cfg.n_steps
+                assert (len(calls) < full) if fewer else (len(calls) > full)
+
     def test_concurrent_pipelined_solves(self, monkeypatch):
         # four solves, each with its own worker, under a tiny switch interval:
         # a G read from or written to a row at the wrong time breaks equality
