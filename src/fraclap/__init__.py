@@ -20,7 +20,7 @@ from .operators import (KernelEstimateReport, bessel_apply, kernel_field,
                         semigroup_apply, semigroup_symbol)
 from .solver import (ExistenceBudget, ProblemConfig, Trajectory, duhamel_step,
                      existence_budget, omega_initial_field, picard_solve,
-                     random_nonneg_initial_field, sweep_step)
+                     random_nonneg_initial_field)
 from .spectral import (GridSpec, NormReport, SpectralField, dealias,
                        field_from_csv, field_to_csv, forward_transform,
                        h1_dot_norm, h1_norm, inverse_transform,

@@ -73,8 +73,11 @@ class CoefficientSpec:
             base = self.C * (1.0 + np.asarray(xi_sq, dtype=float)) ** (-self.rho / 2.0)
         else:
             base = np.asarray(self.symbol_fn(t, xi_sq), dtype=float)
-            if np.any(base < 0):
-                raise DomainError("coefficient symbol must be nonnegative everywhere")
+            # NaN fails both comparisons
+            bad = ~((base >= 0) & (base < np.inf))
+            if np.any(bad):
+                raise DomainError(f"coefficient symbol value {base[bad].flat[0]!r} at "
+                                  f"t = {t} fails 0 <= b_hat(t, xi) < inf")
         return self.modulation(t) * base
 
 

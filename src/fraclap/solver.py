@@ -15,16 +15,36 @@ recurrence
 
 so a sweep costs O(M) transform work instead of O(M^2).
 
-The iterate is one (M+1, *grid.shape) stack of node coefficients, updated in
-place. A sweep walks the node axis in chunks of as many nodes as fit a
-256 KiB budget (dozens per chunk on 1-D grids, one on a 256^2 or 128^3
-grid): per chunk, G is one batched inverse and one forward FFT over the
-spatial axes, the recurrence steps node by node, and the chunk's H1 norms,
-residual and coefficient extrema are taken before its rows are replaced.
-Batched transforms, elementwise ops and per-row sums apply the same
-arithmetic to each node as a call on that node alone, so every result is
-bitwise identical to a per-node sweep (tests/oracles.py keeps that loop as
-the reference). G runs in place in a reused buffer per chunk.
+Node storage. G is dealiased by the 2/3 rule, so it is exactly zero outside
+the band |m| <= N//3 per axis (b_hat is checked finite, so 0 * b_hat is 0).
+There the recurrence adds exact zeros to the decayed data: every iterate
+equals S(t) u0 = exp(-t (-Lap)^(alpha/2)) u0 + 0 outside the band, and is
+exactly +0 wherever u0 is. So a node is stored as a vector of its band
+coefficients ((2 (N//3) + 1)^n of N^n: 45% at 256^2, 30% at 128^3) followed
+by the k out-of-band coefficients where u0 is not +0. k is 0 for the CLI
+data (omega, random, zero); sampled noise fills it. The iterate is one
+(M+1, that length) stack, updated in place; the linear part is a second.
+The out-of-band entries go through the same recurrence as the band, with
+G = 0, so there is one path for both.
+
+A sweep walks the node axis in chunks of as many nodes as fit a 256 KiB
+budget of full-lattice rows (dozens per chunk on 1-D grids, one on a 256^2
+or 128^3 grid). Per chunk, the previous iterate's rows are scattered onto
+the full lattice (2^n block copies per row, plus the k entries), G is one
+batched inverse and one forward FFT over the spatial axes there, and its
+stored entries are gathered back. The recurrence steps node by node on
+stored vectors, in place in preallocated buffers. The chunk's new rows are
+scattered onto the full lattice for their H1 norms, residual and
+coefficient extrema, which are taken before the stored rows are replaced:
+numpy's pairwise sums see the same full-shape rows as before, so the norms
+keep their bits. Batched transforms, elementwise ops and per-row sums apply
+the same arithmetic to each node as a call on that node alone, so every
+result is bitwise identical to a per-node sweep on full-lattice nodes
+(tests/oracles.py keeps that loop as the reference).
+
+The returned Trajectory keeps the stored stack; its fields are a read-only
+sequence that builds each full-lattice SpectralField when it is read, so
+the h1_dot norms and Trajectory.to_csv hold one full field at a time.
 
 G at a node depends only on the previous iterate, so when one node fills a
 chunk (256^2 and 128^3 grids) a second thread computes G of chunk c + 1
@@ -58,7 +78,9 @@ truncated pass more than full sweeps would.
 
 import contextlib
 import contextvars
+import itertools
 import os
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -69,7 +91,7 @@ from .coefficient import CoefficientSpec, gamma_case, sobolev_norm_of_b
 from .errors import DomainError, NonConvergenceError, require_finite
 from .operators import require_alpha, semigroup_symbol
 from .spectral import (GridSpec, SpectralField, _weighted_norm, dealiased_square,
-                       field_to_csv, h1_dot_norm, h1_norm, h1_weight, write_csv)
+                       h1_dot_norm, h1_norm, h1_weight, write_csv)
 
 
 def omega_initial_field(grid, amplitude, symmetrize=True):
@@ -151,6 +173,8 @@ class ProblemConfig:
             raise DomainError(f"horizon must satisfy T0 > 0, got {self.T0}")
         if self.dt <= 0 or self.dt > self.T0:
             raise DomainError(f"time step must satisfy 0 < dt <= T0, got {self.dt}")
+        # n_steps rounds T0 / dt to an integer
+        require_finite(**{"T0 / dt": self.T0 / self.dt})
         if self.picard_tol <= 0:
             raise DomainError("picard_tol must be > 0")
         if self.overflow_threshold <= 0:
@@ -174,10 +198,15 @@ class ProblemConfig:
 
 @dataclass
 class Trajectory:
-    """Solver output: fields and norms on the time lattice up to overflow."""
+    """Solver output: fields and norms on the time lattice up to overflow.
+
+    picard_solve fills fields with a read-only sequence that builds each
+    field from the stored node stack when it is read; any sequence of
+    SpectralField works.
+    """
 
     times: np.ndarray
-    fields: List[SpectralField]
+    fields: Sequence[SpectralField]
     h1_norms: np.ndarray
     h1_dot_norms: np.ndarray
     overflow_at: Optional[float]
@@ -200,33 +229,98 @@ class Trajectory:
                   "t,h1,h1_dot,max_abs_coeff",
                   [self.times, self.h1_norms, self.h1_dot_norms, self.max_abs_coeff()])
 
-    def field_at(self, t):
-        i = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[i] - t) > 1e-9 * max(float(self.times[-1]), 1.0):
-            raise DomainError(f"time {t} is not on the computed lattice")
-        return self.fields[i]
 
-    def write_snapshots(self, directory, snapshot_times):
-        """Full-field CSV per requested lattice time: snapshot_t{T}.csv."""
-        paths = []
-        for t in snapshot_times:
-            fld = self.field_at(t)
-            path = os.path.join(directory, f"snapshot_t{float(t):g}.csv")
-            field_to_csv(fld, path)
-            paths.append(path)
-        return paths
-
-
-def sweep_step(I, decay, g_prev, g_new, half_dt):
+def sweep_step(I, decay, g_prev, g_new, half_dt, work):
     """One trapezoid step of ``int_0^t exp(-(t-s)L) G(s) ds`` with the decay
-    multiplier applied exactly:
+    multiplier applied exactly, in place in I (work is scratch shaped like I):
     I_new = decay * (I + half_dt * g_prev) + half_dt * g_new."""
-    return decay * (I + half_dt * g_prev) + half_dt * g_new
+    np.multiply(half_dt, g_prev, out=work)
+    np.add(I, work, out=I)
+    np.multiply(decay, I, out=I)
+    np.multiply(half_dt, g_new, out=work)
+    return np.add(I, work, out=I)
 
 
 # scratch budget for one chunk of the node stack: a 1-D sweep batches many
 # nodes per transform call, a 256^2 or 128^3 field goes one node at a time
 _CHUNK_BYTES = 256 * 1024
+
+
+class _NodeLayout:
+    """Which coefficients of a node the solver stores, and where they sit on
+    the full lattice.
+
+    A stored node is one vector: the 2/3-rule band (|m| <= N//3 per axis,
+    B = 2 (N//3) + 1 modes, so 2^n blocks of the FFT layout) as a (B,)*n
+    array in C order, then the values at ext, the flat lattice indices
+    outside the band where u0 is not +0. Every other coefficient of every
+    iterate is exactly +0 (see the module docstring).
+    """
+
+    def __init__(self, grid, u0c):
+        lim = grid.N // 3
+        width = 2 * lim + 1
+        halves = ((slice(0, lim + 1), slice(0, lim + 1)),
+                  (slice(lim + 1, width), slice(grid.N - lim, grid.N)))
+        # (stored slices, lattice slices) per block, with the node axis first
+        self.blocks = [tuple((slice(None),) + s for s in zip(*combo))
+                       for combo in itertools.product(halves, repeat=grid.n)]
+        self.band_shape = (width,) * grid.n
+        self.band_size = width ** grid.n
+        # -0.0 counts: the sweep turns it into +0.0 at later nodes, as on
+        # the full lattice
+        stored = (u0c != 0) | np.signbit(u0c.real) | np.signbit(u0c.imag)
+        self.ext = np.flatnonzero(~grid.dealias_mask & stored)
+        self.size = self.band_size + len(self.ext)
+
+    def _band(self, rows):
+        # a view: a row's band part is contiguous
+        return rows[:, :self.band_size].reshape((len(rows),) + self.band_shape)
+
+    def scatter(self, rows, full):
+        """Write stored rows (k, size) to their places in the lattice rows
+        full (k, *grid.shape), leaving every other entry as it is."""
+        band = self._band(rows)
+        for stored, lattice in self.blocks:
+            full[lattice] = band[stored]
+        if len(self.ext):
+            full.reshape(len(full), -1)[:, self.ext] = rows[:, self.band_size:]
+        return full
+
+    def gather(self, full, rows):
+        """Inverse of scatter: copy the stored entries of full into rows."""
+        band = self._band(rows)
+        for stored, lattice in self.blocks:
+            band[stored] = full[lattice]
+        if len(self.ext):
+            rows[:, self.band_size:] = full.reshape(len(full), -1)[:, self.ext]
+        return rows
+
+
+class _NodeFields(Sequence):
+    """Read-only fields of nodes 0..length-1 of a stored node stack. Each
+    read builds a new full-lattice SpectralField, so a caller that walks the
+    nodes holds one full field at a time."""
+
+    def __init__(self, grid, layout, stack, length, cross, is_real):
+        self.grid = grid
+        self.layout = layout
+        self.stack = stack
+        self.length = length
+        self.cross = cross
+        self.is_real = is_real
+
+    def __len__(self):
+        return self.length
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(self.length))]
+        i = range(self.length)[i]
+        full = np.zeros((1,) + self.grid.shape, dtype=np.complex128)
+        self.layout.scatter(self.stack[i:i + 1], full)
+        return SpectralField(self.grid, full[0], is_real=self.is_real,
+                             overflowed=self.cross is not None and i >= self.cross)
 
 
 class _SweepState:
@@ -244,7 +338,6 @@ class _SweepState:
         self.axes = tuple(range(1, grid.n + 1))
         xi2 = grid.xi_norm_sq
         self.abs_xi = np.sqrt(xi2)
-        self.decay_dt = semigroup_symbol(grid, config.dt, config.alpha)
         self.alpha = config.alpha
         self.h1_weight = h1_weight(grid)
         self.modulated = config.coefficient.time_modulation is not None
@@ -257,23 +350,22 @@ class _SweepState:
     def linear_part(self, u0_coeffs, t):
         return semigroup_symbol(self.grid, t, self.alpha) * u0_coeffs
 
-    def nonlinearity(self, u, lo, h1=None, thresh=None, out=None):
+    def nonlinearity(self, u, lo, h1=None, thresh=None):
         """G(u)(t_i) for the stack u of nodes i = lo, ..., lo + len(u) - 1:
-        coefficients of b * dealias( ((-Lap)^(1/2) u)^2 ).
+        coefficients of b * dealias( ((-Lap)^(1/2) u)^2 ), computed in place
+        in u, which is returned.
 
         With h1 (the rows' H1 norms), a row whose norm exceeds thresh is
         rescaled down to it first (saturated forcing) and a row whose norm
-        is not finite gets G = 0. out is an optional complex buffer shaped
-        like u; every step runs in place in it and it is returned.
+        is not finite gets G = 0.
         """
-        a = np.multiply(self.abs_xi, u, out=out)
         if h1 is not None:
             for r in np.flatnonzero(~(h1 <= thresh)):
                 if np.isfinite(h1[r]):
-                    np.multiply(u[r], thresh / h1[r], out=a[r])
-                    np.multiply(self.abs_xi, a[r], out=a[r])
+                    np.multiply(u[r], thresh / h1[r], out=u[r])
                 else:
-                    a[r] = 0.0
+                    u[r] = 0.0
+        a = np.multiply(self.abs_xi, u, out=u)
         w = dealiased_square(a, self.grid, self.axes, out=a)
         np.multiply(w, self.b_sym[lo:lo + len(u)] if self.modulated else self.b_sym,
                     out=w)
@@ -297,6 +389,16 @@ def _worker(needed):
     return ThreadPoolExecutor(max_workers=1, thread_name_prefix="fraclap-G")
 
 
+def _require_stacks_fit(nodes, node_bytes):
+    """DomainError unless the two node stacks of a run fit in physical memory."""
+    need = 2.0 * nodes * node_bytes
+    have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if need > have:
+        raise DomainError(
+            f"{nodes:.4g} time nodes need {need:.4g} bytes of node stacks, which "
+            f"fails bytes <= physical memory = {have:.4g}; raise dt or lower T0")
+
+
 def picard_solve(config):
     """Iterate the Duhamel map to its fixed point over [0, T0].
 
@@ -306,17 +408,25 @@ def picard_solve(config):
     a blow-up diagnostic, not a failure; without overflow it raises
     NonConvergenceError carrying the residual history.
     """
-    state = _SweepState(config)
     grid = config.grid
-    M = config.n_steps
-    times = config.times
     u0c = config.u0.coeffs
+    layout = _NodeLayout(grid, u0c)
+    M = config.n_steps
+    itemsize = np.dtype(np.complex128).itemsize
+    _require_stacks_fit(M + 1, layout.size * itemsize)
+    state = _SweepState(config)
+    times = config.times
     thresh = config.overflow_threshold
     half_dt = 0.5 * config.dt
-    lin = np.empty((M + 1,) + grid.shape, dtype=np.complex128)
+    lin = np.empty((M + 1, layout.size), dtype=np.complex128)
+    lin_h1 = np.empty(M + 1)
     for i, t in enumerate(times):
-        lin[i] = state.linear_part(u0c, t)
-    chunk = max(1, _CHUNK_BYTES // lin[0].nbytes)
+        row = state.linear_part(u0c, t)[None]
+        lin_h1[i] = state.h1_rows(row)[0]
+        layout.gather(row, lin[i:i + 1])
+    decay = layout.gather(semigroup_symbol(grid, config.dt, config.alpha)[None],
+                          np.empty((1, layout.size)))[0]
+    chunk = max(1, _CHUNK_BYTES // (u0c.size * itemsize))
 
     def crossing_of(h1):
         over = np.flatnonzero(~np.isfinite(h1) | (h1 > thresh))
@@ -327,8 +437,15 @@ def picard_solve(config):
     # and later nodes only read later rows
     prev = np.empty_like(lin)
     prev_h1 = np.empty(M + 1)
-    work = np.empty((chunk,) + grid.shape, dtype=np.complex128)
-    rows = np.empty_like(work)
+    rows = np.empty((chunk, layout.size), dtype=np.complex128)
+    diff = np.empty_like(rows)
+    I = np.empty(layout.size, dtype=np.complex128)
+    step_work = np.empty_like(I)
+    # lattice rows for the norms and extrema of a chunk, and for G's input
+    # and output. Both start at zero and only ever get new values at stored
+    # positions: scatter writes nothing else, and G is zero outside the band
+    full = np.zeros((chunk,) + grid.shape, dtype=np.complex128)
+    g_full = np.zeros_like(full)
     # one node fills a chunk (256^2 and 128^3 grids): a worker thread computes
     # G of chunk ci + 1 while this thread runs chunk ci. The worker reads only
     # chunk ci + 1's rows of prev and prev_h1, which this thread replaces only
@@ -336,13 +453,14 @@ def picard_solve(config):
     pipelined = chunk == 1
     # G buffers in rotation: chunk ci's G, chunk ci - 1's (its last row is the
     # recurrence's g_last) and, pipelined, chunk ci + 1's being computed
-    g_bufs = [np.empty_like(work) for _ in range(3 if pipelined else 2)]
+    g_bufs = [np.empty_like(rows) for _ in range(3 if pipelined else 2)]
 
     def g_of(ci):
         lo = ci * chunk
         hi = min(lo + chunk, end)
-        return state.nonlinearity(prev[lo:hi], lo, prev_h1[lo:hi], thresh,
-                                  g_bufs[ci % len(g_bufs)][:hi - lo])
+        u = layout.scatter(prev[lo:hi], g_full[:hi - lo])
+        state.nonlinearity(u, lo, prev_h1[lo:hi], thresh)
+        return layout.gather(u, g_bufs[ci % len(g_bufs)][:hi - lo])
 
     with _worker(pipelined) as pool:
         # the first pass stops each sweep at the previous sweep's crossing;
@@ -350,10 +468,7 @@ def picard_solve(config):
         # pass, which starts over with full sweeps
         for truncate in (True, False):
             prev[...] = lin
-            # norms chunk by chunk: whole-stack temporaries would raise peak
-            # memory
-            for lo in range(0, M + 1, chunk):
-                prev_h1[lo:lo + chunk] = state.h1_rows(prev[lo:lo + chunk])
+            prev_h1[...] = lin_h1
             prev_cross = crossing_of(prev_h1)
             residuals = []
             min_re, max_re, max_im = np.inf, -np.inf, 0.0
@@ -373,7 +488,7 @@ def picard_solve(config):
                 new_cross = None
                 res = 0.0
                 scale = 0.0
-                I = np.zeros_like(u0c)
+                I[...] = 0.0
                 g = g_of(0)
                 for ci in range(n_chunks):
                     lo = ci * chunk
@@ -391,10 +506,11 @@ def picard_solve(config):
                         if i == 0:
                             new[0] = lin[0]
                         else:
-                            I = sweep_step(I, state.decay_dt, g_last, g[r], half_dt)
+                            sweep_step(I, decay, g_last, g[r], half_dt, step_work)
                             np.add(lin[i], I, out=new[r])
                         g_last = g[r]
-                    new_h1 = state.h1_rows(new)
+                    c = layout.scatter(new, full[:k])
+                    new_h1 = state.h1_rows(c)
                     if new_cross is None:
                         valid = k
                         crossing = crossing_of(new_h1)
@@ -402,13 +518,14 @@ def picard_solve(config):
                             new_cross = lo + crossing
                             valid = crossing
                         if valid:
-                            c = new[:valid]
-                            diff = np.subtract(c, prev[lo:lo + valid], out=work[:valid])
-                            res = max(res, float(state.h1_rows(diff).max()))
+                            c = c[:valid]
                             scale = max(scale, float(new_h1[:valid].max()))
                             min_re = min(min_re, float(np.min(c.real)))
                             max_re = max(max_re, float(np.max(c.real)))
                             max_im = max(max_im, float(np.max(np.abs(c.imag))))
+                            d = np.subtract(new[:valid], prev[lo:lo + valid],
+                                            out=diff[:valid])
+                            res = max(res, float(state.h1_rows(layout.scatter(d, c)).max()))
                     prev[lo:hi] = new
                     prev_h1[lo:hi] = new_h1
                     if g_next is not None:
@@ -438,17 +555,12 @@ def picard_solve(config):
             "shrink T0 or the initial datum per the contraction budget", residuals)
 
     keep = M + 1 if prev_cross is None else prev_cross + 1
-    fields = []
-    for i in range(keep):
-        over = prev_cross is not None and i >= prev_cross
-        fields.append(SpectralField(grid, prev[i], is_real=config.u0.is_real,
-                                    overflowed=over))
-    h1d = np.array([h1_dot_norm(f) for f in fields])
+    fields = _NodeFields(grid, layout, prev, keep, prev_cross, config.u0.is_real)
     return Trajectory(
         times=times[:keep],
         fields=fields,
         h1_norms=prev_h1[:keep].copy(),
-        h1_dot_norms=h1d,
+        h1_dot_norms=np.array([h1_dot_norm(f) for f in fields]),
         overflow_at=None if prev_cross is None else float(times[prev_cross]),
         picard_residuals=residuals,
         iterations=iterations,
@@ -471,8 +583,9 @@ def duhamel_step(u_history, t, config):
         raise DomainError(
             f"history gap: trajectory covers {len(u_history.fields)} nodes, "
             f"need node {i_t}")
-    for f in u_history.fields[:i_t + 1]:
-        if f.overflowed:
+    # by index, not by slice: a solve's fields are built one read at a time
+    for j in range(i_t + 1):
+        if u_history.fields[j].overflowed:
             out = SpectralField(config.grid, np.full(config.grid.shape, np.nan,
                                                      dtype=np.complex128),
                                 is_real=False, overflowed=True)
@@ -482,7 +595,7 @@ def duhamel_step(u_history, t, config):
         dt = config.dt
         for j in range(i_t + 1):
             w = dt if 0 < j < i_t else 0.5 * dt
-            g = state.nonlinearity(u_history.fields[j].coeffs[None], j)[0]
+            g = state.nonlinearity(u_history.fields[j].coeffs[None].copy(), j)[0]
             acc = acc + w * semigroup_symbol(config.grid, t - j * dt, config.alpha) * g
     return SpectralField(config.grid, acc, is_real=config.u0.is_real)
 

@@ -9,7 +9,7 @@ it checks leaves unchanged.
 import numpy as np
 
 from fraclap import (NonConvergenceError, SpectralField, Trajectory,
-                     h1_dot_norm, semigroup_symbol, sweep_step)
+                     h1_dot_norm, semigroup_symbol)
 
 
 def brute_mode_autoconv(coeffs, modes):
@@ -96,9 +96,14 @@ def bessel_symbol_l2(rho, order=0.0):
 # ---------------------------------------------------------------------------
 # Reference Picard loop: the per-node sweep that picard_solve ran before its
 # sweep was batched over node stacks, kept verbatim (one G evaluation, one
-# recurrence step and one norm per node). The chunked solver must reproduce
-# it bit for bit. It reuses the library's recurrence step, semigroup symbol
-# and result types, which the batching did not change.
+# recurrence step and one norm per node, every node on the full lattice).
+# The chunked, band-stored solver must reproduce it bit for bit. It reuses the
+# library's semigroup symbol and result types, which neither change touched.
+
+
+def sweep_step(I, decay, g_prev, g_new, half_dt):
+    """One trapezoid step of the Duhamel integral, out of place."""
+    return decay * (I + half_dt * g_prev) + half_dt * g_new
 
 
 class _SweepState:

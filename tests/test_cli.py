@@ -77,7 +77,9 @@ class TestExitCodes:
         ("certify", "K=1024"), ("certify", "K=1100"), ("certify", "A=0"),
         ("certify", "A=-1"), ("certify", "C1=0"), ("certify", "C1=-5"),
         ("budget", "u0=random", "u0_amplitude=-1", "N=128"),
-        ("budget", "u0=random", "seed=-1", "N=16")])
+        ("budget", "u0=random", "seed=-1", "N=16"),
+        ("solve", "T0=1", "dt=1e-12"), ("solve", "T0=1", "dt=1e-300"),
+        ("solve", "T0=1e300", "dt=1e-10")])
     def test_nonfinite_or_empty_input_is_domain_error(self, outdir, capsys, args):
         code = run([args[0], "-o", str(outdir), *args[1:]])
         err = capsys.readouterr().err

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from fraclap import (CoefficientSpec, DomainError, GridSpec, build_symbol,
-                     c1_threshold, check_admissibility, norm_divergence_probe,
-                     sobolev_norm_of_b)
+from fraclap import (CoefficientSpec, DomainError, GridSpec, ProblemConfig,
+                     build_symbol, c1_threshold, check_admissibility,
+                     norm_divergence_probe, picard_solve,
+                     random_nonneg_initial_field, sobolev_norm_of_b)
 from oracles import bessel_symbol_l2
 
 L1D = 16 * np.pi
@@ -182,6 +183,20 @@ class TestCustomSymbol:
                                gamma=0.0, symbol_fn=lambda t, xi2: xi2 - 1.0)
         with pytest.raises(DomainError):
             build_symbol(spec, 0.0, grid1(64))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_values_rejected(self, bad):
+        # non-finite only outside the 2/3-rule band (|m| <= 21 at N = 64),
+        # where G is 0 * b_hat: a solve must not report the NaN as blow-up
+        g = grid1(64)
+        spec = CoefficientSpec(kind="custom_symbol", C=1.0, n=1, alpha=2.0,
+                               gamma=0.0,
+                               symbol_fn=lambda t, xi2: np.where(xi2 > 9.0, bad, 1.0))
+        cfg = ProblemConfig(grid=g, alpha=2.0, gamma=0.0, coefficient=spec,
+                            u0=random_nonneg_initial_field(g, 0.1, seed=0),
+                            T0=1.0 / 16.0, dt=1.0 / 256.0)
+        with pytest.raises(DomainError, match="0 <= b_hat"):
+            picard_solve(cfg)
 
     def test_symbol_fn_required(self):
         with pytest.raises(DomainError):

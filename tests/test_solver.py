@@ -1,5 +1,6 @@
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,8 +9,8 @@ from fraclap import solver
 from fraclap import (CoefficientSpec, DomainError, GridSpec,
                      NonConvergenceError, ProblemConfig, SpectralField,
                      Trajectory, check_admissibility, duhamel_step, existence_budget,
-                     h1_dot_norm, h1_norm, omega_initial_field, picard_solve,
-                     random_nonneg_initial_field, semigroup_apply,
+                     forward_transform, h1_dot_norm, h1_norm, omega_initial_field,
+                     picard_solve, random_nonneg_initial_field, semigroup_apply,
                      sobolev_norms)
 from oracles import reference_picard_solve
 
@@ -94,9 +95,10 @@ class TestDuhamelStep:
 
     def test_zero_history_gives_semigroup_term(self):
         cfg = make_config(coeff=bessel_coeff(), gamma=0.0)
-        traj = picard_solve(make_config())  # b = 0 run, then zero its fields
-        for f in traj.fields:
-            f.coeffs[:] = 0.0
+        # b = 0 run, then a zero history in place of its fields (a solve's
+        # fields are built on each read, so zeroing one in place does nothing)
+        traj = picard_solve(make_config())
+        traj.fields = [SpectralField.zero(cfg.grid) for _ in traj.fields]
         out = duhamel_step(traj, 0.125, cfg)
         exact = semigroup_apply(cfg.u0, 0.125, cfg.alpha)
         assert np.abs(out.coeffs - exact.coeffs).max() <= 1e-12
@@ -206,14 +208,6 @@ class TestPicard:
         out = duhamel_step(traj, traj.overflow_at, cfg)
         assert out.overflowed
 
-    def test_snapshots(self, tmp_path):
-        cfg = make_config()
-        traj = picard_solve(cfg)
-        paths = traj.write_snapshots(tmp_path, [0.0, 0.125])
-        assert all(tmp_path.joinpath(p.split("/")[-1]).exists() for p in paths)
-        with pytest.raises(DomainError):
-            traj.field_at(0.0001)
-
     def test_nonconvergence_error_carries_residuals(self):
         # needs several sweeps to converge but is capped at two, without
         # ever reaching the overflow threshold
@@ -258,6 +252,15 @@ def _config_nodes(n_nodes):
                        u0=random_nonneg_initial_field(g, 0.2, seed=2))
 
 
+def _config_white_noise():
+    # sampled noise has coefficients at every mode, outside the 2/3-rule band
+    # too, where each iterate carries S(t) u0
+    g = grid1()
+    noise = 0.01 * np.random.default_rng(5).standard_normal(g.shape)
+    return make_config(g=g, coeff=bessel_coeff(C=5.0), gamma=0.0, T0=0.25,
+                       dt=1.0 / 256.0, picard_tol=1e-14, u0=forward_transform(noise, g))
+
+
 _CHUNK_512 = solver._CHUNK_BYTES // (16 * 512)   # nodes per sweep chunk at N=512
 
 ORACLE_CASES = {
@@ -273,6 +276,7 @@ ORACLE_CASES = {
     "nodes-equal-chunk": lambda: _config_nodes(_CHUNK_512),
     "nodes-two-chunks": lambda: _config_nodes(2 * _CHUNK_512),
     "nodes-not-multiple": lambda: _config_nodes(2 * _CHUNK_512 + 1),
+    "white-noise-1d": _config_white_noise,
 }
 
 
@@ -386,6 +390,24 @@ class TestChunkedSweepOracle:
         with pytest.raises(NonConvergenceError) as ref:
             reference_picard_solve(cfg)
         assert np.array_equal(got.value.residuals, ref.value.residuals)
+
+
+def test_node_stacks_hold_the_band_only():
+    # a 128^2 node is 256 KiB, one node per sweep chunk: the run's two node
+    # stacks hold 85^2 of each node's 128^2 coefficients, and the full-lattice
+    # rows it works in stay a bounded few
+    g = GridSpec(2, 16 * np.pi, 128)
+    cfg = make_config(g=g, coeff=bessel_coeff(C=5.0, n=2), gamma=0.0, T0=0.125,
+                      dt=1.0 / 128.0, u0=random_nonneg_initial_field(g, 0.3, seed=4))
+    full_node = 16 * g.N ** 2
+    band_node = 16 * (2 * (g.N // 3) + 1) ** 2
+    tracemalloc.start()
+    try:
+        picard_solve(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * (cfg.n_steps + 1) * band_node + 16 * full_node
 
 
 class TestBudget:
