@@ -17,6 +17,7 @@ of compactly supported arrays is exactly supported in the Minkowski sum of
 the supports, so window arithmetic equals full-lattice arithmetic.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import List, Optional
@@ -24,9 +25,9 @@ from typing import List, Optional
 import numpy as np
 
 from .coefficient import c1_threshold
-from .errors import DomainError, GridResolutionError, require_finite
+from .errors import DomainError, require_finite
 from .operators import require_alpha
-from .spectral import GridSpec, SpectralField, write_csv
+from .spectral import GridSpec, write_csv
 
 LN2 = math.log(2.0)
 
@@ -35,15 +36,9 @@ XI0_COMPONENT = 1.5
 BUMP_RADIUS = 0.5
 
 _SUPPORT_MARGIN = 2          # zero-padding cells kept around each window
+_SUPPORT_REL_TOL = 1e-13     # support: values above this fraction of the peak
 _CORONA_MASS_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class OmegaSeed:
-    """Center (every component xi0) and radius of the level-0 bump."""
-
-    xi0: float = XI0_COMPONENT
-    radius: float = BUMP_RADIUS
+_CONV_TOL = 1e-10            # conv-bound slack, relative to the bound's peak
 
 
 def unit_ball_volume(n):
@@ -80,24 +75,8 @@ class FreqWindow:
     def mass_where(self, mask):
         return float(np.abs(self.values[mask]).sum() * self.h ** self.n)
 
-    def support_mask(self, rel_tol=1e-13):
-        return self.values > rel_tol * self.values.max()
-
-    def embed(self, grid):
-        """Materialize on a full lattice as hat values of a SpectralField."""
-        if abs(grid.dxi - self.h) > 1e-12 * self.h:
-            raise DomainError("window spacing does not match grid frequency spacing")
-        hat = np.zeros(grid.shape)
-        half = grid.N // 2
-        for idx in np.ndindex(self.values.shape):
-            lattice = tuple(self.start[a] + idx[a] for a in range(self.n))
-            if any(not (-half <= m < half) for m in lattice):
-                if abs(self.values[idx]) > 0:
-                    raise GridResolutionError(
-                        "window support exceeds the grid's resolved modes")
-                continue
-            hat[tuple(m % grid.N for m in lattice)] = self.values[idx]
-        return SpectralField.from_hat_values(grid, hat)
+    def support_mask(self):
+        return self.values > _SUPPORT_REL_TOL * self.values.max()
 
     def to_csv(self, path):
         xi = np.meshgrid(*self.axes(), indexing="ij")
@@ -131,9 +110,6 @@ class OmegaLevel:
     def hypercube_ok(self):
         return self.out_cube_mass_rel <= _CORONA_MASS_TOL
 
-    def field(self, grid):
-        return self.window.embed(grid)
-
 
 def default_certificate_grid(n):
     """Fine-spacing lattices sized so the level-k L1 identities hold to <=1%
@@ -151,16 +127,16 @@ def default_k_max(n):
     return 3 if n == 1 else 2
 
 
-def _seed_window(n, h, seed=OmegaSeed()):
+def _seed_window(n, h):
     """Strict indicator of the seed ball, sampled on the lattice (no partial
     cell weighting; boundary points fall exactly on the lattice for the
     dyadic default spacings and are excluded)."""
-    lo = int(math.floor((seed.xi0 - seed.radius) / h)) - _SUPPORT_MARGIN
-    hi = int(math.ceil((seed.xi0 + seed.radius) / h)) + _SUPPORT_MARGIN
+    lo = int(math.floor((XI0_COMPONENT - BUMP_RADIUS) / h)) - _SUPPORT_MARGIN
+    hi = int(math.ceil((XI0_COMPONENT + BUMP_RADIUS) / h)) + _SUPPORT_MARGIN
     idx = np.arange(lo, hi + 1)
     grids = np.meshgrid(*([idx * h] * n), indexing="ij")
-    r2 = sum((g - seed.xi0) ** 2 for g in grids)
-    values = (r2 < seed.radius ** 2).astype(np.float64)
+    r2 = sum((g - XI0_COMPONENT) ** 2 for g in grids)
+    values = (r2 < BUMP_RADIUS ** 2).astype(np.float64)
     return FreqWindow((lo,) * n, values, h)
 
 
@@ -171,17 +147,9 @@ def _level_from_window(k, win, n, prev_l1):
     corona = (math.sqrt(n) * 2.0 ** k, math.sqrt(n) * 2.0 ** (k + 1))
     r = win.radius_grid()
     out_corona = win.mass_where((r <= corona[0]) | (r >= corona[1]))
-    axes = win.axes()
-    cube_masks = []
-    for a in range(n):
-        ax = axes[a]
-        inside = (ax > 2.0 ** k) & (ax < 2.0 ** (k + 1))
-        cube_masks.append(inside)
-    inside_cube = np.ones(win.values.shape, dtype=bool)
-    for a, m in enumerate(cube_masks):
-        shape = [1] * n
-        shape[a] = -1
-        inside_cube &= m.reshape(shape)
+    inside = [(ax > 2.0 ** k) & (ax < 2.0 ** (k + 1)) for ax in win.axes()]
+    inside_cube = functools.reduce(np.logical_and,
+                                   np.meshgrid(*inside, indexing="ij", sparse=True))
     out_cube = win.mass_where(~inside_cube)
     total = float(np.abs(win.values).sum() * win.h ** n)
     doubling = None if prev_l1 is None else abs(l1 - prev_l1 ** 2) / prev_l1 ** 2
@@ -310,11 +278,6 @@ def bump_weight_log(k, t, alpha, n):
     return -t * 2.0 ** (k + alpha) + LN2 * (-5.0 * (2.0 ** k - 1.0) + 5.0 * n * k)
 
 
-def bump_weight(k, t, alpha, n):
-    """Direct value; underflows to 0.0 for large k (use the log form there)."""
-    return math.exp(bump_weight_log(k, t, alpha, n))
-
-
 @dataclass
 class InductionRecord:
     """Per-level outcome of the four lower-bound checks.
@@ -353,9 +316,9 @@ def _induction_margin_log2(k, t, params):
     """log2(assembled chain prefactor) - log2(level-k weight), A-power cancelled.
 
     Chain: C1 * 2^(2(k-1)) * n^(-rho/2) 2^(-(k+1)rho - 1) / max(1, 2^(rho/2-1))
-           * [squared level-(k-1) weight, time part exp(-2 t 2^(k-1+alpha))]
+           * [squared level-(k-1) weight]
            * n^(-alpha/2) 2^(-alpha(k+1)) * 2^(-1)
-    Target: exp(-t 2^(k+alpha)) 2^(-5(2^k-1)) 2^(5nk).
+    Target: the level-k weight.
     The two time exponentials are identical (2t 2^(k-1+alpha) = t 2^(k+alpha),
     exact in floats), so the margin is t-independent; both are kept anyway.
     """
@@ -365,17 +328,13 @@ def _induction_margin_log2(k, t, params):
            - max(0.0, rho / 2.0 - 1.0)
            + 2.0 * (k - 1)
            - (k + 1) * rho - 1.0
-           - 10.0 * (2.0 ** (k - 1) - 1.0)
-           + 10.0 * n * (k - 1)
+           + 2.0 * bump_weight_log(k - 1, t, alpha, n) / LN2
            - (alpha / 2.0) * math.log2(n)
-           - alpha * (k + 1) - 1.0
-           - 2.0 * t * 2.0 ** (k - 1 + alpha) / LN2)
-    rhs = (-5.0 * (2.0 ** k - 1.0) + 5.0 * n * k
-           - t * 2.0 ** (k + alpha) / LN2)
-    return lhs - rhs
+           - alpha * (k + 1) - 1.0)
+    return lhs - bump_weight_log(k, t, alpha, n) / LN2
 
 
-def verify_induction_chain(levels, params, t, conv_tol=1e-10):
+def verify_induction_chain(levels, params, t):
     """Audit every inequality of the induction step on the lattice at time t.
 
     Levels must be consecutive from k = 0. Failures are recorded, not raised.
@@ -401,15 +360,14 @@ def verify_induction_chain(levels, params, t, conv_tol=1e-10):
             continue
         prev = levels[k - 1]
         w_prev = prev.window
-        weighted = FreqWindow(w_prev.start,
-                              w_prev.radius_grid() * w_prev.values, w_prev.h)
-        conv = convolve_lattice(weighted.values, weighted.values, w_prev.h)
+        weighted = w_prev.radius_grid() * w_prev.values
+        conv = convolve_lattice(weighted, weighted, w_prev.h)
         bound = 2.0 ** (2 * (k - 1)) * lev.window.values
         if conv.shape != bound.shape:
             raise DomainError("level windows are not consecutive autoconvolutions")
         ref = bound.max()
         margin = float((conv - bound).min())
-        conv_ok = margin >= -conv_tol * ref
+        conv_ok = margin >= -_CONV_TOL * ref
 
         supp = lev.window.support_mask()
         r = lev.window.radius_grid()

@@ -23,8 +23,6 @@ from .solver import (ProblemConfig, existence_budget, omega_initial_field,
                      picard_solve, random_nonneg_initial_field)
 from .spectral import GridSpec
 
-SUBCOMMANDS = ("solve", "certify", "kernel-check", "omega", "budget")
-
 # every recognized key with its parser; one flat namespace on purpose
 _KEY_TYPES = {
     "n": int,
@@ -74,12 +72,27 @@ _DEFAULTS = {
 }
 
 
-def parse_config(path):
-    """Read a flat key = value file into a typed dict.
+def _set_key(values, item):
+    """Parse one 'key = value' item into values, typed by _KEY_TYPES.
 
-    Unknown keys, malformed lines and untypable values are usage errors with
-    the line number; range checking happens when objects are built.
+    A missing '=', an unknown key or an untypable value is a UsageError that
+    names the key; range checking happens when objects are built.
     """
+    key, eq, val = item.partition("=")
+    key, val = key.strip(), val.strip()
+    if not eq:
+        raise UsageError(f"expected 'key = value', got {item!r}")
+    if key not in _KEY_TYPES:
+        raise UsageError(f"unknown key {key!r}")
+    try:
+        values[key] = _KEY_TYPES[key](val)
+    except ValueError as exc:
+        raise UsageError(f"bad value for {key}: {val!r}") from exc
+
+
+def parse_config(path):
+    """Read a flat key = value file into a typed dict; an error message
+    starts with path:line:."""
     values = {}
     try:
         with open(path) as fh:
@@ -88,34 +101,11 @@ def parse_config(path):
         raise UsageError(f"cannot read config file {path}: {exc}") from exc
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise UsageError(f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
-        key, _, val = line.partition("=")
-        key = key.strip()
-        val = val.strip()
-        if key not in _KEY_TYPES:
-            raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
-        try:
-            values[key] = _KEY_TYPES[key](val)
-        except ValueError as exc:
-            raise UsageError(f"{path}:{lineno}: bad value for {key}: {val!r}") from exc
-    return values
-
-
-def _apply_overrides(values, overrides):
-    for item in overrides:
-        if "=" not in item:
-            raise UsageError(f"override {item!r} is not KEY=VALUE")
-        key, _, val = item.partition("=")
-        key = key.strip()
-        if key not in _KEY_TYPES:
-            raise UsageError(f"unknown override key {key!r}")
-        try:
-            values[key] = _KEY_TYPES[key](val.strip())
-        except ValueError as exc:
-            raise UsageError(f"bad override value for {key}: {val!r}") from exc
+        if line:
+            try:
+                _set_key(values, line)
+            except UsageError as exc:
+                raise UsageError(f"{path}:{lineno}: {exc}") from None
     return values
 
 
@@ -305,7 +295,7 @@ def run(argv):
         print(_USAGE, end="")
         return 0 if args else 2
     sub = args.pop(0)
-    if sub not in SUBCOMMANDS:
+    if sub not in _HANDLERS:
         print(f"unknown subcommand {sub!r}\n{_USAGE}", file=sys.stderr, end="")
         return 2
     try:
@@ -329,7 +319,8 @@ def run(argv):
             else:
                 raise UsageError(f"unexpected argument {a!r}")
         values = parse_config(config_path) if config_path is not None else {}
-        _apply_overrides(values, overrides)
+        for item in overrides:
+            _set_key(values, item)
         os.makedirs(outdir, exist_ok=True)
         return _HANDLERS[sub](values, outdir)
     except UsageError as exc:

@@ -13,7 +13,6 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DomainError, require_finite
-from .spectral import SpectralField
 
 KINDS = ("dirac", "bessel_symbol", "custom_symbol")
 
@@ -79,12 +78,6 @@ class CoefficientSpec:
                 raise DomainError(f"coefficient symbol value {base[bad].flat[0]!r} at "
                                   f"t = {t} fails 0 <= b_hat(t, xi) < inf")
         return self.modulation(t) * base
-
-
-def build_symbol(spec, t, grid):
-    """Nonnegative symbol array b_hat(t, xi_m) over the lattice as a field."""
-    values = spec.symbol_on(t, grid.xi_norm_sq)
-    return SpectralField(grid, values.astype(np.complex128), is_real=True)
 
 
 def gamma_case(alpha, gamma, for_blowup=False):

@@ -147,6 +147,7 @@ class KernelEstimateReport:
 # 1e-6 of the peak or the whole-space L1 quadrature is untrustworthy.
 
 _BOUNDARY_LIMIT = 1e-6
+_BOX_SAFETY = 10.0          # auto-sized boxes aim at _BOUNDARY_LIMIT / this
 _TAIL_MASS_LIMIT = 1e-4
 _N_CAP = 1 << 22
 
@@ -169,12 +170,12 @@ def _kink_coeff(s):
     return abs(math.gamma(1.0 + s) * math.sin(math.pi * s / 2.0)) / math.pi
 
 
-def _auto_box(alpha, t_max, s=0.0, safety=10.0):
+def _auto_box(alpha, t_max, s=0.0):
     if alpha == 2.0:
-        half = math.sqrt(4.0 * t_max * math.log(safety / _BOUNDARY_LIMIT)) + 1.0
+        half = math.sqrt(4.0 * t_max * math.log(_BOX_SAFETY / _BOUNDARY_LIMIT)) + 1.0
     else:
         # 2 * C_a * t * (L/2)^(-1-alpha) / peak <= limit / safety
-        target = _BOUNDARY_LIMIT / safety
+        target = _BOUNDARY_LIMIT / _BOX_SAFETY
         half = (2.0 * _tail_coeff(alpha) * t_max
                 / (_peak_value(t_max, alpha) * target)) ** (1.0 / (1.0 + alpha))
     ck = _kink_coeff(s)

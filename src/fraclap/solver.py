@@ -112,12 +112,12 @@ def omega_initial_field(grid, amplitude, symmetrize=True):
     return SpectralField.from_hat_values(grid, amplitude * hat, is_real=symmetrize)
 
 
-def random_nonneg_initial_field(grid, h1_amplitude, seed, max_mode=None):
+def random_nonneg_initial_field(grid, h1_amplitude, seed):
     """Seeded random datum with nonnegative Hermitian-symmetric coefficients.
 
-    Band-limited well inside the dealiased range; scaled to the requested
-    discrete H1 norm (zero field for amplitude 0). Used for positivity and
-    linear-exactness experiments.
+    Band-limited to |m| <= max(2, N//6) per axis, well inside the dealiased
+    range; scaled to the requested discrete H1 norm (zero field for amplitude
+    0). Used for positivity and linear-exactness experiments.
     """
     require_finite(u0_amplitude=h1_amplitude)
     if h1_amplitude < 0:
@@ -125,9 +125,7 @@ def random_nonneg_initial_field(grid, h1_amplitude, seed, max_mode=None):
     if seed < 0:
         raise DomainError(f"seed = {seed} fails seed >= 0")
     rng = np.random.default_rng(seed)
-    if max_mode is None:
-        max_mode = max(2, grid.N // 6)
-    band = np.abs(grid.modes) <= max_mode
+    band = np.abs(grid.modes) <= max(2, grid.N // 6)
     grids = np.meshgrid(*((band,) * grid.n), indexing="ij")
     mask = grids[0]
     for g in grids[1:]:
@@ -250,15 +248,15 @@ class _NodeLayout:
     """Which coefficients of a node the solver stores, and where they sit on
     the full lattice.
 
-    A stored node is one vector: the 2/3-rule band (|m| <= N//3 per axis,
-    B = 2 (N//3) + 1 modes, so 2^n blocks of the FFT layout) as a (B,)*n
-    array in C order, then the values at ext, the flat lattice indices
-    outside the band where u0 is not +0. Every other coefficient of every
-    iterate is exactly +0 (see the module docstring).
+    A stored node is one vector: the 2/3-rule band (|m| <= lim per axis, lim
+    = grid.dealias_limit, B = 2 lim + 1 modes, so 2^n blocks of the FFT
+    layout) as a (B,)*n array in C order, then the values at ext, the flat
+    lattice indices outside the band where u0 is not +0. Every other
+    coefficient of every iterate is exactly +0 (see the module docstring).
     """
 
     def __init__(self, grid, u0c):
-        lim = grid.N // 3
+        lim = grid.dealias_limit
         width = 2 * lim + 1
         halves = ((slice(0, lim + 1), slice(0, lim + 1)),
                   (slice(lim + 1, width), slice(grid.N - lim, grid.N)))
@@ -352,8 +350,8 @@ class _SweepState:
 
     def nonlinearity(self, u, lo, h1=None, thresh=None):
         """G(u)(t_i) for the stack u of nodes i = lo, ..., lo + len(u) - 1:
-        coefficients of b * dealias( ((-Lap)^(1/2) u)^2 ), computed in place
-        in u, which is returned.
+        coefficients of b * ((-Lap)^(1/2) u)^2, the square dealiased by the
+        2/3 rule, computed in place in u, which is returned.
 
         With h1 (the rows' H1 norms), a row whose norm exceeds thresh is
         rescaled down to it first (saturated forcing) and a row whose norm
@@ -633,9 +631,11 @@ def existence_budget(config):
         order = gamma
         exponent = 1.0 - (1.0 - gamma) / alpha
 
-    base = sobolev_norm_of_b(config.coefficient, order, config.grid)
-    peak_modulation = max(config.coefficient.modulation(t) for t in config.times)
-    b_norm = base * peak_modulation
+    b_norm = sobolev_norm_of_b(config.coefficient, order, config.grid)
+    if config.coefficient.time_modulation is not None:
+        # only a modulated symbol needs the time lattice; otherwise the
+        # budget does not depend on dt
+        b_norm *= max(config.coefficient.modulation(t) for t in config.times)
     delta = h1_norm(config.u0)
     C_B = config.C_abs * config.T0 ** exponent * b_norm
     contraction_ok = 4.0 * C_B * delta < 1.0

@@ -26,10 +26,6 @@ from .errors import DomainError, GridResolutionError, require_finite
 
 TWO_PI = 2.0 * np.pi
 
-#: largest retained |m| after a quadratic product, per axis (2/3 rule)
-def _dealias_limit(N):
-    return N // 3
-
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -91,24 +87,28 @@ class GridSpec:
         grids = np.meshgrid(*self.xi_axes, indexing="ij")
         return sum(g * g for g in grids)
 
+    @property
+    def dealias_limit(self):
+        """Largest |m| per axis kept after a quadratic product (2/3 rule)."""
+        return self.N // 3
+
     @cached_property
     def dealias_mask(self):
-        """True on modes kept by the 2/3 rule (|m| <= N//3 per axis)."""
-        lim = _dealias_limit(self.N)
-        keep = np.abs(self.modes) <= lim
+        """True on modes kept by the 2/3 rule (|m| <= dealias_limit per axis)."""
+        keep = np.abs(self.modes) <= self.dealias_limit
         grids = np.meshgrid(*((keep,) * self.n), indexing="ij")
         mask = grids[0]
         for g in grids[1:]:
             mask = mask & g
         return mask
 
-    def refined(self, factor=2):
-        """Halve the frequency spacing (L and N both scaled) keeping xi_max."""
-        return replace(self, L=self.L * factor, N=self.N * factor)
+    def refined(self):
+        """Halve the frequency spacing (L and N both doubled) keeping xi_max."""
+        return replace(self, L=self.L * 2, N=self.N * 2)
 
-    def extended(self, factor=2):
-        """Double xi_max at fixed frequency spacing (N scaled, L kept)."""
-        return replace(self, N=self.N * factor)
+    def extended(self):
+        """Double xi_max at fixed frequency spacing (N doubled, L kept)."""
+        return replace(self, N=self.N * 2)
 
     def require_corona_resolution(self, k_max):
         """Check this grid can host the dyadic bump sequence up to level k_max."""
@@ -137,12 +137,13 @@ class SpectralField:
     def zero(cls, grid, is_real=True):
         return cls(grid, np.zeros(grid.shape, dtype=np.complex128), is_real=is_real)
 
-    def check_hermitian(self, tol=1e-12):
+    def check_hermitian(self):
+        """True when the coefficients are Hermitian to 1e-12 of the largest."""
         flipped = self.coeffs
         for ax in range(self.grid.n):
             flipped = np.roll(np.flip(flipped, axis=ax), 1, axis=ax)
         scale = np.abs(self.coeffs).max() or 1.0
-        return np.abs(np.conj(flipped) - self.coeffs).max() <= tol * scale
+        return np.abs(np.conj(flipped) - self.coeffs).max() <= 1e-12 * scale
 
     def hat_values(self):
         """Fourier-side samples in the product-free convolution convention."""
@@ -239,12 +240,6 @@ def h1_dot_norm(fld):
     return float(_weighted_norm(grid.xi_norm_sq, fld.coeffs, scale=grid.L ** grid.n))
 
 
-def dealias(fld):
-    """2/3-rule truncation; idempotent projection, applied after every square."""
-    c = np.where(fld.grid.dealias_mask, fld.coeffs, 0.0)
-    return SpectralField(fld.grid, c, fld.is_real, fld.overflowed)
-
-
 def dealiased_square(coeffs, grid, axes=None, out=None):
     """Coefficients of the pointwise square of the field(s) with coefficients
     coeffs, dealiased; axes are the spatial axes (all by default, the trailing
@@ -265,13 +260,6 @@ def dealiased_square(coeffs, grid, axes=None, out=None):
     np.true_divide(v, Nn, out=v)
     np.copyto(v, 0.0, where=~grid.dealias_mask)
     return v
-
-
-def pointwise_square(fld):
-    """Coefficients of the pointwise square of a real-flagged field, dealiased."""
-    if not fld.is_real:
-        raise DomainError("pointwise_square requires a real-flagged field")
-    return SpectralField(fld.grid, dealiased_square(fld.coeffs, fld.grid), is_real=True)
 
 
 #: rows per formatting block; bounds the Python objects alive at once

@@ -130,7 +130,8 @@ class _SweepState:
         return semigroup_symbol(self.grid, t, self.alpha) * u0_coeffs
 
     def nonlinearity(self, coeffs, i):
-        """G(u)(t_i): coefficients of b * dealias( ((-Lap)^(1/2) u)^2 )."""
+        """G(u)(t_i): coefficients of b * ((-Lap)^(1/2) u)^2, the square
+        dealiased by the 2/3 rule."""
         v = np.fft.ifftn(self.abs_xi * coeffs) * self.Nn
         w = np.fft.fftn(v * v) / self.Nn
         w = np.where(self.mask, w, 0.0)

@@ -139,6 +139,18 @@ class TestSubcommands:
         text = (outdir / "budget.txt").read_text()
         assert "4 C_B delta" in text
 
+    @pytest.mark.parametrize("dt", ["1e-12", "1e-300"])
+    def test_budget_does_not_depend_on_dt(self, tmp_path, capsys, dt):
+        # no time lattice is built for an unmodulated symbol, so a dt whose
+        # node count fits no memory still gives the budget of the default dt
+        texts = []
+        for name, args in (("ref", ()), ("fine", (f"dt={dt}",))):
+            out = tmp_path / name
+            code = run(["budget", "-o", str(out), "T0=1", *args])
+            assert code == 0, capsys.readouterr().err
+            texts.append((out / "budget.txt").read_text())
+        assert texts[1] == texts[0]
+
     def test_config_file_with_overrides(self, tmp_path, outdir, capsys):
         path = write_config(tmp_path, "n = 1\nalpha = 2\ngamma = 0.9\n"
                                       "rho = 0\nC1 = 2048\nA = 128\n")

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from fraclap import (CoefficientSpec, DomainError, GridSpec, ProblemConfig,
-                     build_symbol, c1_threshold, check_admissibility,
-                     norm_divergence_probe, picard_solve,
-                     random_nonneg_initial_field, sobolev_norm_of_b)
+                     c1_threshold, check_admissibility, norm_divergence_probe,
+                     picard_solve, random_nonneg_initial_field,
+                     sobolev_norm_of_b)
 from oracles import bessel_symbol_l2
 
 L1D = 16 * np.pi
@@ -25,29 +25,28 @@ def bessel(C=1.0, rho=2.0, n=1, alpha=2.0, gamma=0.0):
 
 class TestBuildSymbol:
     def test_dirac_is_constant(self):
-        fld = build_symbol(dirac(C=1.0), 0.0, grid1(64))
-        assert np.all(fld.coeffs.real == 1.0)
-        assert np.all(fld.coeffs.imag == 0.0)
+        b = dirac(C=1.0).symbol_on(0.0, grid1(64).xi_norm_sq)
+        assert np.all(b == 1.0)
 
     def test_bessel_rho_zero_is_constant(self):
-        fld = build_symbol(bessel(C=3.0, rho=0.0), 0.0, grid1(64))
-        assert np.all(fld.coeffs.real == pytest.approx(3.0))
+        b = bessel(C=3.0, rho=0.0).symbol_on(0.0, grid1(64).xi_norm_sq)
+        assert np.all(b == pytest.approx(3.0))
 
     def test_bessel_value_at_unit_frequency(self):
         g = grid1(64)
-        fld = build_symbol(bessel(C=1.0, rho=2.0), 0.0, g)
+        b = bessel(C=1.0, rho=2.0).symbol_on(0.0, g.xi_norm_sq)
         m = int(round(1.0 / g.dxi))
-        assert fld.coeffs[m].real == pytest.approx(0.5, rel=1e-14)
+        assert b[m] == pytest.approx(0.5, rel=1e-14)
 
     def test_nonnegative_everywhere(self):
         for spec in (dirac(), bessel(rho=3.7), bessel(rho=0.4, C=0.2)):
-            fld = build_symbol(spec, 0.0, grid1(64))
-            assert fld.coeffs.real.min() >= 0.0
+            b = spec.symbol_on(0.0, grid1(64).xi_norm_sq)
+            assert b.min() >= 0.0
 
     def test_rho_monotonicity(self):
         g = grid1(64)
-        lo = build_symbol(bessel(rho=1.0), 0.0, g).coeffs.real
-        hi = build_symbol(bessel(rho=2.5), 0.0, g).coeffs.real
+        lo = bessel(rho=1.0).symbol_on(0.0, g.xi_norm_sq)
+        hi = bessel(rho=2.5).symbol_on(0.0, g.xi_norm_sq)
         assert hi[0] == lo[0] == 1.0
         nz = g.xi_norm_sq > 0
         assert np.all(hi[nz] < lo[nz])
@@ -56,12 +55,12 @@ class TestBuildSymbol:
         spec = bessel()
         spec.time_modulation = lambda t: 1.0 / (1.0 + t)
         g = grid1(64)
-        a = build_symbol(spec, 0.0, g).coeffs.real
-        b = build_symbol(spec, 1.0, g).coeffs.real
+        a = spec.symbol_on(0.0, g.xi_norm_sq)
+        b = spec.symbol_on(1.0, g.xi_norm_sq)
         assert b == pytest.approx(a / 2.0)
         spec.time_modulation = lambda t: 2.0  # > 1 is out of range
         with pytest.raises(DomainError):
-            build_symbol(spec, 0.0, g)
+            spec.symbol_on(0.0, g.xi_norm_sq)
 
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -175,14 +174,14 @@ class TestCustomSymbol:
         spec = CoefficientSpec(kind="custom_symbol", C=1.0, n=1, alpha=2.0,
                                gamma=0.0,
                                symbol_fn=lambda t, xi2: 2.0 / (1.0 + xi2))
-        fld = build_symbol(spec, 0.0, grid1(64))
-        assert fld.coeffs[0].real == pytest.approx(2.0)
+        b = spec.symbol_on(0.0, grid1(64).xi_norm_sq)
+        assert b[0] == pytest.approx(2.0)
 
     def test_negative_values_rejected(self):
         spec = CoefficientSpec(kind="custom_symbol", C=1.0, n=1, alpha=2.0,
                                gamma=0.0, symbol_fn=lambda t, xi2: xi2 - 1.0)
         with pytest.raises(DomainError):
-            build_symbol(spec, 0.0, grid1(64))
+            spec.symbol_on(0.0, grid1(64).xi_norm_sq)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_nonfinite_values_rejected(self, bad):
