@@ -167,25 +167,31 @@ def _level_from_window(k, win, n, prev_l1):
     )
 
 
-def convolve_lattice(a, b, spacing):
-    """Linear convolution of two sampled functions on a uniform frequency
-    lattice, scaled by ``spacing**ndim`` so it approximates the continuum
-    convolution integral.
+def convolve_lattice(a, spacing):
+    """Lattice autoconvolution a * a of a sampled function on a uniform
+    frequency lattice, scaled by ``spacing**ndim`` so it approximates the
+    continuum convolution integral.
 
-    Returns the full convolution (len(a) + len(b) - 1 per axis), computed by
-    zero-padded real FFTs of power-of-two size; outside the Minkowski sum of
-    the input supports it holds roundoff noise rather than exact zeros.
+    Returns the full convolution (2 len(a) - 1 per axis), computed through one
+    zero-padded real FFT of power-of-two size, squared in place. The inverse
+    runs in irfftn's own order (complex passes over the leading axes, then the
+    real pass over the last) in the spectrum's buffer, and cuts each axis to
+    the output length before the next pass, so no line whose output the crop
+    drops is transformed. Each kept line takes the same 1-D transform of the
+    same input as in ``irfftn(rfftn(a, s) * rfftn(a, s), s)``, so the result
+    equals that expression bit for bit. Outside the Minkowski sum of the
+    input support it holds roundoff noise rather than exact zeros.
     """
     a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != b.ndim:
-        raise ValueError("operands must have matching dimensionality")
-    out_shape = tuple(sa + sb - 1 for sa, sb in zip(a.shape, b.shape))
+    out_shape = tuple(2 * s - 1 for s in a.shape)
     fshape = tuple(1 << int(np.ceil(np.log2(s))) for s in out_shape)
-    axes = tuple(range(a.ndim))
-    out = np.fft.irfftn(np.fft.rfftn(a, s=fshape, axes=axes)
-                        * np.fft.rfftn(b, s=fshape, axes=axes), s=fshape, axes=axes)
-    return out[tuple(slice(0, s) for s in out_shape)] * spacing ** a.ndim
+    f = np.fft.rfftn(a, s=fshape, axes=tuple(range(a.ndim)))
+    np.multiply(f, f, out=f)
+    for ax in range(a.ndim - 1):
+        np.fft.ifft(f, axis=ax, out=f)
+        f = f[(slice(None),) * ax + (slice(0, out_shape[ax]),)]
+    out = np.fft.irfft(f, n=fshape[-1], axis=-1)
+    return out[..., :out_shape[-1]] * spacing ** a.ndim
 
 
 def build_omega_sequence(k_max, grid):
@@ -207,7 +213,7 @@ def build_omega_sequence(k_max, grid):
         levels.append(_level_from_window(k, win, n, prev_l1))
         prev_l1 = levels[-1].l1
         if k < k_max:
-            conv = convolve_lattice(win.values, win.values, h)
+            conv = convolve_lattice(win.values, h)
             win = FreqWindow(tuple(2 * s for s in win.start), conv, h)
     return levels
 
@@ -361,7 +367,7 @@ def verify_induction_chain(levels, params, t):
         prev = levels[k - 1]
         w_prev = prev.window
         weighted = w_prev.radius_grid() * w_prev.values
-        conv = convolve_lattice(weighted, weighted, w_prev.h)
+        conv = convolve_lattice(weighted, w_prev.h)
         bound = 2.0 ** (2 * (k - 1)) * lev.window.values
         if conv.shape != bound.shape:
             raise DomainError("level windows are not consecutive autoconvolutions")

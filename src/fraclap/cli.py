@@ -17,7 +17,8 @@ import sys
 
 from . import certificate as cert
 from .coefficient import CoefficientSpec, c1_threshold
-from .errors import DomainError, FraclapError, NonConvergenceError, UsageError
+from .errors import (DomainError, FraclapError, NonConvergenceError, UsageError,
+                     require_finite)
 from .operators import kernel_l1_report
 from .solver import (ProblemConfig, existence_budget, omega_initial_field,
                      picard_solve, random_nonneg_initial_field)
@@ -251,7 +252,11 @@ def _cmd_omega(values, outdir):
 
 
 def _cmd_budget(values, outdir):
-    config = build_problem(values)
+    # the budget reads no time lattice, so a step longer than a short horizon
+    # is cut to it; a non-finite step is still an input error
+    dt = _get(values, "dt")
+    require_finite(dt=dt)
+    config = build_problem({**values, "dt": min(dt, _get(values, "T0"))})
     budget = existence_budget(config)
     lines = [
         "contraction budget (indicative: the absolute constant is C_abs)",

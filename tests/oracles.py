@@ -50,6 +50,19 @@ def brute_window_conv(a, b, h):
     return out * h ** 2
 
 
+def two_spectrum_autoconv(a, spacing):
+    """The certificate autoconvolution as one irfftn of the product of two
+    rfftn spectra of the same operand: zero padding to powers of two, then
+    the crop to 2 len(a) - 1 per axis and the spacing**ndim weight."""
+    a = np.asarray(a, dtype=np.float64)
+    out_shape = tuple(2 * s - 1 for s in a.shape)
+    fshape = tuple(1 << int(np.ceil(np.log2(s))) for s in out_shape)
+    axes = tuple(range(a.ndim))
+    out = np.fft.irfftn(np.fft.rfftn(a, s=fshape, axes=axes)
+                        * np.fft.rfftn(a, s=fshape, axes=axes), s=fshape, axes=axes)
+    return out[tuple(slice(0, s) for s in out_shape)] * spacing ** a.ndim
+
+
 def periodized_gaussian(x, t, L, images=6):
     """Closed-form heat kernel wrapped onto the periodic box."""
     acc = np.zeros_like(np.asarray(x, dtype=float))

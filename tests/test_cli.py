@@ -79,7 +79,8 @@ class TestExitCodes:
         ("budget", "u0=random", "u0_amplitude=-1", "N=128"),
         ("budget", "u0=random", "seed=-1", "N=16"),
         ("solve", "T0=1", "dt=1e-12"), ("solve", "T0=1", "dt=1e-300"),
-        ("solve", "T0=1e300", "dt=1e-10")])
+        ("solve", "T0=1e300", "dt=1e-10"), ("budget", "T0=1e-3", "dt=nan"),
+        ("budget", "T0=1e-3", "dt=inf")])
     def test_nonfinite_or_empty_input_is_domain_error(self, outdir, capsys, args):
         code = run([args[0], "-o", str(outdir), *args[1:]])
         err = capsys.readouterr().err
@@ -150,6 +151,16 @@ class TestSubcommands:
             assert code == 0, capsys.readouterr().err
             texts.append((out / "budget.txt").read_text())
         assert texts[1] == texts[0]
+
+    def test_budget_horizon_below_default_dt(self, tmp_path, capsys):
+        # T0 below the default dt = 1/256 gives the budget of any dt <= T0
+        texts = []
+        for name, args in (("default", ()), ("explicit", ("dt=1e-4",))):
+            out = tmp_path / name
+            code = run(["budget", "-o", str(out), "T0=1e-3", *args])
+            assert code == 0, capsys.readouterr().err
+            texts.append((out / "budget.txt").read_text())
+        assert texts[0] == texts[1]
 
     def test_config_file_with_overrides(self, tmp_path, outdir, capsys):
         path = write_config(tmp_path, "n = 1\nalpha = 2\ngamma = 0.9\n"
