@@ -9,19 +9,15 @@ from .certificate import (CertificateParams, CertificateReport, FreqWindow,
                           default_k_max, divergence_partial_sums,
                           series_prefactor_log, series_term_log, unit_ball_volume,
                           verify_induction_chain)
-from .coefficient import (AdmissibilityReport, CoefficientSpec, c1_threshold,
-                          check_admissibility, norm_divergence_probe,
-                          sobolev_norm_of_b)
+from .coefficient import CoefficientSpec, c1_threshold, sobolev_norm_of_b
 from .errors import (DomainError, FraclapError, GridResolutionError,
                      NonConvergenceError, UsageError)
-from .operators import (KernelEstimateReport, bessel_apply, kernel_field,
-                        kernel_l1_report, kernel_samples, riesz_apply,
-                        semigroup_apply, semigroup_symbol)
+from .operators import (KernelEstimateReport, kernel_field, kernel_l1_report,
+                        kernel_samples, semigroup_apply, semigroup_symbol)
 from .solver import (ExistenceBudget, ProblemConfig, Trajectory, duhamel_step,
                      existence_budget, omega_initial_field, picard_solve,
                      random_nonneg_initial_field)
-from .spectral import (GridSpec, NormReport, SpectralField, field_from_csv,
-                       field_to_csv, forward_transform, h1_dot_norm, h1_norm,
-                       inverse_transform, sobolev_norms)
+from .spectral import (GridSpec, SpectralField, forward_transform, h1_dot_norm,
+                       h1_norm, inverse_transform)
 
 __version__ = "0.1.0"

@@ -24,7 +24,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .coefficient import c1_threshold
+from .coefficient import c1_threshold, gamma_case
 from .errors import DomainError, require_finite
 from .operators import require_alpha
 from .spectral import GridSpec, write_csv
@@ -263,6 +263,9 @@ class CertificateParams:
         out = []
         if self.rho < 0:
             out.append(f"rho = {self.rho} fails rho >= 0")
+        _, message = gamma_case(self.alpha, self.gamma, for_blowup=True)
+        if message:
+            out.append(message)
         if not self.A >= self.A_min * (1.0 - 1e-12):
             out.append(f"amplitude A = {self.A} fails A >= 2^(6+n) = {self.A_min}")
         if not self.C1 >= self.c1_floor * (1.0 - 1e-12):
@@ -467,10 +470,6 @@ class CertificateReport:
     log_partial_sums: List[float]
     verdict: str = "not-certified"
     messages: List[str] = field(default_factory=list)
-
-    @property
-    def certified(self):
-        return self.verdict == "certified-divergent"
 
     def to_text(self):
         p = self.params

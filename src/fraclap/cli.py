@@ -133,9 +133,6 @@ def _build_coefficient(values):
     return CoefficientSpec(
         kind=kind,
         C=_get(values, "C"),
-        n=_get(values, "n"),
-        alpha=_get(values, "alpha"),
-        gamma=_get(values, "gamma"),
         rho=_get(values, "rho") if kind != "dirac" else 0.0,
     )
 

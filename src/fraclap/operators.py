@@ -1,15 +1,11 @@
-"""Fourier-multiplier operators and stable-kernel estimate reports.
+"""The fractional heat semigroup and stable-kernel estimate reports.
 
-All three operators are diagonal in the mode basis, hence commute pairwise
-and act on a field by a pointwise multiplier array:
-
-* ``riesz_apply``:    |xi|^s
-* ``bessel_apply``:   (1 + |xi|^2)^(s/2)
-* ``semigroup_apply``: exp(-t |xi|^alpha), t >= 0
-
-``kernel_field`` materializes the convolution kernel of the semigroup (the
-symmetric stable density) on the grid; ``kernel_l1_report`` quantifies its
-smoothed L1 norms and the t^(-s/alpha) scaling law on a self-sized grid.
+``semigroup_apply`` damps a field's coefficients by the pointwise multiplier
+``semigroup_symbol`` = exp(-t |xi|^alpha), t >= 0. ``kernel_field``
+materializes the convolution kernel of the semigroup (the symmetric stable
+density) on the grid; ``kernel_l1_report`` quantifies the L1 norms of that
+kernel smoothed by |xi|^s and by (1 + |xi|^2)^(s/2), and the t^(-s/alpha)
+scaling law, on a self-sized grid.
 """
 
 import math
@@ -20,41 +16,10 @@ import numpy as np
 from .errors import DomainError, GridResolutionError, require_finite
 from .spectral import GridSpec, SpectralField, inverse_transform, write_csv
 
-_DC_TOL = 1e-13
-
 
 def require_alpha(alpha):
     if not (0.0 < alpha <= 2.0):
         raise DomainError(f"diffusion exponent must satisfy 0 < alpha <= 2, got {alpha}")
-
-
-def riesz_apply(fld, s):
-    """Multiply coefficients by |xi|^s.
-
-    Negative s with a nonzero mean is rejected: |xi|^s is undefined at xi=0
-    and silently regularizing would mask bugs.
-    """
-    grid = fld.grid
-    xi2 = grid.xi_norm_sq
-    c = fld.coeffs
-    if s == 0:
-        return fld.copy()
-    if s < 0:
-        dc = abs(c[(0,) * grid.n])
-        scale = np.abs(c).max() or 1.0
-        if dc > _DC_TOL * scale:
-            raise DomainError(
-                "riesz_apply with s < 0 requires a zero-mean field: "
-                "|xi|^s is undefined at xi = 0")
-    with np.errstate(divide="ignore"):
-        mult = np.where(xi2 > 0, xi2 ** (s / 2.0), 0.0)
-    return SpectralField(grid, mult * c, fld.is_real, fld.overflowed)
-
-
-def bessel_apply(fld, s):
-    """Multiply coefficients by (1 + |xi|^2)^(s/2); exact inverse at -s."""
-    mult = (1.0 + fld.grid.xi_norm_sq) ** (s / 2.0)
-    return SpectralField(fld.grid, mult * fld.coeffs, fld.is_real, fld.overflowed)
 
 
 def semigroup_apply(fld, t, alpha):
@@ -234,8 +199,13 @@ def kernel_l1_report(s, alpha, t_values, grid=None):
     if not t_values or min(t_values) <= 0:
         raise DomainError("all probe times must satisfy t > 0")
     if grid is None:
-        L = _auto_box(alpha, max(t_values), s)
-        N = _auto_modes(alpha, s, min(t_values), L)
+        try:
+            L = _auto_box(alpha, max(t_values), s)
+            N = _auto_modes(alpha, s, min(t_values), L)
+        except OverflowError:
+            raise GridResolutionError(
+                f"sizing the grid for smoothing order s = {s} at alpha = {alpha} "
+                "overflows float range; lower s") from None
         if N > _N_CAP:
             raise GridResolutionError(
                 f"auto-sized grid needs N = {N} > {_N_CAP} modes; "

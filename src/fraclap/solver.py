@@ -16,7 +16,7 @@ recurrence
 so a sweep costs O(M) transform work instead of O(M^2).
 
 Node storage. G is dealiased by the 2/3 rule, so it is exactly zero outside
-the band |m| <= N//3 per axis (b_hat is checked finite, so 0 * b_hat is 0).
+the band |m| <= N//3 per axis (b_hat is finite, so 0 * b_hat is 0).
 There the recurrence adds exact zeros to the decayed data: every iterate
 equals S(t) u0 = exp(-t (-Lap)^(alpha/2)) u0 + 0 outside the band, and is
 exactly +0 wherever u0 is. So a node is stored as a vector of its band
@@ -94,22 +94,21 @@ from .spectral import (GridSpec, SpectralField, _weighted_norm, dealiased_square
                        h1_dot_norm, h1_norm, h1_weight, write_csv)
 
 
-def omega_initial_field(grid, amplitude, symmetrize=True):
+def omega_initial_field(grid, amplitude):
     """Initial datum A * (Fourier-side indicator bump).
 
     The one-sided bump (ball of radius 1/2 around the all-(3/2) point) is not
-    Hermitian; by default the mirror ball at -xi0 is added so the datum is a
-    real field. The hat values stay >= the one-sided bump pointwise, so every
+    Hermitian, so the mirror ball at -xi0 is added and the datum is a real
+    field. The hat values stay >= the one-sided bump pointwise, so every
     Fourier lower bound for the one-sided datum holds a fortiori.
     """
     require_finite(u0_amplitude=amplitude)
     axes = np.meshgrid(*grid.xi_axes, indexing="ij")
     r2_plus = sum((g - XI0_COMPONENT) ** 2 for g in axes)
     hat = (r2_plus < BUMP_RADIUS ** 2).astype(float)
-    if symmetrize:
-        r2_minus = sum((g + XI0_COMPONENT) ** 2 for g in axes)
-        hat = hat + (r2_minus < BUMP_RADIUS ** 2).astype(float)
-    return SpectralField.from_hat_values(grid, amplitude * hat, is_real=symmetrize)
+    r2_minus = sum((g + XI0_COMPONENT) ** 2 for g in axes)
+    hat = hat + (r2_minus < BUMP_RADIUS ** 2).astype(float)
+    return SpectralField.from_hat_values(grid, amplitude * hat)
 
 
 def random_nonneg_initial_field(grid, h1_amplitude, seed):
@@ -164,6 +163,8 @@ class ProblemConfig:
         require_alpha(self.alpha)
         require_finite(T0=self.T0, dt=self.dt, picard_tol=self.picard_tol,
                        overflow_threshold=self.overflow_threshold, C_abs=self.C_abs)
+        if self.C_abs <= 0:
+            raise DomainError(f"C_abs = {self.C_abs} fails C_abs > 0")
         _, message = gamma_case(self.alpha, self.gamma)
         if message:
             raise DomainError(message)
@@ -338,20 +339,15 @@ class _SweepState:
         self.abs_xi = np.sqrt(xi2)
         self.alpha = config.alpha
         self.h1_weight = h1_weight(grid)
-        self.modulated = config.coefficient.time_modulation is not None
-        if self.modulated:
-            self.b_sym = np.stack([config.coefficient.symbol_on(t, xi2)
-                                   for t in config.times])
-        else:
-            self.b_sym = config.coefficient.symbol_on(0.0, xi2)
+        self.b_sym = config.coefficient.symbol_on(xi2)
 
     def linear_part(self, u0_coeffs, t):
         return semigroup_symbol(self.grid, t, self.alpha) * u0_coeffs
 
-    def nonlinearity(self, u, lo, h1=None, thresh=None):
-        """G(u)(t_i) for the stack u of nodes i = lo, ..., lo + len(u) - 1:
-        coefficients of b * ((-Lap)^(1/2) u)^2, the square dealiased by the
-        2/3 rule, computed in place in u, which is returned.
+    def nonlinearity(self, u, h1=None, thresh=None):
+        """G(u) for each node of the stack u: coefficients of
+        b * ((-Lap)^(1/2) u)^2, the square dealiased by the 2/3 rule,
+        computed in place in u, which is returned.
 
         With h1 (the rows' H1 norms), a row whose norm exceeds thresh is
         rescaled down to it first (saturated forcing) and a row whose norm
@@ -365,8 +361,7 @@ class _SweepState:
                     u[r] = 0.0
         a = np.multiply(self.abs_xi, u, out=u)
         w = dealiased_square(a, self.grid, self.axes, out=a)
-        np.multiply(w, self.b_sym[lo:lo + len(u)] if self.modulated else self.b_sym,
-                    out=w)
+        np.multiply(w, self.b_sym, out=w)
         if h1 is not None:
             w[~np.isfinite(h1)] = 0.0
         return w
@@ -457,7 +452,7 @@ def picard_solve(config):
         lo = ci * chunk
         hi = min(lo + chunk, end)
         u = layout.scatter(prev[lo:hi], g_full[:hi - lo])
-        state.nonlinearity(u, lo, prev_h1[lo:hi], thresh)
+        state.nonlinearity(u, prev_h1[lo:hi], thresh)
         return layout.gather(u, g_bufs[ci % len(g_bufs)][:hi - lo])
 
     with _worker(pipelined) as pool:
@@ -593,7 +588,7 @@ def duhamel_step(u_history, t, config):
         dt = config.dt
         for j in range(i_t + 1):
             w = dt if 0 < j < i_t else 0.5 * dt
-            g = state.nonlinearity(u_history.fields[j].coeffs[None].copy(), j)[0]
+            g = state.nonlinearity(u_history.fields[j].coeffs[None].copy())[0]
             acc = acc + w * semigroup_symbol(config.grid, t - j * dt, config.alpha) * g
     return SpectralField(config.grid, acc, is_real=config.u0.is_real)
 
@@ -632,10 +627,6 @@ def existence_budget(config):
         exponent = 1.0 - (1.0 - gamma) / alpha
 
     b_norm = sobolev_norm_of_b(config.coefficient, order, config.grid)
-    if config.coefficient.time_modulation is not None:
-        # only a modulated symbol needs the time lattice; otherwise the
-        # budget does not depend on dt
-        b_norm *= max(config.coefficient.modulation(t) for t in config.times)
     delta = h1_norm(config.u0)
     C_B = config.C_abs * config.T0 ** exponent * b_norm
     contraction_ok = 4.0 * C_B * delta < 1.0

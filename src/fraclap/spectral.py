@@ -8,13 +8,15 @@ Conventions (fixed once, used everywhere):
   the DC coefficient equals the field mean.
 * Discrete norms are Parseval-weighted so that for band-limited fields they
   converge to the continuum integrals: ``l2^2 = L^n * sum |c_m|^2``
-  (= ``sum |f(x_j)|^2 * (L/N)^n`` exactly, by the discrete Parseval identity),
-  and the order-s norms weight ``|c_m|^2`` by ``(1+|xi|^2)^s`` or ``|xi|^(2s)``.
-* ``hat_values`` returns ``(L/(2*pi))^n * c``, the normalization of the
-  Fourier-side function for which a pointwise product in physical space
-  becomes a plain lattice convolution with weight ``dxi^n`` and no stray
-  ``2*pi`` factors. The dyadic-bump certificate machinery lives entirely on
-  that side.
+  (= ``sum |f(x_j)|^2 * (L/N)^n`` exactly, by the discrete Parseval identity).
+  The solver's norms, ``h1_norm`` and ``h1_dot_norm``, weight ``|c_m|^2`` by
+  ``1 + |xi|^2`` and ``|xi|^2``; every weighted sum goes through
+  ``_weighted_norm``.
+* Fourier-side ("hat") values are ``(L/(2*pi))^n * c``, the normalization
+  in which a pointwise product in physical space becomes a plain lattice
+  convolution with weight ``dxi^n`` and no stray ``2*pi`` factors; the
+  dyadic-bump certificate machinery lives entirely on that side, and
+  ``SpectralField.from_hat_values`` turns such values into a field.
 """
 
 from dataclasses import dataclass, replace
@@ -106,10 +108,6 @@ class GridSpec:
         """Halve the frequency spacing (L and N both doubled) keeping xi_max."""
         return replace(self, L=self.L * 2, N=self.N * 2)
 
-    def extended(self):
-        """Double xi_max at fixed frequency spacing (N doubled, L kept)."""
-        return replace(self, N=self.N * 2)
-
     def require_corona_resolution(self, k_max):
         """Check this grid can host the dyadic bump sequence up to level k_max."""
         need = np.sqrt(self.n) * 2.0 ** (k_max + 1)
@@ -124,8 +122,8 @@ class SpectralField:
     """Complex Fourier coefficients of a field on a periodic grid.
 
     ``is_real`` flags Hermitian symmetry (the field represents a real-valued
-    function); ``overflowed`` marks fields past the solver blow-up threshold,
-    for which norm queries return +inf sentinels instead of erroring.
+    function); ``overflowed`` marks fields at or past the solver's blow-up
+    threshold crossing.
     """
 
     grid: GridSpec
@@ -137,35 +135,12 @@ class SpectralField:
     def zero(cls, grid, is_real=True):
         return cls(grid, np.zeros(grid.shape, dtype=np.complex128), is_real=is_real)
 
-    def check_hermitian(self):
-        """True when the coefficients are Hermitian to 1e-12 of the largest."""
-        flipped = self.coeffs
-        for ax in range(self.grid.n):
-            flipped = np.roll(np.flip(flipped, axis=ax), 1, axis=ax)
-        scale = np.abs(self.coeffs).max() or 1.0
-        return np.abs(np.conj(flipped) - self.coeffs).max() <= 1e-12 * scale
-
-    def hat_values(self):
-        """Fourier-side samples in the product-free convolution convention."""
-        return (self.grid.L / TWO_PI) ** self.grid.n * self.coeffs
-
     @classmethod
-    def from_hat_values(cls, grid, hat, is_real=False):
+    def from_hat_values(cls, grid, hat):
+        """The real field whose Fourier-side samples, in the product-free
+        convolution convention, are hat (a Hermitian array)."""
         c = np.asarray(hat, dtype=np.complex128) * (TWO_PI / grid.L) ** grid.n
-        return cls(grid, c, is_real=is_real)
-
-    def copy(self):
-        return SpectralField(self.grid, self.coeffs.copy(), self.is_real, self.overflowed)
-
-
-@dataclass
-class NormReport:
-    """Discrete Sobolev norms of one field; hs/hs_dot keyed by order."""
-
-    l2: float
-    hs: dict
-    hs_dot: dict
-    l1_fourier: float
+        return cls(grid, c, is_real=True)
 
 
 def forward_transform(physical_field, grid, is_real=True):
@@ -194,34 +169,6 @@ def _weighted_norm(weight, coeffs, axes=None, scale=1.0):
     with np.errstate(invalid="ignore", over="ignore"):
         h = np.sqrt(scale * (weight * (coeffs.real ** 2 + coeffs.imag ** 2)).sum(axis=axes))
     return np.where(np.isfinite(h), h, np.inf)
-
-
-def sobolev_norms(fld, orders=(1.0,)):
-    """Parseval-weighted discrete norms; +inf sentinels for overflowed fields."""
-    grid = fld.grid
-    c = fld.coeffs
-    if not np.all(np.isfinite(c)):
-        if not fld.overflowed:
-            raise DomainError("non-finite field without overflow flag")
-        inf = float("inf")
-        return NormReport(inf, {float(s): inf for s in orders},
-                          {float(s): inf for s in orders}, inf)
-    w = grid.L ** grid.n
-    xi2 = grid.xi_norm_sq
-    l2 = float(_weighted_norm(1.0, c, scale=w))
-    hs = {}
-    hs_dot = {}
-    for s in orders:
-        s = float(s)
-        # L^n inside the weight, as in h1_weight: hs[1.0] is h1_norm bit for bit
-        hs[s] = float(_weighted_norm(w * (1.0 + xi2) ** s, c))
-        with np.errstate(divide="ignore"):
-            riesz_w = np.where(xi2 > 0, xi2 ** s, 1.0 if s == 0 else 0.0)
-        hs_dot[s] = float(_weighted_norm(riesz_w, c, scale=w))
-    # L1(dxi) of the hat-side function: (L/2pi)^n * sum|c| * dxi^n collapses
-    # to the plain coefficient sum
-    l1f = float(np.abs(c).sum())
-    return NormReport(l2, hs, hs_dot, l1f)
 
 
 def h1_weight(grid):
@@ -283,31 +230,3 @@ def write_csv(path, comments, header, columns):
             block = [c[lo:lo + _CSV_BLOCK_ROWS].tolist() for c in columns]
             fh.write("".join(map(fmt.__mod__, zip(*block))))
 
-
-def field_to_csv(fld, path):
-    """Write the full coefficient lattice as rows (m1, m2, m3, re, im)."""
-    grid = fld.grid
-    modes = np.meshgrid(*((grid.modes,) * grid.n), indexing="ij")
-    unused = [np.zeros(fld.coeffs.size, dtype=np.int64)] * (3 - grid.n)
-    c = fld.coeffs.ravel()
-    write_csv(path,
-              ["spectral field: mode indices per axis (dimensionless), "
-               "coefficient real/imag parts (field units)",
-               f"n={grid.n} L={grid.L!r} N={grid.N} is_real={int(fld.is_real)}"],
-              "m1,m2,m3,re,im",
-              [m.ravel() for m in modes] + unused + [c.real, c.imag])
-
-
-def field_from_csv(path, grid):
-    """Read a field_to_csv file back onto grid; a mode outside [-N/2, N/2)
-    is a DomainError."""
-    data = np.atleast_2d(np.loadtxt(path, delimiter=",", skiprows=3))
-    m = data[:, :grid.n].astype(np.int64)
-    half = grid.N // 2
-    bad = (m < -half) | (m >= half)
-    if bad.any():
-        raise DomainError(f"{path}: mode index {int(m[bad][0])} fails "
-                          f"-{half} <= m < {half} (N = {grid.N})")
-    c = np.zeros(grid.shape, dtype=np.complex128)
-    c[tuple((m % grid.N).T)] = data[:, 3] + 1j * data[:, 4]
-    return SpectralField(grid, c)

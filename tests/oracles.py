@@ -63,6 +63,16 @@ def two_spectrum_autoconv(a, spacing):
     return out[tuple(slice(0, s) for s in out_shape)] * spacing ** a.ndim
 
 
+def is_hermitian(fld):
+    """True when the coefficients satisfy c(-m) = conj(c(m)) to 1e-12 of the
+    largest, i.e. the field is real-valued."""
+    flipped = fld.coeffs
+    for ax in range(fld.grid.n):
+        flipped = np.roll(np.flip(flipped, axis=ax), 1, axis=ax)
+    scale = np.abs(fld.coeffs).max() or 1.0
+    return np.abs(np.conj(flipped) - fld.coeffs).max() <= 1e-12 * scale
+
+
 def periodized_gaussian(x, t, L, images=6):
     """Closed-form heat kernel wrapped onto the periodic box."""
     acc = np.zeros_like(np.asarray(x, dtype=float))
@@ -133,11 +143,8 @@ class _SweepState:
         self.alpha = config.alpha
         self.h1_weight = grid.L ** grid.n * (1.0 + xi2)
         times = config.times
-        if config.coefficient.time_modulation is None:
-            base = config.coefficient.symbol_on(0.0, xi2)
-            self.b_syms = [base] * len(times)
-        else:
-            self.b_syms = [config.coefficient.symbol_on(t, xi2) for t in times]
+        base = config.coefficient.symbol_on(xi2)
+        self.b_syms = [base] * len(times)
 
     def linear_part(self, u0_coeffs, t):
         return semigroup_symbol(self.grid, t, self.alpha) * u0_coeffs

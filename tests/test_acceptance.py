@@ -141,13 +141,12 @@ def test_criterion_8_positivity():
         g = GridSpec(1, 16 * np.pi, 128)
         worst = 0.0
         for seed in range(5):
-            for coeff in (
-                CoefficientSpec(kind="dirac", C=1.0, n=1, alpha=2.0, gamma=0.9),
-                CoefficientSpec(kind="bessel_symbol", C=1.0, rho=2.0, n=1,
-                                alpha=2.0, gamma=0.0),
+            for coeff, gamma in (
+                (CoefficientSpec(kind="dirac", C=1.0), 0.9),
+                (CoefficientSpec(kind="bessel_symbol", C=1.0, rho=2.0), 0.0),
             ):
                 cfg = ProblemConfig(
-                    grid=g, alpha=2.0, gamma=coeff.gamma, coefficient=coeff,
+                    grid=g, alpha=2.0, gamma=gamma, coefficient=coeff,
                     u0=random_nonneg_initial_field(g, 0.3, seed=seed),
                     T0=0.1, dt=1.0 / 256.0, picard_tol=1e-12)
                 traj = picard_solve(cfg)
@@ -163,7 +162,7 @@ def test_criterion_8_positivity():
 def test_criterion_9_linear_exactness():
     with Timed(30.0) as timer:
         g = GridSpec(1, 16 * np.pi, 256)
-        zero = CoefficientSpec(kind="dirac", C=0.0, n=1, alpha=1.5, gamma=0.4)
+        zero = CoefficientSpec(kind="dirac", C=0.0)
         rng = np.random.default_rng(123)
         worst = 0.0
         for _ in range(5):
@@ -183,8 +182,7 @@ def test_criterion_9_linear_exactness():
 def test_criterion_10_contraction():
     with Timed(120.0) as timer:
         g = GridSpec(1, 16 * np.pi, 128)
-        coeff = CoefficientSpec(kind="bessel_symbol", C=1.0, rho=2.0, n=1,
-                                alpha=2.0, gamma=0.0)
+        coeff = CoefficientSpec(kind="bessel_symbol", C=1.0, rho=2.0)
         probe = ProblemConfig(grid=g, alpha=2.0, gamma=0.0, coefficient=coeff,
                               u0=random_nonneg_initial_field(g, 1.0, seed=21),
                               T0=0.25, dt=1.0 / 256.0)
@@ -209,7 +207,7 @@ def test_criterion_10_contraction():
 
 def test_criterion_11_blowup_proxy():
     with Timed(300.0) as timer:
-        coeff = CoefficientSpec(kind="dirac", C=2048.0, n=1, alpha=2.0, gamma=0.9)
+        coeff = CoefficientSpec(kind="dirac", C=2048.0)
         crossings = {}
         for N in (512, 1024):
             g = GridSpec(1, 16 * np.pi, N)
@@ -231,7 +229,7 @@ def test_criterion_11_blowup_proxy():
 
 def test_criterion_11_blowup_proxy_dt_refinement():
     with Timed(300.0) as timer:
-        coeff = CoefficientSpec(kind="dirac", C=2048.0, n=1, alpha=2.0, gamma=0.9)
+        coeff = CoefficientSpec(kind="dirac", C=2048.0)
         g = GridSpec(1, 16 * np.pi, 512)
         crossings = {}
         for dt in (5e-9, 2.5e-9):

@@ -80,12 +80,26 @@ class TestExitCodes:
         ("budget", "u0=random", "seed=-1", "N=16"),
         ("solve", "T0=1", "dt=1e-12"), ("solve", "T0=1", "dt=1e-300"),
         ("solve", "T0=1e300", "dt=1e-10"), ("budget", "T0=1e-3", "dt=nan"),
-        ("budget", "T0=1e-3", "dt=inf")])
+        ("budget", "T0=1e-3", "dt=inf"), ("budget", "C_abs=0"),
+        ("budget", "C_abs=-1")])
     def test_nonfinite_or_empty_input_is_domain_error(self, outdir, capsys, args):
         code = run([args[0], "-o", str(outdir), *args[1:]])
         err = capsys.readouterr().err
         assert code == 1
         assert "domain error" in err and "Traceback" not in err
+
+
+    # rho=2000 overflows a power of two in the amplitude floor, rho=1000 the
+    # product of finite factors
+    @pytest.mark.parametrize("args, key", [
+        (("kernel-check", "s=171"), "s = "), (("certify", "rho=2000"), "rho = "),
+        (("certify", "rho=1000"), "rho = ")],
+        ids=["kernel-check-s=171", "certify-rho=2000", "certify-rho=1000"])
+    def test_float_range_overflow_names_the_key(self, outdir, capsys, args, key):
+        code = run([args[0], "-o", str(outdir), *args[1:]])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "domain error" in err and key in err and "Traceback" not in err
 
 
 class TestSubcommands:
@@ -105,6 +119,22 @@ class TestSubcommands:
         code = run(["certify", "-o", str(outdir), *args])
         assert code == 0, capsys.readouterr().err
         assert f"verdict: {verdict}" in (outdir / "certificate.txt").read_text()
+
+    @pytest.mark.parametrize("args", [
+        ("alpha=1.5", "gamma=0.5"), ("alpha=0.75", "gamma=0.2"), ("gamma=5",),
+        ("gamma=-3",)])
+    def test_certify_gamma_out_of_range_not_certified(self, outdir, capsys, args):
+        code = run(["certify", "-o", str(outdir), *args])
+        assert code == 0, capsys.readouterr().err
+        text = (outdir / "certificate.txt").read_text()
+        assert "verdict: not-certified" in text
+        gamma = args[-1].split("=")[1]
+        assert f"gamma = {float(gamma)} fails" in text
+
+    def test_certify_gamma_blowup_edge_certified(self, outdir, capsys):
+        # gamma = 1 - alpha is admitted for blow-up, not for well-posedness
+        assert run(["certify", "-o", str(outdir), "alpha=0.75", "gamma=0.25"]) == 0
+        assert "verdict: certified-divergent" in (outdir / "certificate.txt").read_text()
 
     def test_certify_bare_defaults(self, outdir, capsys):
         # with no config at all the floors are used and the run certifies
@@ -142,8 +172,8 @@ class TestSubcommands:
 
     @pytest.mark.parametrize("dt", ["1e-12", "1e-300"])
     def test_budget_does_not_depend_on_dt(self, tmp_path, capsys, dt):
-        # no time lattice is built for an unmodulated symbol, so a dt whose
-        # node count fits no memory still gives the budget of the default dt
+        # the budget builds no time lattice, so a dt whose node count fits
+        # no memory still gives the budget of the default dt
         texts = []
         for name, args in (("ref", ()), ("fine", (f"dt={dt}",))):
             out = tmp_path / name

@@ -8,11 +8,11 @@ import pytest
 from fraclap import solver
 from fraclap import (CoefficientSpec, DomainError, GridSpec,
                      NonConvergenceError, ProblemConfig, SpectralField,
-                     Trajectory, check_admissibility, duhamel_step, existence_budget,
+                     Trajectory, duhamel_step, existence_budget,
                      forward_transform, h1_dot_norm, h1_norm, omega_initial_field,
-                     picard_solve, random_nonneg_initial_field, semigroup_apply,
-                     sobolev_norms)
-from oracles import reference_picard_solve
+                     picard_solve, random_nonneg_initial_field, semigroup_apply)
+from fraclap.coefficient import gamma_case
+from oracles import is_hermitian, reference_picard_solve
 
 L1D = 16 * np.pi
 
@@ -21,13 +21,12 @@ def grid1(N=128):
     return GridSpec(1, L1D, N)
 
 
-def zero_coeff(n=1, alpha=2.0, gamma=0.9):
-    return CoefficientSpec(kind="dirac", C=0.0, n=n, alpha=alpha, gamma=gamma)
+def zero_coeff():
+    return CoefficientSpec(kind="dirac", C=0.0)
 
 
-def bessel_coeff(C=1.0, rho=2.0, gamma=0.0, n=1, alpha=2.0):
-    return CoefficientSpec(kind="bessel_symbol", C=C, rho=rho, n=n,
-                           alpha=alpha, gamma=gamma)
+def bessel_coeff(C=1.0, rho=2.0):
+    return CoefficientSpec(kind="bessel_symbol", C=C, rho=rho)
 
 
 def make_config(g=None, coeff=None, u0=None, alpha=2.0, gamma=0.9, T0=0.25,
@@ -35,7 +34,7 @@ def make_config(g=None, coeff=None, u0=None, alpha=2.0, gamma=0.9, T0=0.25,
     g = g or grid1()
     return ProblemConfig(
         grid=g, alpha=alpha, gamma=gamma,
-        coefficient=coeff or zero_coeff(alpha=alpha, gamma=gamma),
+        coefficient=coeff or zero_coeff(),
         u0=u0 if u0 is not None else random_nonneg_initial_field(g, 0.5, seed=0),
         T0=T0, dt=dt, **kw)
 
@@ -44,19 +43,19 @@ class TestInitialData:
     def test_omega_field_hat_values(self):
         g = grid1(512)
         f = omega_initial_field(g, 128.0)
-        hat = f.hat_values().real
+        hat = ((g.L / (2 * np.pi)) ** g.n * f.coeffs).real
         xi = g.xi_axes[0]
         inside = np.abs(xi - 1.5) < 0.5
         assert np.all(hat[inside] == pytest.approx(128.0))
-        assert f.is_real and f.check_hermitian()
-        # one-sided variant dominates from below
-        one = omega_initial_field(g, 128.0, symmetrize=False)
-        assert np.all(hat >= one.hat_values().real - 1e-12)
+        assert f.is_real and is_hermitian(f)
+        # the one-sided bump dominates from below
+        one = np.where(inside, 128.0, 0.0)
+        assert np.all(hat >= one - 1e-12)
 
     def test_random_field_nonneg_hermitian(self):
         f = random_nonneg_initial_field(grid1(), 0.7, seed=5)
         assert f.coeffs.real.min() >= 0
-        assert f.check_hermitian()
+        assert is_hermitian(f)
         assert h1_norm(f) == pytest.approx(0.7, rel=1e-12)
 
     def test_config_validation(self):
@@ -186,7 +185,7 @@ class TestPicard:
     def test_overflow_diagnostic(self):
         # tiny threshold turns growth into an immediate overflow report
         g = grid1(256)
-        coeff = CoefficientSpec(kind="dirac", C=2048.0, n=1, alpha=2.0, gamma=0.9)
+        coeff = CoefficientSpec(kind="dirac", C=2048.0)
         cfg = ProblemConfig(grid=g, alpha=2.0, gamma=0.9, coefficient=coeff,
                             u0=omega_initial_field(g, 128.0), T0=1e-6, dt=5e-9,
                             picard_max_iter=120, overflow_threshold=1e6)
@@ -200,7 +199,7 @@ class TestPicard:
 
     def test_overflow_propagates_through_duhamel_step(self):
         g = grid1(256)
-        coeff = CoefficientSpec(kind="dirac", C=2048.0, n=1, alpha=2.0, gamma=0.9)
+        coeff = CoefficientSpec(kind="dirac", C=2048.0)
         cfg = ProblemConfig(grid=g, alpha=2.0, gamma=0.9, coefficient=coeff,
                             u0=omega_initial_field(g, 128.0), T0=1e-6, dt=5e-9,
                             picard_max_iter=120, overflow_threshold=1e6)
@@ -223,7 +222,7 @@ class TestPicard:
 
 def _blowup_config(overflow_threshold=1e6, max_iter=120):
     g = grid1(256)
-    coeff = CoefficientSpec(kind="dirac", C=2048.0, n=1, alpha=2.0, gamma=0.9)
+    coeff = CoefficientSpec(kind="dirac", C=2048.0)
     return ProblemConfig(grid=g, alpha=2.0, gamma=0.9, coefficient=coeff,
                          u0=omega_initial_field(g, 128.0), T0=1e-6, dt=5e-9,
                          picard_max_iter=max_iter, overflow_threshold=overflow_threshold)
@@ -231,17 +230,10 @@ def _blowup_config(overflow_threshold=1e6, max_iter=120):
 
 def _config_2d():
     g = GridSpec(2, 16 * np.pi, 32)
-    coeff = bessel_coeff(C=5.0, n=2)
+    coeff = bessel_coeff(C=5.0)
     return make_config(g=g, coeff=coeff, gamma=0.0, T0=0.125, dt=1.0 / 128.0,
                        u0=random_nonneg_initial_field(g, 0.3, seed=4),
                        picard_tol=1e-12)
-
-
-def _config_modulated():
-    coeff = CoefficientSpec(kind="bessel_symbol", C=20.0, rho=2.0, n=1, alpha=2.0,
-                            gamma=0.0, time_modulation=lambda t: 1.0 / (1.0 + 4.0 * t))
-    return make_config(coeff=coeff, gamma=0.0, picard_tol=1e-12,
-                       u0=random_nonneg_initial_field(grid1(), 0.2, seed=9))
 
 
 def _config_nodes(n_nodes):
@@ -271,7 +263,6 @@ ORACLE_CASES = {
     # iterates overflow to inf past the crossing: the G = 0 rows
     "nonfinite-rows": lambda: _blowup_config(1e300, max_iter=40),
     "grid-2d-N32": _config_2d,
-    "time-modulated": _config_modulated,
     "nodes-below-chunk": lambda: _config_nodes(_CHUNK_512 // 2),
     "nodes-equal-chunk": lambda: _config_nodes(_CHUNK_512),
     "nodes-two-chunks": lambda: _config_nodes(2 * _CHUNK_512),
@@ -397,7 +388,7 @@ def test_node_stacks_hold_the_band_only():
     # stacks hold 85^2 of each node's 128^2 coefficients, and the full-lattice
     # rows it works in stay a bounded few
     g = GridSpec(2, 16 * np.pi, 128)
-    cfg = make_config(g=g, coeff=bessel_coeff(C=5.0, n=2), gamma=0.0, T0=0.125,
+    cfg = make_config(g=g, coeff=bessel_coeff(C=5.0), gamma=0.0, T0=0.125,
                       dt=1.0 / 128.0, u0=random_nonneg_initial_field(g, 0.3, seed=4))
     full_node = 16 * g.N ** 2
     band_node = 16 * (2 * (g.N // 3) + 1) ** 2
@@ -434,7 +425,7 @@ class TestBudget:
         assert b2.T0_max / b1.T0_max == pytest.approx(2.0 ** (-1.0 / e), rel=1e-12)
 
     def test_case_two_uses_positive_order(self):
-        coeff = bessel_coeff(C=1.0, rho=2.0, gamma=0.5, alpha=0.8)
+        coeff = bessel_coeff(C=1.0, rho=2.0)
         cfg = make_config(coeff=coeff, alpha=0.8, gamma=0.5)
         b = existence_budget(cfg)
         assert b.case == 2
@@ -445,8 +436,7 @@ class TestBudget:
         with pytest.raises(DomainError, match="gamma < alpha - 1"):
             make_config(gamma=1.5)
         with pytest.raises(DomainError, match="1 - alpha < gamma"):
-            make_config(alpha=0.8, gamma=0.1,
-                        coeff=bessel_coeff(alpha=0.8, gamma=0.1))
+            make_config(alpha=0.8, gamma=0.1, coeff=bessel_coeff())
 
     # (alpha, gamma, admissible, admissible for blow-up) at gamma = alpha - 1,
     # 0 and 1 - alpha in each case (dyadic values: the boundaries are exact)
@@ -456,10 +446,10 @@ class TestBudget:
         (0.75, 0.25, False, True)])
     def test_gamma_boundaries_agree_across_validators(self, alpha, gamma, ok,
                                                       ok_blowup):
-        coeff = bessel_coeff(alpha=alpha, gamma=gamma)
-        rep = check_admissibility(coeff)
-        assert rep.sobolev_ok == ok
-        assert check_admissibility(coeff, for_blowup=True).sobolev_ok == ok_blowup
+        coeff = bessel_coeff()
+        _, message = gamma_case(alpha, gamma)
+        assert (message is None) == ok
+        assert (gamma_case(alpha, gamma, for_blowup=True)[1] is None) == ok_blowup
         inside = 0.25 if alpha > 1 else 0.5
         cfg = make_config(coeff=coeff, alpha=alpha, gamma=inside)
         cfg.gamma = gamma
@@ -471,7 +461,7 @@ class TestBudget:
                 make_config(coeff=coeff, alpha=alpha, gamma=gamma)
             with pytest.raises(DomainError) as budget:
                 existence_budget(cfg)
-            assert str(built.value) == str(budget.value) == rep.messages[0]
+            assert str(built.value) == str(budget.value) == message
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -486,10 +476,10 @@ def test_h1_routines_agree_bitwise(n, kind):
         rng = np.random.default_rng(12)
         f = SpectralField(g, rng.standard_normal(g.shape)
                           + 1j * rng.standard_normal(g.shape))
-    cfg = make_config(g=g, coeff=zero_coeff(n=n), u0=omega_initial_field(g, 1.0))
+    cfg = make_config(g=g, coeff=zero_coeff(), u0=omega_initial_field(g, 1.0))
     rows = solver._SweepState(cfg).h1_rows(f.coeffs[None])
     assert rows.shape == (1,)
-    assert h1_norm(f) == sobolev_norms(f).hs[1.0] == rows[0]
+    assert h1_norm(f) == rows[0]
 
 
 def test_trajectory_csv_text(tmp_path):

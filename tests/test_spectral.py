@@ -3,9 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fraclap import (DomainError, GridSpec, SpectralField, field_from_csv,
-                     field_to_csv, forward_transform, inverse_transform,
-                     sobolev_norms)
+from fraclap import (DomainError, GridSpec, SpectralField, forward_transform,
+                     h1_dot_norm, h1_norm, inverse_transform)
 from fraclap import spectral
 from oracles import brute_mode_autoconv
 
@@ -46,8 +45,6 @@ class TestGridSpec:
         g = grid1(64)
         r = g.refined()
         assert r.dxi == pytest.approx(g.dxi / 2) and r.xi_max == pytest.approx(g.xi_max)
-        e = g.extended()
-        assert e.dxi == pytest.approx(g.dxi) and e.xi_max == pytest.approx(2 * g.xi_max)
 
 
 class TestTransforms:
@@ -91,19 +88,14 @@ class TestTransforms:
         arr = np.random.default_rng(seed).standard_normal(g.shape)
         f = forward_transform(arr, g)
         phys_l2 = np.sqrt((arr ** 2).sum() * g.dx ** g.n)
-        assert sobolev_norms(f).l2 == pytest.approx(phys_l2, rel=1e-12)
+        l2 = float(spectral._weighted_norm(1.0, f.coeffs, scale=g.L ** g.n))
+        assert l2 == pytest.approx(phys_l2, rel=1e-12)
 
 
 class TestNorms:
     def test_zero_field(self):
-        rep = sobolev_norms(SpectralField.zero(grid1()), [0.0, 1.0, 2.5])
-        assert rep.l2 == 0 and all(v == 0 for v in rep.hs.values())
-
-    def test_order_zero_is_l2(self):
-        rng = np.random.default_rng(1)
-        f = forward_transform(rng.standard_normal(grid1().shape), grid1())
-        rep = sobolev_norms(f, [0.0])
-        assert rep.hs[0.0] == rep.l2
+        f = SpectralField.zero(grid1())
+        assert h1_norm(f) == 0 and h1_dot_norm(f) == 0
 
     def test_single_mode_ratios(self):
         g = grid1()
@@ -111,18 +103,14 @@ class TestNorms:
         m = int(round(2.0 / g.dxi))  # |xi| = 2
         c[m] = 1.0
         f = SpectralField(g, c)
-        rep = sobolev_norms(f, [1.0])
-        assert rep.hs_dot[1.0] / rep.l2 == pytest.approx(2.0, rel=1e-12)
-        assert rep.hs[1.0] / rep.l2 == pytest.approx(np.sqrt(5.0), rel=1e-12)
-        assert rep.l1_fourier == 1.0   # hat-side L1 collapses to sum |c|
+        l2 = np.sqrt(g.L ** g.n)      # L^n * sum |c|^2 with one unit coefficient
+        assert h1_dot_norm(f) / l2 == pytest.approx(2.0, rel=1e-12)
+        assert h1_norm(f) / l2 == pytest.approx(np.sqrt(5.0), rel=1e-12)
 
     def test_hs_dot_below_hs_and_monotone(self):
         rng = np.random.default_rng(2)
         f = forward_transform(rng.standard_normal(grid1().shape), grid1())
-        rep = sobolev_norms(f, [0.5, 1.0, 2.0])
-        for s in (0.5, 1.0, 2.0):
-            assert rep.hs_dot[s] <= rep.hs[s]
-        assert rep.hs[0.5] <= rep.hs[1.0] <= rep.hs[2.0]
+        assert h1_dot_norm(f) <= h1_norm(f)
 
     def test_band_limited_refinement_stability(self):
         # extending the mode range leaves a band-limited field's norms fixed
@@ -130,20 +118,20 @@ class TestNorms:
         rng = np.random.default_rng(12)
         c = np.zeros(g.shape, dtype=complex)
         c[:8] = rng.uniform(0.1, 1.0, 8)
-        big = g.extended()
+        big = GridSpec(1, g.L, 2 * g.N)
         c2 = np.zeros(big.shape, dtype=complex)
         c2[:8] = c[:8]
-        a = sobolev_norms(SpectralField(g, c), [1.0])
-        b = sobolev_norms(SpectralField(big, c2), [1.0])
-        assert b.hs[1.0] == pytest.approx(a.hs[1.0], rel=1e-12)
+        a = SpectralField(g, c)
+        b = SpectralField(big, c2)
+        assert h1_norm(b) == pytest.approx(h1_norm(a), rel=1e-12)
+        assert h1_dot_norm(b) == pytest.approx(h1_dot_norm(a), rel=1e-12)
 
     def test_overflow_sentinel(self):
+        # a non-finite field has norm +inf, whether or not it is flagged
         g = grid1()
         c = np.full(g.shape, np.nan, dtype=complex)
-        f = SpectralField(g, c, overflowed=True)
-        assert sobolev_norms(f).l2 == np.inf
-        with pytest.raises(DomainError):
-            sobolev_norms(SpectralField(g, c))
+        for f in (SpectralField(g, c, overflowed=True), SpectralField(g, c)):
+            assert h1_norm(f) == np.inf and h1_dot_norm(f) == np.inf
 
 
 class TestPointwiseSquare:
@@ -203,20 +191,14 @@ class TestPointwiseSquare:
 
 class TestSerialization:
     def test_csv_round_trip(self, tmp_path):
+        # every cell is the repr of a float, which reads back to the same double
         for g in (grid1(16), grid2(8), GridSpec(3, L1D, 8)):
             rng = np.random.default_rng(6)
-            f = forward_transform(rng.standard_normal(g.shape), g)
+            c = forward_transform(rng.standard_normal(g.shape), g).coeffs.ravel()
             path = tmp_path / f"field{g.n}.csv"
-            field_to_csv(f, path)
-            back = field_from_csv(path, g)
-            assert np.abs(back.coeffs - f.coeffs).max() == 0.0
-
-    def test_csv_rejects_out_of_range_mode(self, tmp_path):
-        # modes -8..7 of an N=16 file do not fit N=8's [-4, 4): no wrapping
-        path = tmp_path / "field.csv"
-        field_to_csv(SpectralField.zero(grid1(16)), path)
-        with pytest.raises(DomainError):
-            field_from_csv(path, grid1(8))
+            spectral.write_csv(path, ["coefficients"], "re,im", [c.real, c.imag])
+            back = np.loadtxt(path, delimiter=",", skiprows=2)
+            assert np.array_equal(back[:, 0], c.real) and np.array_equal(back[:, 1], c.imag)
 
     def test_csv_text(self, tmp_path, monkeypatch):
         g = grid2(8)
@@ -224,8 +206,14 @@ class TestSerialization:
         c = np.zeros(g.shape, dtype=np.complex128)
         c.real[0] = values
         c.imag[:, 0] = values[::-1]
+        lattice = np.meshgrid(g.modes, g.modes, indexing="ij")
+        columns = ([m.ravel() for m in lattice] + [np.zeros(c.size, dtype=np.int64)]
+                   + [c.real.ravel(), c.imag.ravel()])
+        comments = ["spectral field: mode indices per axis (dimensionless), "
+                    "coefficient real/imag parts (field units)",
+                    f"n=2 L={L1D!r} N=8 is_real=0"]
         path = tmp_path / "field.csv"
-        field_to_csv(SpectralField(g, c), path)
+        spectral.write_csv(path, comments, "m1,m2,m3,re,im", columns)
         modes = [0, 1, 2, 3, -4, -3, -2, -1]
         rows = [f"{modes[i]},{modes[j]},0,{float(c[i, j].real)!r},{float(c[i, j].imag)!r}"
                 for i in range(8) for j in range(8)]
@@ -239,5 +227,5 @@ class TestSerialization:
                             "0,-2,0,2.5,0.0", "0,-1,0,1.0,0.0"]
         # rows split across formatting blocks, the last one partial
         monkeypatch.setattr(spectral, "_CSV_BLOCK_ROWS", 5)
-        field_to_csv(SpectralField(g, c), tmp_path / "blocks.csv")
+        spectral.write_csv(tmp_path / "blocks.csv", comments, "m1,m2,m3,re,im", columns)
         assert (tmp_path / "blocks.csv").read_text() == path.read_text()
