@@ -94,13 +94,11 @@ class OmegaLevel:
     k: int
     window: FreqWindow
     l1: float
-    support_corona: tuple
     l1_target: float
     l1_error: float
     out_corona_mass_rel: float
     out_cube_mass_rel: float
     doubling_error: Optional[float]
-    min_value: float
 
     @property
     def support_ok(self):
@@ -157,13 +155,11 @@ def _level_from_window(k, win, n, prev_l1):
         k=k,
         window=win,
         l1=l1,
-        support_corona=corona,
         l1_target=target,
         l1_error=abs(l1 - target) / target,
         out_corona_mass_rel=out_corona / total,
         out_cube_mass_rel=out_cube / total,
         doubling_error=doubling,
-        min_value=float(win.values.min()),
     )
 
 
@@ -292,7 +288,8 @@ class InductionRecord:
     """Per-level outcome of the four lower-bound checks.
 
     conv: discrete (|xi| w_{k-1}) * (|xi| w_{k-1}) >= 2^(2(k-1)) w_k pointwise;
-    bessel: sup of (1+|xi|^2)^(rho/2) over supp w_k against its closed bound;
+    bessel: sup of (1+|xi|^2)^(rho/2) over supp w_k <= its closed bound
+    max(1, 2^(rho/2-1)) n^(rho/2) 2^((k+1) rho + 1);
     time_integral: 1 - exp(-t n^(alpha/2) 2^(alpha(k+1))) >= 1/2;
     induction: the assembled prefactor chain dominates the level-k weight
     (log2 margin reported). Levels k = 0 carry only the checks that apply.
@@ -304,10 +301,7 @@ class InductionRecord:
     conv_bound_ok: bool
     conv_margin: float
     bessel_bound_ok: bool
-    bessel_max: float
-    bessel_bound: float
     time_integral_ok: bool
-    time_integral_value: float
     induction_ok: bool
     induction_margin_log2: float
 
@@ -356,15 +350,12 @@ def verify_induction_chain(levels, params, t):
     records = []
     for lev in levels:
         k = lev.k
-        tv = _time_integral_value(k, t, alpha, n)
-        time_ok = tv >= 0.5 - 1e-12
+        time_ok = _time_integral_value(k, t, alpha, n) >= 0.5 - 1e-12
         if k == 0:
             records.append(InductionRecord(
                 k=0, support_ok=lev.support_ok, l1_error=lev.l1_error,
                 conv_bound_ok=True, conv_margin=float("nan"),
-                bessel_bound_ok=True, bessel_max=float("nan"),
-                bessel_bound=float("nan"),
-                time_integral_ok=time_ok, time_integral_value=tv,
+                bessel_bound_ok=True, time_integral_ok=time_ok,
                 induction_ok=True, induction_margin_log2=float("nan")))
             continue
         prev = levels[k - 1]
@@ -391,9 +382,7 @@ def verify_induction_chain(levels, params, t):
         records.append(InductionRecord(
             k=k, support_ok=lev.support_ok, l1_error=lev.l1_error,
             conv_bound_ok=conv_ok, conv_margin=margin,
-            bessel_bound_ok=bessel_ok, bessel_max=2.0 ** bessel_max_log2,
-            bessel_bound=2.0 ** bound_log2,
-            time_integral_ok=time_ok, time_integral_value=tv,
+            bessel_bound_ok=bessel_ok, time_integral_ok=time_ok,
             induction_ok=ind_ok, induction_margin_log2=ind_margin))
     return records
 
@@ -455,18 +444,16 @@ def divergence_partial_sums(params, K):
 
 @dataclass
 class CertificateReport:
-    """Everything the certificate run measured, plus the verdict."""
+    """Everything the certificate run measured, plus the verdict. k_max is
+    the last level's k; t_star and A_min are the params'."""
 
     params: CertificateParams
-    k_max: int
     grid: GridSpec
     violations: List[str]
     levels: List[OmegaLevel]
     records: List[InductionRecord]
     ratio: float
     ratio_ok: bool
-    t_star: float
-    A_min: float
     log_partial_sums: List[float]
     verdict: str = "not-certified"
     messages: List[str] = field(default_factory=list)
@@ -478,7 +465,7 @@ class CertificateReport:
         lines.append(f"  n={p.n} alpha={p.alpha} gamma={p.gamma} rho={p.rho} "
                      f"C1={p.C1} A={p.A}")
         lines.append(f"  grid: L={self.grid.L:.6g} N={self.grid.N} "
-                     f"dxi={self.grid.dxi:.6g}  k_max={self.k_max}")
+                     f"dxi={self.grid.dxi:.6g}  k_max={self.levels[-1].k}")
         lines.append("")
         if self.violations:
             lines.append("parameter violations:")
@@ -496,8 +483,8 @@ class CertificateReport:
                 f"{rec.induction_margin_log2:.6g}")
         lines.append("")
         lines.append("constants:")
-        lines.append(f"  t_star = ln(2)/2^alpha = {self.t_star!r}")
-        lines.append(f"  A_min = 2^(6+n) = {self.A_min!r}")
+        lines.append(f"  t_star = ln(2)/2^alpha = {p.t_star!r}")
+        lines.append(f"  A_min = 2^(6+n) = {p.A_min!r}")
         lines.append(f"  ratio = A^2 / (e^(t_star 2^(alpha+1)) 2^(10+2n)) = {self.ratio!r} "
                      f"(needs >= 1: {'ok' if self.ratio_ok else 'FAIL'})")
         lines.append("")
@@ -525,28 +512,26 @@ class CertificateReport:
                          f"{int(rec.induction_ok)},{rec.induction_margin_log2!r}\n")
             fh.write("# constants\n")
             fh.write(f"ratio,{self.ratio!r}\nratio_ok,{int(self.ratio_ok)}\n")
-            fh.write(f"t_star,{self.t_star!r}\nA_min,{self.A_min!r}\n")
+            fh.write(f"t_star,{self.params.t_star!r}\nA_min,{self.params.A_min!r}\n")
             fh.write("# log2 partial sums of the series lower bound\n")
             fh.write("K,log2_S_K\n")
             for i, s in enumerate(self.log_partial_sums, start=1):
                 fh.write(f"{i},{float(s / LN2)!r}\n")
 
 
-def certify(params, grid=None, k_max=None, series_terms=12):
-    """Run the whole certificate at t = t_star and assemble the verdict.
+def certify(params, grid, k_max, series_terms):
+    """Run the whole certificate at t = t_star on the grid's frequency
+    lattice, with levels 0..k_max and series_terms partial sums, and
+    assemble the verdict.
 
     certified-divergent iff the parameters satisfy every constraint, every
     per-level flag holds up to k_max, and the series ratio is >= 1. Grid
     inadequacy raises (it is an environment problem, not a finding).
     """
-    if grid is None:
-        grid = default_certificate_grid(params.n)
-    if k_max is None:
-        k_max = default_k_max(params.n)
     violations = params.violations()
     levels = build_omega_sequence(k_max, grid)
     records = verify_induction_chain(levels, params, params.t_star)
-    ratio, t_star, a_min = blowup_constants(params)
+    ratio, _, _ = blowup_constants(params)
     ratio_ok = ratio >= 1.0 - 1e-12
     log_sums = divergence_partial_sums(params, series_terms)
     messages = []
@@ -559,7 +544,6 @@ def certify(params, grid=None, k_max=None, series_terms=12):
     verdict = ("certified-divergent"
                if (not violations) and all_flags and ratio_ok else "not-certified")
     return CertificateReport(
-        params=params, k_max=k_max, grid=grid, violations=violations,
-        levels=levels, records=records, ratio=ratio, ratio_ok=ratio_ok,
-        t_star=t_star, A_min=a_min, log_partial_sums=log_sums,
-        verdict=verdict, messages=messages)
+        params=params, grid=grid, violations=violations, levels=levels,
+        records=records, ratio=ratio, ratio_ok=ratio_ok,
+        log_partial_sums=log_sums, verdict=verdict, messages=messages)

@@ -170,12 +170,14 @@ def build_certificate_params(values):
     n = _get(values, "n")
     rho = _get(values, "rho")
     alpha = _get(values, "alpha")
-    # defaults sit exactly on the admissibility floors, so a bare `certify`
-    # run is the minimal certified configuration
+    # C1 and A default to their floors and gamma to a point of its blow-up
+    # range (0.9 at alpha = 2), so a bare `certify` run at any alpha is the
+    # minimal certified configuration
+    gamma = 0.9 * (alpha - 1.0) if alpha > 1 else 1.0 - alpha / 2.0
     return cert.CertificateParams(
         n=n,
         alpha=alpha,
-        gamma=values.get("gamma", 0.9 if alpha > 1 else 1.0 - alpha / 2.0),
+        gamma=values.get("gamma", gamma),
         rho=rho,
         C1=values.get("C1", c1_threshold(n, alpha, rho)),
         A=values.get("A", 2.0 ** (6 + n)),
@@ -200,12 +202,9 @@ def _cmd_solve(values, outdir):
 def _cmd_certify(values, outdir):
     params = build_certificate_params(values)
     n = params.n
-    grid = None
-    if "L" in values or "N" in values:
-        grid = _grid(values, n, cert.default_certificate_grid)
+    grid = _grid(values, n, cert.default_certificate_grid)
     k_max = values.get("k_max", cert.default_k_max(n))
-    report = cert.certify(params, grid=grid, k_max=k_max,
-                          series_terms=_get(values, "K"))
+    report = cert.certify(params, grid, k_max, _get(values, "K"))
     txt = os.path.join(outdir, "certificate.txt")
     with open(txt, "w") as fh:
         fh.write(report.to_text())

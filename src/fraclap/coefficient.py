@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, require_finite
+from .spectral import _weighted_norm
 
 KINDS = ("dirac", "bessel_symbol")
 
@@ -105,4 +106,4 @@ def sobolev_norm_of_b(spec, order, grid):
     """
     values = spec.symbol_on(grid.xi_norm_sq)
     w = (1.0 + grid.xi_norm_sq) ** order
-    return float(np.sqrt((w * values ** 2).sum() * grid.dxi ** grid.n))
+    return float(_weighted_norm(w, values, scale=grid.dxi ** grid.n))

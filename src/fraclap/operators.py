@@ -28,7 +28,7 @@ def semigroup_apply(fld, t, alpha):
     if t < 0:
         raise DomainError(f"semigroup time must satisfy t >= 0, got {t}")
     mult = semigroup_symbol(fld.grid, t, alpha)
-    return SpectralField(fld.grid, mult * fld.coeffs, fld.is_real, fld.overflowed)
+    return SpectralField(fld.grid, mult * fld.coeffs)
 
 
 def semigroup_symbol(grid, t, alpha):
@@ -49,7 +49,7 @@ def kernel_field(t, alpha, grid):
     if t <= 0:
         raise DomainError(f"kernel time must satisfy t > 0, got {t}")
     c = semigroup_symbol(grid, t, alpha) / grid.L ** grid.n
-    return SpectralField(grid, c.astype(np.complex128), is_real=True)
+    return SpectralField(grid, c.astype(np.complex128))
 
 
 def kernel_samples(t, alpha, grid):
@@ -63,13 +63,20 @@ def _physical_l1(samples, grid):
 def _weighted_kernel_l1(t, alpha, grid, s, bessel):
     xi2 = grid.xi_norm_sq
     sym = semigroup_symbol(grid, t, alpha)
-    if bessel:
-        w = (1.0 + xi2) ** (s / 2.0)
-    else:
-        with np.errstate(divide="ignore"):
+    # a weight past float range meets the underflowed semigroup as inf * 0;
+    # the check below reports the non-finite norm that follows
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        if bessel:
+            w = (1.0 + xi2) ** (s / 2.0)
+        else:
             w = np.where(xi2 > 0, xi2 ** (s / 2.0), 1.0 if s == 0 else 0.0)
-    fld = SpectralField(grid, (w * sym / grid.L ** grid.n).astype(np.complex128), is_real=True)
-    return _physical_l1(inverse_transform(fld), grid)
+        fld = SpectralField(grid, (w * sym / grid.L ** grid.n).astype(np.complex128))
+        l1 = _physical_l1(inverse_transform(fld), grid)
+    if not math.isfinite(l1):
+        raise DomainError(
+            f"L1 norm of the kernel smoothed to order s = {s} at t = {t} is {l1}, "
+            f"which fails l1 < inf on L = {grid.L} N = {grid.N}; lower s or N")
+    return l1
 
 
 @dataclass

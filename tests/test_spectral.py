@@ -80,6 +80,10 @@ class TestTransforms:
         bad[3] = np.nan
         with pytest.raises(DomainError):
             forward_transform(bad, g)
+        # fields are real: complex samples are rejected, not split into a
+        # non-Hermitian field
+        with pytest.raises(DomainError, match="must be real"):
+            forward_transform(np.full(g.N, 1.0 + 1.0j), g)
 
     @given(st.integers(0, 2 ** 31 - 1))
     @settings(max_examples=25, deadline=None)
@@ -127,11 +131,10 @@ class TestNorms:
         assert h1_dot_norm(b) == pytest.approx(h1_dot_norm(a), rel=1e-12)
 
     def test_overflow_sentinel(self):
-        # a non-finite field has norm +inf, whether or not it is flagged
+        # a non-finite field has norm +inf
         g = grid1()
-        c = np.full(g.shape, np.nan, dtype=complex)
-        for f in (SpectralField(g, c, overflowed=True), SpectralField(g, c)):
-            assert h1_norm(f) == np.inf and h1_dot_norm(f) == np.inf
+        f = SpectralField(g, np.full(g.shape, np.nan, dtype=complex))
+        assert h1_norm(f) == np.inf and h1_dot_norm(f) == np.inf
 
 
 class TestPointwiseSquare:
@@ -167,7 +170,7 @@ class TestPointwiseSquare:
         sym = raw
         for ax in range(n):
             sym = sym + np.roll(np.flip(sym, axis=ax), 1, axis=ax)
-        f = SpectralField(g, sym.astype(complex), is_real=True)
+        f = SpectralField(g, sym.astype(complex))
         sq = spectral.dealiased_square(f.coeffs, g)
         if n == 1:
             expect = brute_mode_autoconv(f.coeffs, g.modes)
