@@ -104,7 +104,7 @@ def test_criterion_5_constant_identity():
             for alpha in (0.8, 1.0, 1.5, 2.0):
                 p = CertificateParams(n=n, alpha=alpha, gamma=0.5, rho=0.0,
                                       C1=2.0 ** 60, A=2.0 ** (6 + n))
-                ratio, _, _ = blowup_constants(p)
+                ratio = blowup_constants(p)
                 worst = max(worst, abs(ratio - 1.0))
         assert worst <= 1e-14
     report(5, timer, f"unit-ratio identity at A = A_min, worst |ratio-1| = {worst:.1e}")

@@ -6,7 +6,7 @@ import pytest
 from fraclap import (CertificateParams, DomainError, FreqWindow,
                      GridResolutionError, GridSpec, blowup_constants, build_omega_sequence,
                      bump_weight_log, certify,
-                     default_certificate_grid, divergence_partial_sums,
+                     default_certificate_grid, default_k_max, divergence_partial_sums,
                      series_prefactor_log, series_term_log, unit_ball_volume,
                      verify_induction_chain)
 from fraclap.certificate import _time_integral_value
@@ -68,6 +68,19 @@ class TestOmegaSequence:
             assert lev2.l1_error < lev.l1_error
             assert lev.out_corona_mass_rel <= 1e-10
             assert lev.out_cube_mass_rel <= 1e-10
+
+    @pytest.mark.parametrize("n,worst", [(1, 0.0078), (2, 0.0059), (3, 0.0200)])
+    def test_l1_error_is_fixed_by_the_seed(self, n, worst):
+        # an autoconvolution has exactly the squared mass of its input, so at
+        # the default grids and k range level k's error is 1 - (1 - eps0)^(2^k),
+        # with eps0 the seed's signed error; worst is the per-n figure that
+        # default_certificate_grid states
+        levels = build_omega_sequence(default_k_max(n), default_certificate_grid(n))
+        eps0 = (levels[0].l1_target - levels[0].l1) / levels[0].l1_target
+        for lev in levels:
+            expect = abs(1.0 - (1.0 - eps0) ** (2 ** lev.k))
+            assert lev.l1_error == pytest.approx(expect, rel=1e-10), lev.k
+        assert max(lev.l1_error for lev in levels) <= worst
 
     def test_doubling_identity(self):
         levels = build_omega_sequence(3, default_certificate_grid(1))
@@ -178,14 +191,14 @@ class TestConstants:
     def test_unit_ratio_at_minimal_amplitude(self, n, alpha):
         p = CertificateParams(n=n, alpha=alpha, gamma=0.5, rho=0.0,
                               C1=2.0 ** 60, A=2.0 ** (6 + n))
-        ratio, t_star, a_min = blowup_constants(p)
+        ratio = blowup_constants(p)
         assert abs(ratio - 1.0) <= 1e-14
-        assert a_min == 2.0 ** (6 + n)
-        assert t_star == pytest.approx(LN2 / 2.0 ** alpha, rel=1e-15)
+        assert p.A_min == 2.0 ** (6 + n)
+        assert p.t_star == pytest.approx(LN2 / 2.0 ** alpha, rel=1e-15)
 
     def test_doubled_amplitude_quadruples_ratio(self):
         p = params1(A=256.0)
-        ratio, _, _ = blowup_constants(p)
+        ratio = blowup_constants(p)
         assert ratio == pytest.approx(4.0, rel=1e-13)
 
     def test_amplitude_floor_values(self):
@@ -210,7 +223,7 @@ class TestSeries:
         # A = A_min/2 gives ratio 1/4; the 2^(k+1) component cancels exactly
         # and the terms still grow like 2^(11k)
         p = params1(A=64.0)
-        ratio, _, _ = blowup_constants(p)
+        ratio = blowup_constants(p)
         assert ratio == pytest.approx(0.25, rel=1e-13)
         for k in range(6):
             assert series_term_log(k, p) == pytest.approx(11.0 * k * LN2, abs=1e-9)
