@@ -26,7 +26,7 @@ working memory follows the output window, not the padded FFT box.
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
@@ -373,15 +373,13 @@ def _induction_margin_log2(k, t, params):
     return lhs - bump_weight_log(k, t, alpha, n) / LN2
 
 
-def verify_induction_chain(levels, params, t):
-    """Audit every inequality of the induction step on the lattice at time t.
+def verify_induction_chain(levels, params):
+    """Audit every inequality of the induction step on the lattice at the
+    critical time params.t_star.
 
     Levels must be consecutive from k = 0. Failures are recorded, not raised.
     """
-    if t < params.t_star * (1.0 - 1e-12):
-        raise DomainError(
-            f"induction chain is certified for t >= t_star = {params.t_star}, got {t}")
-    n, alpha, rho = params.n, params.alpha, params.rho
+    n, alpha, rho, t = params.n, params.alpha, params.rho, params.t_star
     bessel_cap_log2 = (max(0.0, rho / 2.0 - 1.0) + (rho / 2.0) * math.log2(n))
     records = []
     for lev in levels:
@@ -490,8 +488,8 @@ class CertificateReport:
     ratio: float
     ratio_ok: bool
     log_partial_sums: List[float]
-    verdict: str = "not-certified"
-    messages: List[str] = field(default_factory=list)
+    verdict: str
+    messages: List[str]
 
     def to_text(self):
         p = self.params
@@ -561,11 +559,15 @@ def certify(params, grid, k_max, series_terms):
 
     certified-divergent iff the parameters satisfy every constraint, every
     per-level flag holds up to k_max, and the series ratio is >= 1. Grid
-    inadequacy raises (it is an environment problem, not a finding).
+    inadequacy raises (it is an environment problem, not a finding), and so
+    does a grid whose dimension is not params.n.
     """
+    if grid.n != params.n:
+        raise DomainError(f"grid dimension grid.n = {grid.n} fails "
+                          f"grid.n = params.n = {params.n}")
     violations = params.violations()
     levels = build_omega_sequence(k_max, grid)
-    records = verify_induction_chain(levels, params, params.t_star)
+    records = verify_induction_chain(levels, params)
     ratio = blowup_constants(params)
     ratio_ok = ratio >= 1.0 - 1e-12
     log_sums = divergence_partial_sums(params, series_terms)

@@ -17,8 +17,7 @@ import sys
 
 from . import certificate as cert
 from .coefficient import CoefficientSpec, c1_threshold
-from .errors import (DomainError, FraclapError, NonConvergenceError, UsageError,
-                     require_finite)
+from .errors import DomainError, FraclapError, UsageError, require_finite
 from .operators import kernel_l1_report
 from .solver import (ProblemConfig, existence_budget, omega_initial_field,
                      picard_solve, random_nonneg_initial_field)
@@ -60,10 +59,6 @@ _DEFAULTS = {
     "T0": 0.5,
     "dt": 1.0 / 256.0,
     "kind": "dirac",
-    "picard_tol": 1e-8,
-    "picard_max_iter": 60,
-    "overflow_threshold": 1e12,
-    "C_abs": 1.0,
     "K": 12,
     "s": 0.5,
     "t_values": "0.5,1,2",
@@ -149,6 +144,9 @@ def _build_initial(values, grid):
     raise DomainError(f"u0 must be one of omega|random|zero, got {choice!r}")
 
 
+_SOLVER_KEYS = ("picard_tol", "picard_max_iter", "overflow_threshold", "C_abs")
+
+
 def build_problem(values):
     grid = _grid(values, _get(values, "n"), _default_grid)
     return ProblemConfig(
@@ -159,10 +157,8 @@ def build_problem(values):
         u0=_build_initial(values, grid),
         T0=_get(values, "T0"),
         dt=_get(values, "dt"),
-        picard_tol=_get(values, "picard_tol"),
-        picard_max_iter=_get(values, "picard_max_iter"),
-        overflow_threshold=_get(values, "overflow_threshold"),
-        C_abs=_get(values, "C_abs"),
+        # ProblemConfig holds the defaults of these
+        **{key: values[key] for key in _SOLVER_KEYS if key in values},
     )
 
 
@@ -327,9 +323,6 @@ def run(argv):
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except NonConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return 1

@@ -67,11 +67,12 @@ class CoefficientSpec:
             values = np.full_like(xi_sq, self.C)
         else:
             values = self.C * (1.0 + xi_sq) ** (-self.rho / 2.0)
-        # a copy, so that the array above is freed at once: with glibc's
-        # malloc, the per-node temporaries of a later solve (arrays of the
-        # same size) reuse that gap. Without it they extend the heap top,
-        # which is trimmed after every call, and `solve n=2` takes 1.8M page
-        # faults instead of 31K
+        # a copy, which changes where glibc's malloc puts the solver's
+        # per-node temporaries. On a 2-CPU x86 host (numpy 2.4), perfbench
+        # solve-2d ran slower without it in 19 of 30 alternating pairs
+        # (medians 13.8 s against 12.5 s in the last ten), although
+        # `solve n=2` then takes 5.6K minor page faults instead of 26.3K.
+        # Why is not established
         return values.copy()
 
 

@@ -142,7 +142,7 @@ def _kink_coeff(s):
     return abs(math.gamma(1.0 + s) * math.sin(math.pi * s / 2.0)) / math.pi
 
 
-def _auto_box(alpha, t_max, s=0.0):
+def _auto_box(alpha, t_max, s):
     if alpha == 2.0:
         half = math.sqrt(4.0 * t_max * math.log(_BOX_SAFETY / _BOUNDARY_LIMIT)) + 1.0
     else:

@@ -63,14 +63,17 @@ than the overlap saves. Both regimes do the same arithmetic and give the
 same bits.
 
 Blow-up handling: past the true explosion time the iterates diverge doubly
-exponentially in the sweep index and would overflow float range, so
-nonlinearity inputs at nodes whose discrete H1 exceeds overflow_threshold are
-rescaled down to the threshold (saturated forcing; continuous in the iterate,
-unlike an on/off cutoff, which orbits a limit cycle). Saturation only affects
-nodes at or past the crossing; the returned trajectory is truncated at the
-first crossing, whose field is kept as the last one and whose time is
-Trajectory.overflow_at (the one record of the crossing), and convergence is
-declared on the pre-crossing prefix with a stable crossing index.
+exponentially in the sweep index and would overflow float range, so the
+sweep rescales the input of G at a node whose discrete H1 exceeds
+overflow_threshold down to the threshold, and gives a node whose norm is not
+finite G = 0 (saturated forcing; continuous in the iterate, unlike an on/off
+cutoff, which orbits a limit cycle). The sweep does this before it calls
+_SweepState.nonlinearity, which is plain G, as duhamel_step evaluates it.
+Saturation only affects nodes at or past the crossing; the returned
+trajectory is truncated at the first crossing, whose field is kept as the
+last one and whose time is Trajectory.overflow_at (the one record of the
+crossing), and convergence is declared on the pre-crossing prefix with a
+stable crossing index.
 Once a sweep has crossed at node c, the next sweep computes nodes 0..c only.
 The map is causal (node i of the new iterate reads nodes 0..i of the previous
 one), so those nodes come out exactly as in a full sweep, and when the new
@@ -224,11 +227,11 @@ class Trajectory:
     h1_dot_norms: np.ndarray
     overflow_at: Optional[float]
     picard_residuals: List[float]
-    iterations: int = 0
-    converged: bool = False
+    iterations: int
+    converged: bool
     # global coefficient extrema over every Picard iterate and time:
     # (min real part, max real part, max |imag|), for positivity audits
-    iterate_extrema: tuple = (0.0, 0.0, 0.0)
+    iterate_extrema: tuple
 
     def max_abs_coeff(self):
         return np.array([np.abs(f.coeffs).max() for f in self.fields])
@@ -311,9 +314,10 @@ class _NodeLayout:
 
 
 class _NodeFields(Sequence):
-    """Read-only fields of nodes 0..length-1 of a stored node stack. Each
-    read builds a new full-lattice SpectralField, so a caller that walks the
-    nodes holds one full field at a time."""
+    """Read-only fields of nodes 0..length-1 of a stored node stack,
+    indexed by node (not sliced). Each read builds a new full-lattice
+    SpectralField, so a caller that walks the nodes holds one full field at
+    a time."""
 
     def __init__(self, grid, layout, stack, length):
         self.grid = grid
@@ -325,8 +329,6 @@ class _NodeFields(Sequence):
         return self.length
 
     def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(*i.indices(self.length))]
         i = range(self.length)[i]
         full = np.zeros((1,) + self.grid.shape, dtype=np.complex128)
         self.layout.scatter(self.stack[i:i + 1], full)
@@ -345,7 +347,6 @@ class _SweepState:
     def __init__(self, config):
         grid = config.grid
         self.grid = grid
-        self.axes = tuple(range(1, grid.n + 1))
         xi2 = grid.xi_norm_sq
         self.abs_xi = np.sqrt(xi2)
         self.alpha = config.alpha
@@ -355,32 +356,19 @@ class _SweepState:
     def linear_part(self, u0_coeffs, t):
         return semigroup_symbol(self.grid, t, self.alpha) * u0_coeffs
 
-    def nonlinearity(self, u, h1=None, thresh=None):
+    def nonlinearity(self, u):
         """G(u) for each node of the stack u: coefficients of
         b * ((-Lap)^(1/2) u)^2, the square dealiased by the 2/3 rule,
-        computed in place in u, which is returned.
-
-        With h1 (the rows' H1 norms), a row whose norm exceeds thresh is
-        rescaled down to it first (saturated forcing) and a row whose norm
-        is not finite gets G = 0.
-        """
-        if h1 is not None:
-            for r in np.flatnonzero(~(h1 <= thresh)):
-                if np.isfinite(h1[r]):
-                    np.multiply(u[r], thresh / h1[r], out=u[r])
-                else:
-                    u[r] = 0.0
+        computed in place in u, which is returned. A sweep saturates u
+        before this call (g_of in picard_solve)."""
         a = np.multiply(self.abs_xi, u, out=u)
-        w = dealiased_square(a, self.grid, self.axes, out=a)
-        np.multiply(w, self.b_sym, out=w)
-        if h1 is not None:
-            w[~np.isfinite(h1)] = 0.0
-        return w
+        w = dealiased_square(a, self.grid)
+        return np.multiply(w, self.b_sym, out=w)
 
     def h1_rows(self, u):
         """Discrete H1 norm of each row of the stack u; +inf for a row with a
         non-finite coefficient."""
-        return _weighted_norm(self.h1_weight, u, self.axes)
+        return _weighted_norm(self.h1_weight, u)
 
 
 def _worker(needed):
@@ -460,10 +448,23 @@ def picard_solve(config):
     g_bufs = [np.empty_like(rows) for _ in range(3 if pipelined else 2)]
 
     def g_of(ci):
+        """G of chunk ci of the previous iterate, saturated: a row whose H1
+        norm exceeds thresh is rescaled down to it first, and a row whose
+        norm is not finite gets G = 0. That keeps the iteration inside float
+        range and free of on/off limit cycles, and it only influences nodes
+        at or past the previous crossing, the last node a sweep computes
+        once there is one."""
         lo = ci * chunk
         hi = min(lo + chunk, end)
         u = layout.scatter(prev[lo:hi], g_full[:hi - lo])
-        state.nonlinearity(u, prev_h1[lo:hi], thresh)
+        h1 = prev_h1[lo:hi]
+        for r in np.flatnonzero(~(h1 <= thresh)):
+            if np.isfinite(h1[r]):
+                np.multiply(u[r], thresh / h1[r], out=u[r])
+            else:
+                u[r] = 0.0
+        state.nonlinearity(u)
+        u[~np.isfinite(h1)] = 0.0
         return layout.gather(u, g_bufs[ci % len(g_bufs)][:hi - lo])
 
     with _worker(pipelined) as pool:
@@ -483,12 +484,6 @@ def picard_solve(config):
                 # row up to it is (see the module docstring)
                 end = M + 1 if prev_cross is None or not truncate else prev_cross + 1
                 n_chunks = -(-end // chunk)
-                # G of the previous iterate; at over-threshold nodes the field
-                # is rescaled down to the threshold first (saturated forcing
-                # keeps the iteration inside float range and free of on/off
-                # limit cycles; saturation only ever influences nodes at or
-                # past the previous crossing, the last node this sweep
-                # computes once there is one)
                 new_cross = None
                 res = 0.0
                 scale = 0.0

@@ -159,10 +159,12 @@ def inverse_transform(fld):
     return (np.fft.ifftn(fld.coeffs) * fld.grid.N ** fld.grid.n).real
 
 
-def _weighted_norm(weight, coeffs, axes=None, scale=1.0):
-    """sqrt(scale * sum(weight * (re^2 + im^2))) of coeffs over axes (all by
-    default); +inf where a summed coefficient is not finite. The scalar scale
+def _weighted_norm(weight, coeffs, scale=1.0):
+    """sqrt(scale * sum(weight * (re^2 + im^2))) of coeffs over the trailing
+    weight.ndim axes: one number for a field, one per row for a stack of
+    fields. +inf where a summed coefficient is not finite. The scalar scale
     multiplies the sum once instead of every term."""
+    axes = tuple(range(coeffs.ndim - weight.ndim, coeffs.ndim))
     with np.errstate(invalid="ignore", over="ignore"):
         h = np.sqrt(scale * (weight * (coeffs.real ** 2 + coeffs.imag ** 2)).sum(axis=axes))
     return np.where(np.isfinite(h), h, np.inf)
@@ -184,20 +186,20 @@ def h1_dot_norm(fld):
     return float(_weighted_norm(grid.xi_norm_sq, fld.coeffs, scale=grid.L ** grid.n))
 
 
-def dealiased_square(coeffs, grid, axes=None, out=None):
+def dealiased_square(coeffs, grid):
     """Coefficients of the pointwise square of the field(s) with coefficients
-    coeffs, dealiased; axes are the spatial axes (all by default, the trailing
-    n for a stack of nodes).
+    coeffs, dealiased, in place: coeffs is a complex field, or a stack of
+    fields whose trailing grid.n axes are the spatial ones, and it is
+    overwritten and returned.
 
-    The result is written to out (a complex array shaped like coeffs, which
-    may be coeffs itself) and returned; without out it goes to a new array.
     Both transforms run in that one buffer. Computed as inverse transform ->
     square -> forward transform, which equals the lattice autoconvolution of
     the coefficients on the retained modes (the 2/3 rule removes exactly the
     aliased band).
     """
     Nn = grid.N ** grid.n
-    v = np.fft.ifftn(coeffs, axes=axes, out=out)
+    axes = tuple(range(coeffs.ndim - grid.n, coeffs.ndim))
+    v = np.fft.ifftn(coeffs, axes=axes, out=coeffs)
     np.multiply(v, Nn, out=v)
     np.multiply(v, v, out=v)
     np.fft.fftn(v, axes=axes, out=v)

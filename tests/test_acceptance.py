@@ -115,7 +115,7 @@ def test_criterion_6_induction_chain(omega_levels):
         p = CertificateParams(n=1, alpha=2.0, gamma=0.9, rho=0.0,
                               C1=2048.0, A=128.0)
         assert p.t_star == pytest.approx(0.1733, abs=5e-5)
-        records = verify_induction_chain(omega_levels[1], p, p.t_star)
+        records = verify_induction_chain(omega_levels[1], p)
         for rec in records:
             assert rec.all_ok, rec
         margins = [r.induction_margin_log2 for r in records[1:]]

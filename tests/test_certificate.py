@@ -139,7 +139,7 @@ class TestInductionChain:
         # k=0, n=1, alpha=1 at the critical time: 1 - exp(-ln 2) = 1/2
         p = params1(alpha=1.0, C1=4096.0)
         levels = build_omega_sequence(0, coarse_grid1())
-        rec = verify_induction_chain(levels, p, p.t_star)[0]
+        rec = verify_induction_chain(levels, p)[0]
         value = _time_integral_value(0, p.t_star, p.alpha, p.n)
         assert value == pytest.approx(0.5, abs=1e-15)
         assert rec.time_integral_ok
@@ -154,7 +154,7 @@ class TestInductionChain:
                                      np.abs(xi) * seed.values, g.dxi)
         bound = 1.0 * levels[1].window.values
         assert (weighted - bound).min() >= -1e-10 * bound.max()
-        rec = verify_induction_chain(levels, params1(), params1().t_star)[1]
+        rec = verify_induction_chain(levels, params1())[1]
         assert rec.conv_bound_ok
         assert rec.conv_margin >= -1e-10 * bound.max()
 
@@ -163,7 +163,7 @@ class TestInductionChain:
         # (the support is (2,4)), below the bound 32
         p = params1(rho=2.0, C1=2.0 ** 13 * 3.0)
         levels = build_omega_sequence(1, coarse_grid1())
-        rec = verify_induction_chain(levels, p, p.t_star)[1]
+        rec = verify_induction_chain(levels, p)[1]
         assert rec.bessel_bound_ok
         win = levels[1].window
         sup = (1.0 + win.radius_grid()[win.support_mask()] ** 2).max()
@@ -173,16 +173,10 @@ class TestInductionChain:
         # at n=1, alpha=2, rho=0, C1=2^11 the assembled-chain margin is 5k
         p = params1()
         levels = build_omega_sequence(3, default_certificate_grid(1))
-        recs = verify_induction_chain(levels, p, p.t_star)
+        recs = verify_induction_chain(levels, p)
         for rec in recs[1:]:
             assert rec.induction_margin_log2 == pytest.approx(5.0 * rec.k, abs=1e-9)
             assert rec.all_ok
-
-    def test_requires_time_past_critical(self):
-        p = params1()
-        levels = build_omega_sequence(1, coarse_grid1())
-        with pytest.raises(DomainError):
-            verify_induction_chain(levels, p, 0.5 * p.t_star)
 
 
 class TestConstants:
@@ -268,6 +262,12 @@ class TestCertify:
     def test_grid_inadequacy_raises(self):
         with pytest.raises(GridResolutionError):
             certify(params1(), GridSpec(1, 16 * np.pi, 64), 3, 12)
+
+    @pytest.mark.parametrize("n, grid_n", [(1, 2), (3, 1)])
+    def test_grid_dimension_must_match_params(self, n, grid_n):
+        with pytest.raises(DomainError, match=f"grid.n = {grid_n} fails "
+                                              f"grid.n = params.n = {n}"):
+            certify(params1(n=n), default_certificate_grid(grid_n), 1, 4)
 
     def test_report_serialization(self, tmp_path):
         report = certify(params1(), default_certificate_grid(1), 1, 4)

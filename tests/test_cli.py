@@ -104,6 +104,13 @@ class TestExitCodes:
         assert code == 1
         assert "domain error" in err and key in err and "Traceback" not in err
 
+    def test_nonconvergence_is_an_error(self, outdir, capsys):
+        code = run(["solve", "-o", str(outdir), "picard_max_iter=2", "T0=0.05"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: Picard iteration did not converge within 2 sweeps")
+        assert "Traceback" not in err
+
 
 class TestSubcommands:
     def test_certify_reference_run(self, outdir, capsys):

@@ -137,10 +137,11 @@ class TestDuhamelStep:
     def test_history_gap_rejected(self):
         cfg = make_config()
         traj = picard_solve(cfg)
-        short = type(traj)(times=traj.times[:3], fields=traj.fields[:3],
+        short = type(traj)(times=traj.times[:3], fields=list(traj.fields)[:3],
                            h1_norms=traj.h1_norms[:3],
                            h1_dot_norms=traj.h1_dot_norms[:3],
-                           overflow_at=None, picard_residuals=[])
+                           overflow_at=None, picard_residuals=[], iterations=0,
+                           converged=False, iterate_extrema=(0.0, 0.0, 0.0))
         with pytest.raises(DomainError):
             duhamel_step(short, 0.25, cfg)
 
@@ -518,7 +519,8 @@ def test_trajectory_csv_text(tmp_path):
     traj = Trajectory(times=np.array([0.0, 0.1, 0.2]), fields=fields,
                       h1_norms=np.array([-0.0, np.nan, 1e-300]),
                       h1_dot_norms=np.array([np.inf, 0.1, 3.0]), overflow_at=0.2,
-                      picard_residuals=[], iterations=7, converged=True)
+                      picard_residuals=[], iterations=7, converged=True,
+                      iterate_extrema=(0.0, 0.0, 0.0))
     path = tmp_path / "trajectory.csv"
     traj.to_csv(path)
     rows = ["0.0,-0.0,inf,0.1", "0.1,nan,0.1,1e-300", "0.2,1e-300,3.0,inf"]

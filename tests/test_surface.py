@@ -11,6 +11,11 @@ functions by name) in some file other than ``fraclap/__init__.py``. The
 definition itself does not count. A field is "read" when its name appears
 as an attribute load or a string constant in those files; passing it to a
 constructor by keyword is a write.
+
+Every default of a parameter or a dataclass field must be taken: some call
+in those files, matched by the callee's name, leaves the parameter out and
+passes no ``*args`` or ``**kwargs``. A default that only tests take is a
+second path that production runs never use.
 """
 
 import ast
@@ -71,6 +76,55 @@ def _reads(tree):
             yield node.value
 
 
+def _parameter_defaults(fn, callee, method):
+    a = fn.args
+    positional = (a.posonlyargs + a.args)[1 if method else 0:]
+    first = len(positional) - len(a.defaults)
+    for pos in range(first, len(positional)):
+        yield callee, positional[pos].arg, pos
+    for arg, default in zip(a.kwonlyargs, a.kw_defaults):
+        if default is not None:
+            yield callee, arg.arg, None
+
+
+def _defaults(tree):
+    """(callee, parameter, position) of every defaulted parameter of a
+    top-level function, a method or a dataclass constructor; position is the
+    index among the arguments a caller may pass positionally (None for a
+    keyword-only one)."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield from _parameter_defaults(node, node.name, method=False)
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    callee = node.name if item.name == "__init__" else item.name
+                    yield from _parameter_defaults(item, callee, method=True)
+            if any(map(_is_dataclass, node.decorator_list)):
+                fields = [item for item in node.body
+                          if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)]
+                for pos, item in enumerate(fields):
+                    if item.value is not None:
+                        yield node.name, item.target.id, pos
+
+
+def _calls(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            if isinstance(node.func, ast.Name):
+                yield node.func.id, node
+            elif isinstance(node.func, ast.Attribute):
+                yield node.func.attr, node
+
+
+def _leaves_out(call, param, pos):
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return False
+    if any(k.arg is None or k.arg == param for k in call.keywords):
+        return False
+    return pos is None or len(call.args) <= pos
+
+
 def _parse(path):
     return ast.parse(path.read_text(), filename=str(path))
 
@@ -102,9 +156,24 @@ def unread_fields():
             for cls, name in _fields(_parse(path)) if name not in read]
 
 
+def untaken_defaults():
+    modules, users = _modules_and_users()
+    calls = {}
+    for path in users:
+        for name, call in _calls(_parse(path)):
+            calls.setdefault(name, []).append(call)
+    return [f"{path.name}:{callee}({param}=)" for path in modules
+            for callee, param, pos in _defaults(_parse(path))
+            if not any(_leaves_out(c, param, pos) for c in calls.get(callee, ()))]
+
+
 def test_every_library_name_has_a_production_or_acceptance_caller():
     assert unreached_names() == []
 
 
 def test_every_dataclass_field_is_read():
     assert unread_fields() == []
+
+
+def test_every_default_is_taken():
+    assert untaken_defaults() == []
