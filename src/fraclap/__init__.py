@@ -2,7 +2,7 @@
 fractional-diffusion equation with a squared-gradient nonlinearity convolved
 against a singular coefficient."""
 
-from .certificate import (CertificateParams, CertificateReport, FreqWindow,
+from .certificate import (BumpLevel, CertificateParams, CertificateReport, FreqWindow,
                           InductionRecord, OmegaLevel, blowup_constants,
                           build_omega_sequence, bump_weight_log, certify,
                           convolve_lattice, default_certificate_grid,

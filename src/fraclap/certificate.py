@@ -1,20 +1,48 @@
 """Blow-up certificate: dyadic Fourier bumps, the induction chain, and the
 divergent series of the lower-bound argument.
 
-The certificate machinery never leaves the Fourier side. The seed bump is the
-indicator of the radius-1/2 ball around the point with every component 3/2;
-level k+1 is the lattice autoconvolution of level k (weight dxi^n, so the
-discrete L1 identities hold exactly up to quadrature). Each level is supported
-in the open hypercube (2^k, 2^(k+1))^n, hence in the corona
-sqrt(n) 2^k < |xi| < sqrt(n) 2^(k+1), with L1 mass (v_n / 2^n)^(2^k).
+The certificate machinery never leaves the Fourier side. The seed bump w_0 is
+the strict indicator of the radius-1/2 ball around the point with every
+component 3/2, sampled on the frequency lattice h Z^n; level k+1 is the
+lattice autoconvolution w_{k+1}(xi) = h^n sum_eta w_k(eta) w_k(xi - eta).
+
+``certify`` makes no convolution. It counts the seed's lattice points and
+derives every per-level fact from two exact properties of the hierarchy:
+
+- Cube. Each point of the seed ball has every component strictly inside
+  (1, 2), so the seed's index box lies in the open cube (1, 2)^n; certify
+  checks that box. An autoconvolution is supported in the Minkowski sum of
+  its input's support with itself and keeps signs, so by induction
+  w_k >= 0 is supported in (2^k, 2^(k+1))^n, which lies in the corona
+  sqrt(n) 2^k < |xi| < sqrt(n) 2^(k+1) (support_ok, hypercube_ok).
+- Conv bound. On the support of w_{k-1}, |xi| > sqrt(n) 2^(k-1), so
+  pointwise (|xi| w_{k-1}) * (|xi| w_{k-1}) >= n 4^(k-1) w_k >= 4^(k-1) w_k:
+  the bound holds with the factor n to spare (conv_bound_ok).
+- Bessel bound. For rho > 0, the sup of (1 + |xi|^2)^(rho/2) over the
+  closed cube [2^k, 2^(k+1)]^n is (1 + n 4^(k+1))^(rho/2), which is below
+  2^(rho/2) n^(rho/2) 2^((k+1) rho) and so below the closed bound
+  max(1, 2^(rho/2-1)) n^(rho/2) 2^((k+1) rho + 1). For rho <= 0 the check
+  compares the sup bound 1 with the closed bound, which fails at k >= 1
+  once rho is negative enough (bessel_bound_ok).
+- L1. Summing an autoconvolution over the lattice squares its input's sum,
+  so level k has lattice mass (count h^n)^(2^k), with count the seed's
+  lattice points, against the continuum mass (v_n / 2^n)^(2^k). With
+  q = count h^n / (v_n / 2^n) = 1 - eps0 the relative error is
+  |1 - q^(2^k)|, which never divides by a target that underflows.
+
+So the per-level flags hold on every grid that resolves the level-k_max
+corona, and the verdict rests on the parameter constraints and the series
+ratio. tests/test_certificate.py checks the derived values against the FFT
+hierarchy and its measured convolutions.
 
 Everything multiplicative (A^(2^k), the 2^(-5(2^k-1)) weights, the series
 terms) is handled in log domain: the quantities underflow/overflow floats
 from k around 5 onward.
 
-Only the support window of each bump is stored; discrete linear convolution
-of compactly supported arrays is exactly supported in the Minkowski sum of
-the supports, so window arithmetic equals full-lattice arithmetic.
+``omega`` (``build_omega_sequence``) builds the hierarchy itself. Only the
+support window of each bump is stored; discrete linear convolution of
+compactly supported arrays is exactly supported in the Minkowski sum of the
+supports, so window arithmetic equals full-lattice arithmetic.
 
 The autoconvolutions stream over slabs of the last axis's half spectrum:
 each slab takes the padded forward passes, the square and the cropped
@@ -27,7 +55,7 @@ working memory follows the output window, not the padded FFT box.
 import functools
 import math
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
@@ -43,10 +71,13 @@ XI0_COMPONENT = 1.5
 BUMP_RADIUS = 0.5
 
 _SUPPORT_MARGIN = 2          # zero-padding cells kept around each window
-_SUPPORT_REL_TOL = 1e-13     # support: values above this fraction of the peak
-_CORONA_MASS_TOL = 1e-10
-_CONV_TOL = 1e-10            # conv-bound slack, relative to the bound's peak
+_CORONA_MASS_TOL = 1e-10     # omega: out-of-corona mass, relative to the total
 _SLAB = 8                    # half-spectrum columns per slab of convolve_lattice
+# largest bump window a run allocates: 256 MB of float64, about 8 times the
+# default omega n=3 level 2 (145^3 points)
+_MAX_WINDOW_POINTS = 1 << 25
+# the level weights take 2^(k + alpha) with alpha <= 2, which must stay a float
+_MAX_K = 1021
 
 
 def unit_ball_volume(n):
@@ -83,9 +114,6 @@ class FreqWindow:
     def mass_where(self, mask):
         return float(np.abs(self.values[mask]).sum() * self.h ** self.n)
 
-    def support_mask(self):
-        return self.values > _SUPPORT_REL_TOL * self.values.max()
-
     def to_csv(self, path):
         xi = np.meshgrid(*self.axes(), indexing="ij")
         write_csv(path,
@@ -97,7 +125,7 @@ class FreqWindow:
 
 @dataclass
 class OmegaLevel:
-    """Level-k bump with its verified discrete invariants."""
+    """Level-k bump of the FFT hierarchy with its measured invariants."""
 
     k: int
     window: FreqWindow
@@ -106,7 +134,6 @@ class OmegaLevel:
     l1_error: float
     out_corona_mass_rel: float
     out_cube_mass_rel: float
-    doubling_error: Optional[float]
 
     @property
     def support_ok(self):
@@ -135,12 +162,32 @@ def default_k_max(n):
     return 3 if n == 1 else 2
 
 
+def _seed_index_range(h):
+    """First and last lattice index per axis of the seed window."""
+    return (int(math.floor((XI0_COMPONENT - BUMP_RADIUS) / h)) - _SUPPORT_MARGIN,
+            int(math.ceil((XI0_COMPONENT + BUMP_RADIUS) / h)) + _SUPPORT_MARGIN)
+
+
+def _require_window_size(width, n, what):
+    points = width ** n
+    if points > _MAX_WINDOW_POINTS:
+        raise DomainError(f"{what} window of {width}^{n} = {points} lattice points "
+                          f"fails <= {_MAX_WINDOW_POINTS}; coarsen the grid or "
+                          f"lower k_max")
+
+
+def _require_levels(k_max, grid):
+    if not 0 <= k_max <= _MAX_K:
+        raise DomainError(f"k_max = {k_max} fails 0 <= k_max <= {_MAX_K}")
+    grid.require_corona_resolution(k_max)
+
+
 def _seed_window(n, h):
     """Strict indicator of the seed ball, sampled on the lattice (no partial
     cell weighting; boundary points fall exactly on the lattice for the
     dyadic default spacings and are excluded)."""
-    lo = int(math.floor((XI0_COMPONENT - BUMP_RADIUS) / h)) - _SUPPORT_MARGIN
-    hi = int(math.ceil((XI0_COMPONENT + BUMP_RADIUS) / h)) + _SUPPORT_MARGIN
+    lo, hi = _seed_index_range(h)
+    _require_window_size(hi - lo + 1, n, "seed")
     idx = np.arange(lo, hi + 1)
     grids = np.meshgrid(*([idx * h] * n), indexing="ij")
     r2 = sum((g - XI0_COMPONENT) ** 2 for g in grids)
@@ -148,7 +195,7 @@ def _seed_window(n, h):
     return FreqWindow((lo,) * n, values, h)
 
 
-def _level_from_window(k, win, n, prev_l1):
+def _level_from_window(k, win, n):
     vn = unit_ball_volume(n)
     target = (vn / 2.0 ** n) ** (2 ** k)
     l1 = win.l1()
@@ -160,7 +207,6 @@ def _level_from_window(k, win, n, prev_l1):
                                    np.meshgrid(*inside, indexing="ij", sparse=True))
     out_cube = win.mass_where(~inside_cube)
     total = float(np.abs(win.values).sum() * win.h ** n)
-    doubling = None if prev_l1 is None else abs(l1 - prev_l1 ** 2) / prev_l1 ** 2
     return OmegaLevel(
         k=k,
         window=win,
@@ -169,7 +215,6 @@ def _level_from_window(k, win, n, prev_l1):
         l1_error=abs(l1 - target) / target,
         out_corona_mass_rel=out_corona / total,
         out_cube_mass_rel=out_cube / total,
-        doubling_error=doubling,
     )
 
 
@@ -230,23 +275,68 @@ def build_omega_sequence(k_max, grid):
     """Levels 0..k_max of the bump hierarchy on the grid's frequency lattice.
 
     The grid must resolve the level-k_max corona (xi_max > sqrt(n) 2^(k_max+1))
-    and have spacing <= 1/4. Each level records its discrete invariants; the
-    caller decides what to do with violations.
+    and have spacing <= 1/4, and the level-k_max window, 2^k_max (w0 - 1) + 1
+    points per axis for a seed window of w0, must fit _MAX_WINDOW_POINTS; both
+    are checked before any convolution. Each level records its discrete
+    invariants; the caller decides what to do with violations.
     """
-    if k_max < 0:
-        raise DomainError("k_max must be >= 0")
-    grid.require_corona_resolution(k_max)
+    _require_levels(k_max, grid)
     h = grid.dxi
     n = grid.n
+    lo, hi = _seed_index_range(h)
+    _require_window_size(2 ** k_max * (hi - lo) + 1, n, f"level-{k_max}")
     levels = []
     win = _seed_window(n, h)
-    prev_l1 = None
     for k in range(k_max + 1):
-        levels.append(_level_from_window(k, win, n, prev_l1))
-        prev_l1 = levels[-1].l1
+        levels.append(_level_from_window(k, win, n))
         if k < k_max:
             conv = convolve_lattice(win.values, h)
             win = FreqWindow(tuple(2 * s for s in win.start), conv, h)
+    return levels
+
+
+@dataclass
+class BumpLevel:
+    """Level-k facts that certify derives from the seed's lattice count (see
+    the module docstring): the lattice L1 mass, its continuum target, their
+    relative error, and whether the support lies in the open cube
+    (2^k, 2^(k+1))^n, and so in the corona."""
+
+    k: int
+    l1: float
+    l1_target: float
+    l1_error: float
+    in_cube: bool
+
+    @property
+    def support_ok(self):
+        return self.in_cube
+
+    @property
+    def hypercube_ok(self):
+        return self.in_cube
+
+
+def _derived_levels(k_max, grid):
+    """Levels 0..k_max of the bump hierarchy on the grid's frequency lattice,
+    in closed form from the seed's lattice points; no convolution. The grid
+    must resolve the level-k_max corona, as for build_omega_sequence."""
+    _require_levels(k_max, grid)
+    n, h = grid.n, grid.dxi
+    seed = _seed_window(n, h)
+    support = np.nonzero(seed.values)
+    count = len(support[0])
+    in_cube = count > 0 and all(1.0 < xi[j.min()] and xi[j.max()] < 2.0
+                                for xi, j in zip(seed.axes(), support))
+    target = unit_ball_volume(n) / 2.0 ** n
+    l1 = count * h ** n
+    ratio = l1 / target     # 1 - eps0
+    levels = []
+    for k in range(k_max + 1):
+        levels.append(BumpLevel(k=k, l1=l1, l1_target=target ** (2 ** k),
+                                l1_error=abs(1.0 - ratio), in_cube=in_cube))
+        l1 *= l1
+        ratio *= ratio
     return levels
 
 
@@ -323,9 +413,11 @@ def bump_weight_log(k, t, alpha, n):
 class InductionRecord:
     """Per-level outcome of the four lower-bound checks.
 
-    conv: discrete (|xi| w_{k-1}) * (|xi| w_{k-1}) >= 2^(2(k-1)) w_k pointwise;
+    conv: discrete (|xi| w_{k-1}) * (|xi| w_{k-1}) >= 2^(2(k-1)) w_k pointwise,
+    which holds when w_{k-1} lies in its cube;
     bessel: sup of (1+|xi|^2)^(rho/2) over supp w_k <= its closed bound
-    max(1, 2^(rho/2-1)) n^(rho/2) 2^((k+1) rho + 1);
+    max(1, 2^(rho/2-1)) n^(rho/2) 2^((k+1) rho + 1), with the sup taken over
+    the cube of w_k;
     time_integral: 1 - exp(-t n^(alpha/2) 2^(alpha(k+1))) >= 1/2;
     induction: the assembled prefactor chain dominates the level-k weight
     (log2 margin reported). Levels k = 0 carry only the checks that apply.
@@ -335,7 +427,6 @@ class InductionRecord:
     support_ok: bool
     l1_error: float
     conv_bound_ok: bool
-    conv_margin: float
     bessel_bound_ok: bool
     time_integral_ok: bool
     induction_ok: bool
@@ -374,11 +465,14 @@ def _induction_margin_log2(k, t, params):
 
 
 def verify_induction_chain(levels, params):
-    """Audit every inequality of the induction step on the lattice at the
-    critical time params.t_star.
+    """Check every inequality of the induction step at the critical time
+    params.t_star, from each level's hypercube_ok (see the module docstring).
 
-    Levels must be consecutive from k = 0. Failures are recorded, not raised.
+    Levels (BumpLevel or OmegaLevel) must be consecutive from k = 0.
+    Failures are recorded, not raised.
     """
+    if [lev.k for lev in levels] != list(range(len(levels))):
+        raise DomainError("levels are not consecutive from k = 0")
     n, alpha, rho, t = params.n, params.alpha, params.rho, params.t_star
     bessel_cap_log2 = (max(0.0, rho / 2.0 - 1.0) + (rho / 2.0) * math.log2(n))
     records = []
@@ -388,35 +482,23 @@ def verify_induction_chain(levels, params):
         if k == 0:
             records.append(InductionRecord(
                 k=0, support_ok=lev.support_ok, l1_error=lev.l1_error,
-                conv_bound_ok=True, conv_margin=float("nan"),
-                bessel_bound_ok=True, time_integral_ok=time_ok,
+                conv_bound_ok=True, bessel_bound_ok=True, time_integral_ok=time_ok,
                 induction_ok=True, induction_margin_log2=float("nan")))
             continue
-        prev = levels[k - 1]
-        w_prev = prev.window
-        weighted = w_prev.radius_grid() * w_prev.values
-        conv = convolve_lattice(weighted, w_prev.h)
-        bound = 2.0 ** (2 * (k - 1)) * lev.window.values
-        if conv.shape != bound.shape:
-            raise DomainError("level windows are not consecutive autoconvolutions")
-        ref = bound.max()
-        margin = float(np.subtract(conv, bound, out=conv).min())
-        conv_ok = margin >= -_CONV_TOL * ref
+        conv_ok = levels[k - 1].hypercube_ok
 
-        supp = lev.window.support_mask()
-        r = lev.window.radius_grid()
-        one_plus = 1.0 + r[supp] ** 2
-        bessel_max_log2 = float((rho / 2.0) * np.log2(one_plus).max()) if rho > 0 else 0.0
+        # log2(1 + n 4^(k+1)), the sup of 1 + |xi|^2 over the level-k cube
+        sup_log2 = 2.0 * (k + 1) + math.log2(n + 4.0 ** -(k + 1))
+        bessel_max_log2 = (rho / 2.0) * sup_log2 if rho > 0 else 0.0
         bound_log2 = bessel_cap_log2 + (k + 1) * rho + 1.0
-        bessel_ok = bessel_max_log2 <= bound_log2 + 1e-12
+        bessel_ok = lev.hypercube_ok and bessel_max_log2 <= bound_log2 + 1e-12
 
         ind_margin = _induction_margin_log2(k, t, params)
         ind_ok = ind_margin >= -1e-9
 
         records.append(InductionRecord(
             k=k, support_ok=lev.support_ok, l1_error=lev.l1_error,
-            conv_bound_ok=conv_ok, conv_margin=margin,
-            bessel_bound_ok=bessel_ok, time_integral_ok=time_ok,
+            conv_bound_ok=conv_ok, bessel_bound_ok=bessel_ok, time_integral_ok=time_ok,
             induction_ok=ind_ok, induction_margin_log2=ind_margin))
     return records
 
@@ -477,13 +559,13 @@ def divergence_partial_sums(params, K):
 
 @dataclass
 class CertificateReport:
-    """Everything the certificate run measured, plus the verdict. k_max is
+    """Everything the certificate run derived, plus the verdict. k_max is
     the last level's k; t_star and A_min are the params'."""
 
     params: CertificateParams
     grid: GridSpec
     violations: List[str]
-    levels: List[OmegaLevel]
+    levels: List[BumpLevel]
     records: List[InductionRecord]
     ratio: float
     ratio_ok: bool
@@ -533,14 +615,13 @@ class CertificateReport:
     def to_csv(self, path):
         with open(path, "w") as fh:
             fh.write("# per-level certificate checks; margins are dimensionless\n")
-            fh.write("k,support_ok,hypercube_ok,l1,l1_target,l1_error,doubling_error,"
-                     "conv_bound_ok,conv_margin,bessel_bound_ok,time_integral_ok,"
+            fh.write("k,support_ok,hypercube_ok,l1,l1_target,l1_error,"
+                     "conv_bound_ok,bessel_bound_ok,time_integral_ok,"
                      "induction_ok,induction_margin_log2\n")
             for lev, rec in zip(self.levels, self.records):
-                doubling = "" if lev.doubling_error is None else repr(lev.doubling_error)
                 fh.write(f"{rec.k},{int(rec.support_ok)},{int(lev.hypercube_ok)},"
-                         f"{lev.l1!r},{lev.l1_target!r},{lev.l1_error!r},{doubling},"
-                         f"{int(rec.conv_bound_ok)},{rec.conv_margin!r},"
+                         f"{lev.l1!r},{lev.l1_target!r},{lev.l1_error!r},"
+                         f"{int(rec.conv_bound_ok)},"
                          f"{int(rec.bessel_bound_ok)},{int(rec.time_integral_ok)},"
                          f"{int(rec.induction_ok)},{rec.induction_margin_log2!r}\n")
             fh.write("# constants\n")
@@ -554,8 +635,8 @@ class CertificateReport:
 
 def certify(params, grid, k_max, series_terms):
     """Run the whole certificate at t = t_star on the grid's frequency
-    lattice, with levels 0..k_max and series_terms partial sums, and
-    assemble the verdict.
+    lattice, with levels 0..k_max (derived, no convolution) and series_terms
+    partial sums, and assemble the verdict.
 
     certified-divergent iff the parameters satisfy every constraint, every
     per-level flag holds up to k_max, and the series ratio is >= 1. Grid
@@ -566,7 +647,7 @@ def certify(params, grid, k_max, series_terms):
         raise DomainError(f"grid dimension grid.n = {grid.n} fails "
                           f"grid.n = params.n = {params.n}")
     violations = params.violations()
-    levels = build_omega_sequence(k_max, grid)
+    levels = _derived_levels(k_max, grid)
     records = verify_induction_chain(levels, params)
     ratio = blowup_constants(params)
     ratio_ok = ratio >= 1.0 - 1e-12

@@ -184,6 +184,9 @@ def build_certificate_params(values):
 
 def _cmd_solve(values, outdir):
     config = build_problem(values)
+    dt = _get(values, "dt")
+    if config.dt != dt:
+        print(f"dt = {dt!r} does not divide T0 = {config.T0!r}: using dt = {config.dt!r}")
     traj = picard_solve(config)
     path = os.path.join(outdir, "trajectory.csv")
     traj.to_csv(path)

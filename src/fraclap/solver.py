@@ -88,6 +88,7 @@ truncated pass more than full sweeps would.
 import contextlib
 import contextvars
 import itertools
+import math
 import os
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -152,9 +153,20 @@ def random_nonneg_initial_field(grid, h1_amplitude, seed):
     return fld
 
 
+def _lattice_index(t, dt):
+    """t / dt as an int when it is an integer to 1e-9 relative, else None."""
+    q = t / dt
+    i = round(q)
+    return i if abs(q - i) <= 1e-9 * q else None
+
+
 @dataclass
 class ProblemConfig:
-    """Everything a solver run needs, in one place."""
+    """Everything a solver run needs, in one place.
+
+    The time lattice ends at T0: a dt that does not divide T0 (to 1e-9
+    relative) is cut to T0 / ceil(T0 / dt); one that does is kept as given.
+    """
 
     grid: GridSpec
     alpha: float
@@ -181,8 +193,9 @@ class ProblemConfig:
             raise DomainError(f"horizon must satisfy T0 > 0, got {self.T0}")
         if self.dt <= 0 or self.dt > self.T0:
             raise DomainError(f"time step must satisfy 0 < dt <= T0, got {self.dt}")
-        # n_steps rounds T0 / dt to an integer
         require_finite(**{"T0 / dt": self.T0 / self.dt})
+        if _lattice_index(self.T0, self.dt) is None:
+            self.dt = self.T0 / math.ceil(self.T0 / self.dt)
         if self.picard_tol <= 0:
             raise DomainError("picard_tol must be > 0")
         if self.overflow_threshold <= 0:
@@ -576,8 +589,8 @@ def duhamel_step(u_history, t, config):
     past the history's overflow_at the result is a NaN field.
     """
     state = _SweepState(config)
-    i_t = int(round(t / config.dt))
-    if abs(i_t * config.dt - t) > 1e-9 * max(config.dt, 1.0):
+    i_t = _lattice_index(t, config.dt)
+    if i_t is None:
         raise DomainError(f"time {t} is not on the dt = {config.dt} lattice")
     if i_t >= len(u_history.fields):
         raise DomainError(

@@ -9,7 +9,7 @@ it checks leaves unchanged.
 import numpy as np
 
 from fraclap import (NonConvergenceError, SpectralField, Trajectory,
-                     h1_dot_norm, semigroup_symbol)
+                     convolve_lattice, h1_dot_norm, semigroup_symbol)
 
 
 def brute_mode_autoconv(coeffs, modes):
@@ -48,6 +48,19 @@ def brute_window_conv(a, b, h):
                 continue
             out[i:i + nb, k:k + mb] += a[i, k] * b
     return out * h ** 2
+
+
+def weighted_autoconv(window):
+    """(|xi| w) * (|xi| w) of a bump window by FFT: the left side of the
+    certificate's conv bound, measured."""
+    return convolve_lattice(window.radius_grid() * window.values, window.h)
+
+
+def measured_bessel_sup(window, rel_tol=1e-13):
+    """sup of 1 + |xi|^2 over a bump window's measured support, the samples
+    above rel_tol of the peak (the rest is FFT roundoff)."""
+    support = window.values > rel_tol * window.values.max()
+    return float((1.0 + window.radius_grid()[support] ** 2).max())
 
 
 def two_spectrum_autoconv(a, spacing):

@@ -5,12 +5,12 @@ import pytest
 
 from fraclap import (CertificateParams, DomainError, FreqWindow,
                      GridResolutionError, GridSpec, blowup_constants, build_omega_sequence,
-                     bump_weight_log, certify,
+                     bump_weight_log, c1_threshold, certify,
                      default_certificate_grid, default_k_max, divergence_partial_sums,
                      series_prefactor_log, series_term_log, unit_ball_volume,
                      verify_induction_chain)
 from fraclap.certificate import _time_integral_value
-from oracles import brute_window_conv
+from oracles import brute_window_conv, measured_bessel_sup, weighted_autoconv
 
 LN2 = math.log(2.0)
 
@@ -85,7 +85,7 @@ class TestOmegaSequence:
     def test_doubling_identity(self):
         levels = build_omega_sequence(3, default_certificate_grid(1))
         for k in range(1, 4):
-            assert levels[k].doubling_error <= 1e-12
+            assert levels[k].l1 == pytest.approx(levels[k - 1].l1 ** 2, rel=1e-12)
 
     def test_insufficient_resolution_rejected(self):
         with pytest.raises(GridResolutionError):
@@ -156,7 +156,8 @@ class TestInductionChain:
         assert (weighted - bound).min() >= -1e-10 * bound.max()
         rec = verify_induction_chain(levels, params1())[1]
         assert rec.conv_bound_ok
-        assert rec.conv_margin >= -1e-10 * bound.max()
+        # the FFT convolution agrees with the brute-force one
+        assert np.abs(weighted_autoconv(seed) - weighted).max() <= 1e-13 * weighted.max()
 
     def test_bessel_bound_hand_value(self):
         # k=1, n=1, rho=2: sup (1+xi^2) over the support of w_1 is about 17
@@ -165,9 +166,7 @@ class TestInductionChain:
         levels = build_omega_sequence(1, coarse_grid1())
         rec = verify_induction_chain(levels, p)[1]
         assert rec.bessel_bound_ok
-        win = levels[1].window
-        sup = (1.0 + win.radius_grid()[win.support_mask()] ** 2).max()
-        assert sup == pytest.approx(17.0, rel=0.05)
+        assert measured_bessel_sup(levels[1].window) == pytest.approx(17.0, rel=0.05)
 
     def test_margins_grow_linearly_at_reference_params(self):
         # at n=1, alpha=2, rho=0, C1=2^11 the assembled-chain margin is 5k
@@ -285,3 +284,66 @@ class TestCertify:
                     and all(r.all_ok for r in report.records)
                     and all(l.hypercube_ok for l in report.levels))
         assert (report.verdict == "certified-divergent") == expected
+
+
+# the certify defaults, and small grids with dyadic and non-dyadic spacings
+AUDIT_GRIDS = {
+    "n1-default": (default_certificate_grid(1), 3),
+    "n2-default": (default_certificate_grid(2), 2),
+    "n3-default": (default_certificate_grid(3), 2),
+    "n1-h=1/32": (GridSpec(1, 64 * np.pi, 2048), 3),
+    "n1-h=0.07": (GridSpec(1, 2 * np.pi / 0.07, 512), 3),
+    "n2-h=0.1": (GridSpec(2, 20 * np.pi, 256), 2),
+    "n3-h=1/4": (GridSpec(3, 8 * np.pi, 128), 2),
+    "n3-h=0.1": (GridSpec(3, 20 * np.pi, 160), 1),
+}
+# FFT roundoff of the weighted autoconvolution, relative to its peak; the
+# measured worst is 2.4e-16
+FFT_ROUNDOFF = 1e-13
+
+
+@pytest.fixture(scope="module", params=list(AUDIT_GRIDS))
+def fft_hierarchy(request):
+    """The FFT bump hierarchy and, per level k >= 1, the weighted
+    autoconvolution (|xi| w_{k-1}) * (|xi| w_{k-1}): the measured
+    counterparts of what certify derives."""
+    grid, k_max = AUDIT_GRIDS[request.param]
+    levels = build_omega_sequence(k_max, grid)
+    convs = [None] + [weighted_autoconv(lev.window) for lev in levels[:-1]]
+    return grid, k_max, levels, convs
+
+
+class TestDerivedAgainstMeasured:
+    @pytest.mark.parametrize("rho", [-4.0, 0.0, 2.0])
+    def test_flags_and_l1_equal_measured(self, fft_hierarchy, rho):
+        grid, k_max, levels, convs = fft_hierarchy
+        n = grid.n
+        p = CertificateParams(n=n, alpha=2.0, gamma=0.9, rho=rho,
+                              C1=c1_threshold(n, 2.0, rho), A=2.0 ** (6 + n))
+        report = certify(p, grid, k_max, 4)
+        cap_log2 = max(0.0, rho / 2.0 - 1.0) + (rho / 2.0) * math.log2(n)
+        for lev, derived, rec in zip(levels, report.levels, report.records):
+            k = lev.k
+            assert derived.l1 == pytest.approx(lev.l1, rel=1e-14), k
+            assert derived.l1_target == lev.l1_target
+            assert derived.l1_error == pytest.approx(lev.l1_error, rel=1e-12), k
+            assert lev.support_ok and lev.hypercube_ok
+            assert rec.support_ok and derived.hypercube_ok
+            if k == 0:
+                continue
+            margin = (convs[k] - 4.0 ** (k - 1) * lev.window.values).min()
+            conv_ok = margin >= -FFT_ROUNDOFF * convs[k].max()
+            sup_log2 = ((rho / 2.0) * math.log2(measured_bessel_sup(lev.window))
+                        if rho > 0 else 0.0)
+            bessel_ok = sup_log2 <= cap_log2 + (k + 1) * rho + 1.0 + 1e-12
+            assert (rec.conv_bound_ok, rec.bessel_bound_ok) == (conv_ok, bessel_ok), k
+        # rho = -4 fails the Bessel bound from k = 1 on, on both paths
+        assert [r.bessel_bound_ok for r in report.records[1:]] == [rho >= 0] * k_max
+
+    def test_measured_conv_bound_holds_with_factor_n(self, fft_hierarchy):
+        # |xi| > sqrt(n) 2^(k-1) on the support of w_{k-1}, so the bound
+        # holds with the factor n, up to FFT roundoff
+        grid, k_max, levels, convs = fft_hierarchy
+        for k in range(1, k_max + 1):
+            margin = convs[k] - grid.n * 4.0 ** (k - 1) * levels[k].window.values
+            assert margin.min() >= -FFT_ROUNDOFF * convs[k].max(), k

@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from fraclap import UsageError
+from fraclap import certificate as cert
 from fraclap.cli import parse_config, run
 
 
@@ -74,7 +77,8 @@ class TestExitCodes:
         ("kernel-check", "L=nan"), ("kernel-check", "t_values=nan"),
         ("kernel-check", "t_values=inf"), ("kernel-check", "t_values=0.5,nan"),
         ("kernel-check", "s=nan"), ("kernel-check", "s=inf"),
-        ("certify", "K=1024"), ("certify", "K=1100"), ("certify", "A=0"),
+        ("certify", "K=1024"), ("certify", "K=1100"), ("certify", "k_max=1100"),
+        ("omega", "k_max=-1"), ("certify", "A=0"),
         ("certify", "A=-1"), ("certify", "C1=0"), ("certify", "C1=-5"),
         ("budget", "u0=random", "u0_amplitude=-1", "N=128"),
         ("budget", "u0=random", "seed=-1", "N=16"),
@@ -103,6 +107,26 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert code == 1
         assert "domain error" in err and key in err and "Traceback" not in err
+
+    def test_oversized_bump_window_is_domain_error(self, outdir, capsys, monkeypatch):
+        # the level-7 window at spacing 1/4 is 1025^3 points (8.6 GB): the
+        # size check must come before any convolution, and the stub keeps
+        # this test from allocating should it not
+        def no_convolution(*args):
+            raise AssertionError("convolution before the window size check")
+
+        monkeypatch.setattr(cert, "convolve_lattice", no_convolution)
+        code = run(["omega", "-o", str(outdir), "n=3", "k_max=7",
+                    "L=25.132741228718345", "N=4096"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "1025^3 = 1076890625 lattice points fails <= 33554432" in err
+        assert "Traceback" not in err and list(outdir.iterdir()) == []
+        # a certify seed of 517^3 points (spacing 1/512) fails the same cap
+        code = run(["certify", "-o", str(outdir), "n=3", "k_max=0",
+                    f"L={1024 * math.pi!r}", "N=4096"])
+        assert code == 1
+        assert "517^3" in capsys.readouterr().err
 
     def test_nonconvergence_is_an_error(self, outdir, capsys):
         code = run(["solve", "-o", str(outdir), "picard_max_iter=2", "T0=0.05"])
@@ -156,6 +180,32 @@ class TestSubcommands:
         # the default gamma = 0.9 (alpha - 1) lies in 0 <= gamma < alpha - 1
         assert run(["certify", "-o", str(outdir), f"alpha={alpha}"]) == 0
         assert "verdict: certified-divergent" in (outdir / "certificate.txt").read_text()
+
+    def test_certify_deep_hierarchy_underflows_to_finite_error(self, outdir, capsys):
+        # the level-11 target (v_3/8)^2048 underflows to 0.0; the error
+        # |1 - q^(2^k)| never divides by it
+        code = run(["certify", "-o", str(outdir), "n=3", "k_max=11",
+                    "L=25.132741228718345", "N=65536"])
+        assert code == 0, capsys.readouterr().err
+        lines = (outdir / "certificate.csv").read_text().splitlines()
+        cols = lines[1].split(",")
+        rows = [dict(zip(cols, line.split(","))) for line in lines[2:14]]
+        assert [int(r["k"]) for r in rows] == list(range(12))
+        assert float(rows[-1]["l1_target"]) == 0.0
+        assert all(math.isfinite(float(r["l1_error"])) for r in rows)
+
+    @pytest.mark.parametrize("dt, cut", [("0.3", 0.25), ("0.2", 0.5 / 3)])
+    def test_solve_ends_at_the_requested_horizon(self, outdir, capsys, dt, cut):
+        code = run(["solve", "-o", str(outdir), "kind=bessel_symbol", "rho=2",
+                    "gamma=0", "u0=random", "u0_amplitude=0.1", "N=64", "T0=0.5",
+                    f"dt={dt}"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert f"dt = {dt} does not divide T0 = 0.5: using dt = {cut!r}" in out
+        times = [float(line.split(",")[0]) for line in
+                 (outdir / "trajectory.csv").read_text().splitlines()[3:]]
+        assert times[-1] == pytest.approx(0.5, rel=1e-12)
+        assert times[1] == cut
 
     def test_solve_zero_coefficient_decays(self, outdir, capsys):
         code = run(["solve", "-o", str(outdir), "kind=dirac", "C=0", "gamma=0.9",

@@ -87,6 +87,17 @@ class TestInitialData:
             with pytest.raises(DomainError, match="not a real field"):
                 make_config(g=g, u0=replace(u0, coeffs=c), alpha=1.5, gamma=0.4)
 
+    @pytest.mark.parametrize("T0, dt, cut", [
+        (0.5, 0.3, 0.25), (0.5, 0.2, 0.5 / 3), (0.1, 1.0 / 256.0, 0.1 / 26),
+        (1e-6, 5e-9, 5e-9), (1e-6, 2.5e-9, 2.5e-9), (0.5, 1.0 / 256.0, 1.0 / 256.0),
+        (0.0625, 1.0 / 256.0, 1.0 / 256.0)])
+    def test_time_lattice_ends_at_the_horizon(self, T0, dt, cut):
+        # a dt that divides T0 is kept bit for bit, any other is cut to
+        # T0 / ceil(T0 / dt)
+        cfg = make_config(T0=T0, dt=dt)
+        assert cfg.dt == cut
+        assert cfg.times[-1] == pytest.approx(T0, rel=1e-12)
+
     @pytest.mark.parametrize("kw", [
         {"T0": np.nan}, {"T0": np.inf}, {"dt": np.nan}, {"picard_tol": np.nan},
         {"overflow_threshold": np.nan}, {"C_abs": np.inf}, {"picard_max_iter": 0}])
