@@ -7,16 +7,15 @@ from .certificate import (BumpLevel, CertificateParams, CertificateReport, FreqW
                           build_omega_sequence, bump_weight_log, certify,
                           convolve_lattice, default_certificate_grid,
                           default_k_max, divergence_partial_sums,
-                          series_prefactor_log, series_term_log, unit_ball_volume,
-                          verify_induction_chain)
+                          omega_initial_field, series_prefactor_log, series_term_log,
+                          unit_ball_volume, verify_induction_chain)
 from .coefficient import CoefficientSpec, c1_threshold, sobolev_norm_of_b
 from .errors import (DomainError, FraclapError, GridResolutionError,
                      NonConvergenceError, UsageError)
 from .operators import (KernelEstimateReport, kernel_field, kernel_l1_report,
                         kernel_samples, semigroup_apply, semigroup_symbol)
 from .solver import (ExistenceBudget, ProblemConfig, Trajectory, duhamel_step,
-                     existence_budget, omega_initial_field, picard_solve,
-                     random_nonneg_initial_field)
+                     existence_budget, picard_solve, random_nonneg_initial_field)
 from .spectral import (GridSpec, SpectralField, forward_transform, h1_dot_norm,
                        h1_norm, inverse_transform)
 

@@ -3,8 +3,9 @@ divergent series of the lower-bound argument.
 
 The certificate machinery never leaves the Fourier side. The seed bump w_0 is
 the strict indicator of the radius-1/2 ball around the point with every
-component 3/2, sampled on the frequency lattice h Z^n; level k+1 is the
-lattice autoconvolution w_{k+1}(xi) = h^n sum_eta w_k(eta) w_k(xi - eta).
+component 3/2, sampled on the frequency lattice h Z^n by ``_bump``, which also
+samples the solver's initial datum A * omega (``omega_initial_field``); level
+k+1 is the lattice autoconvolution w_{k+1}(xi) = h^n sum_eta w_k(eta) w_k(xi - eta).
 
 ``certify`` makes no convolution. It counts the seed's lattice points and
 derives every per-level fact from two exact properties of the hierarchy:
@@ -60,9 +61,9 @@ from typing import List
 import numpy as np
 
 from .coefficient import c1_threshold, gamma_case
-from .errors import DomainError, require_finite
+from .errors import DomainError, GridResolutionError, require_finite
 from .operators import require_alpha
-from .spectral import GridSpec, write_csv
+from .spectral import GridSpec, SpectralField, write_csv
 
 LN2 = math.log(2.0)
 
@@ -179,20 +180,37 @@ def _require_window_size(width, n, what):
 def _require_levels(k_max, grid):
     if not 0 <= k_max <= _MAX_K:
         raise DomainError(f"k_max = {k_max} fails 0 <= k_max <= {_MAX_K}")
-    grid.require_corona_resolution(k_max)
+    need = np.sqrt(grid.n) * 2.0 ** (k_max + 1)
+    if not grid.xi_max > need:
+        raise GridResolutionError(
+            f"max resolved |xi| per axis = {grid.xi_max:.4g} must exceed "
+            f"sqrt(n)*2^(k_max+1) = {need:.4g} for level k_max = {k_max}")
+
+
+def _bump(axes):
+    """Strict indicator of the seed ball on the product of the 1-D axes (no
+    partial cell weighting; boundary points fall exactly on the lattice for
+    the dyadic default spacings and are excluded)."""
+    grids = np.meshgrid(*axes, indexing="ij", sparse=True)
+    r2 = sum((g - XI0_COMPONENT) ** 2 for g in grids)
+    return (r2 < BUMP_RADIUS ** 2).astype(np.float64)
 
 
 def _seed_window(n, h):
-    """Strict indicator of the seed ball, sampled on the lattice (no partial
-    cell weighting; boundary points fall exactly on the lattice for the
-    dyadic default spacings and are excluded)."""
+    """The seed bump on its support window of the lattice h Z^n."""
     lo, hi = _seed_index_range(h)
     _require_window_size(hi - lo + 1, n, "seed")
-    idx = np.arange(lo, hi + 1)
-    grids = np.meshgrid(*([idx * h] * n), indexing="ij")
-    r2 = sum((g - XI0_COMPONENT) ** 2 for g in grids)
-    values = (r2 < BUMP_RADIUS ** 2).astype(np.float64)
-    return FreqWindow((lo,) * n, values, h)
+    return FreqWindow((lo,) * n, _bump([np.arange(lo, hi + 1) * h] * n), h)
+
+
+def omega_initial_field(grid, amplitude):
+    """Initial datum A * omega: the seed bump plus the mirror ball at -xi0,
+    the bump of the negated axes ((-xi - 3/2)^2 = (xi + 3/2)^2 exactly), so
+    the datum is a real field. The hat values stay >= the one-sided bump
+    pointwise, so every Fourier lower bound for it holds a fortiori."""
+    require_finite(u0_amplitude=amplitude)
+    hat = _bump(grid.xi_axes) + _bump([-xi for xi in grid.xi_axes])
+    return SpectralField.from_hat_values(grid, amplitude * hat)
 
 
 def _level_from_window(k, win, n):
@@ -425,7 +443,6 @@ class InductionRecord:
 
     k: int
     support_ok: bool
-    l1_error: float
     conv_bound_ok: bool
     bessel_bound_ok: bool
     time_integral_ok: bool
@@ -481,9 +498,9 @@ def verify_induction_chain(levels, params):
         time_ok = _time_integral_value(k, t, alpha, n) >= 0.5 - 1e-12
         if k == 0:
             records.append(InductionRecord(
-                k=0, support_ok=lev.support_ok, l1_error=lev.l1_error,
-                conv_bound_ok=True, bessel_bound_ok=True, time_integral_ok=time_ok,
-                induction_ok=True, induction_margin_log2=float("nan")))
+                k=0, support_ok=lev.support_ok, conv_bound_ok=True,
+                bessel_bound_ok=True, time_integral_ok=time_ok, induction_ok=True,
+                induction_margin_log2=float("nan")))
             continue
         conv_ok = levels[k - 1].hypercube_ok
 
@@ -497,9 +514,9 @@ def verify_induction_chain(levels, params):
         ind_ok = ind_margin >= -1e-9
 
         records.append(InductionRecord(
-            k=k, support_ok=lev.support_ok, l1_error=lev.l1_error,
-            conv_bound_ok=conv_ok, bessel_bound_ok=bessel_ok, time_integral_ok=time_ok,
-            induction_ok=ind_ok, induction_margin_log2=ind_margin))
+            k=k, support_ok=lev.support_ok, conv_bound_ok=conv_ok,
+            bessel_bound_ok=bessel_ok, time_integral_ok=time_ok, induction_ok=ind_ok,
+            induction_margin_log2=ind_margin))
     return records
 
 

@@ -15,12 +15,14 @@ import math
 import os
 import sys
 
+import numpy as np
+
 from . import certificate as cert
 from .coefficient import CoefficientSpec, c1_threshold
 from .errors import DomainError, FraclapError, UsageError, require_finite
 from .operators import kernel_l1_report
-from .solver import (ProblemConfig, existence_budget, omega_initial_field,
-                     picard_solve, random_nonneg_initial_field)
+from .solver import (ProblemConfig, existence_budget, picard_solve,
+                     random_nonneg_initial_field)
 from .spectral import GridSpec
 
 # every recognized key with its parser; one flat namespace on purpose
@@ -136,11 +138,11 @@ def _build_initial(values, grid):
     choice = _get(values, "u0")
     amp = _get(values, "u0_amplitude")
     if choice == "omega":
-        return omega_initial_field(grid, amp)
+        return cert.omega_initial_field(grid, amp)
     if choice == "random":
         return random_nonneg_initial_field(grid, amp, _get(values, "seed"))
     if choice == "zero":
-        return omega_initial_field(grid, 0.0)
+        return cert.omega_initial_field(grid, 0.0)
     raise DomainError(f"u0 must be one of omega|random|zero, got {choice!r}")
 
 
@@ -187,7 +189,9 @@ def _cmd_solve(values, outdir):
     dt = _get(values, "dt")
     if config.dt != dt:
         print(f"dt = {dt!r} does not divide T0 = {config.T0!r}: using dt = {config.dt!r}")
-    traj = picard_solve(config)
+    # rows past the crossing leave float range by design; the sweep saturates them
+    with np.errstate(over="ignore", invalid="ignore"):
+        traj = picard_solve(config)
     path = os.path.join(outdir, "trajectory.csv")
     traj.to_csv(path)
     if traj.overflow_at is not None:
@@ -199,9 +203,10 @@ def _cmd_solve(values, outdir):
 
 
 def _cmd_certify(values, outdir):
-    params = build_certificate_params(values)
-    n = params.n
+    # the grid first: it rejects n outside 1..3, where the C1 floor is complex
+    n = _get(values, "n")
     grid = _grid(values, n, cert.default_certificate_grid)
+    params = build_certificate_params(values)
     k_max = values.get("k_max", cert.default_k_max(n))
     report = cert.certify(params, grid, k_max, _get(values, "K"))
     txt = os.path.join(outdir, "certificate.txt")

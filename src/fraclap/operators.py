@@ -76,6 +76,9 @@ def _weighted_kernel_l1(t, alpha, grid, s, bessel):
         raise DomainError(
             f"L1 norm of the kernel smoothed to order s = {s} at t = {t} is {l1}, "
             f"which fails l1 < inf on L = {grid.L} N = {grid.N}; lower s or N")
+    if l1 == 0.0:   # every weighted mode underflowed
+        raise GridResolutionError(f"L1 norm of the kernel smoothed to order s = {s} at "
+                                  f"t = {t} is 0.0, which fails l1 > 0 on L = {grid.L}")
     return l1
 
 
@@ -224,7 +227,11 @@ def kernel_l1_report(s, alpha, t_values, grid=None):
 
     l1_riesz = [_weighted_kernel_l1(t, alpha, grid, s, bessel=False) for t in t_values]
     l1_bessel = [_weighted_kernel_l1(t, alpha, grid, s, bessel=True) for t in t_values]
-    ratios = [l1 * t ** (s / alpha) for l1, t in zip(l1_riesz, t_values)]
-    bound = max(l1 / max(1.0, t ** (-s / alpha)) for l1, t in zip(l1_bessel, t_values))
+    try:
+        ratios = [l1 * t ** (s / alpha) for l1, t in zip(l1_riesz, t_values)]
+        bound = max(l1 / max(1.0, t ** (-s / alpha)) for l1, t in zip(l1_bessel, t_values))
+    except OverflowError:
+        raise DomainError(f"t^(s/alpha) at s = {s}, alpha = {alpha} overflows float "
+                          "range for some t of t_values; lower s or raise alpha") from None
     return KernelEstimateReport(s, alpha, t_values, l1_riesz, l1_bessel,
                                 ratios, float(bound), grid)

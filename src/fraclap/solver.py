@@ -96,29 +96,11 @@ from typing import List, Optional
 
 import numpy as np
 
-from .certificate import BUMP_RADIUS, XI0_COMPONENT
 from .coefficient import CoefficientSpec, gamma_case, sobolev_norm_of_b
 from .errors import DomainError, NonConvergenceError, require_finite
 from .operators import require_alpha, semigroup_symbol
 from .spectral import (GridSpec, SpectralField, _weighted_norm, dealiased_square,
                        h1_dot_norm, h1_norm, h1_weight, write_csv)
-
-
-def omega_initial_field(grid, amplitude):
-    """Initial datum A * (Fourier-side indicator bump).
-
-    The one-sided bump (ball of radius 1/2 around the all-(3/2) point) is not
-    Hermitian, so the mirror ball at -xi0 is added and the datum is a real
-    field. The hat values stay >= the one-sided bump pointwise, so every
-    Fourier lower bound for the one-sided datum holds a fortiori.
-    """
-    require_finite(u0_amplitude=amplitude)
-    axes = np.meshgrid(*grid.xi_axes, indexing="ij")
-    r2_plus = sum((g - XI0_COMPONENT) ** 2 for g in axes)
-    hat = (r2_plus < BUMP_RADIUS ** 2).astype(float)
-    r2_minus = sum((g + XI0_COMPONENT) ** 2 for g in axes)
-    hat = hat + (r2_minus < BUMP_RADIUS ** 2).astype(float)
-    return SpectralField.from_hat_values(grid, amplitude * hat)
 
 
 def random_nonneg_initial_field(grid, h1_amplitude, seed):
@@ -349,25 +331,19 @@ class _NodeFields(Sequence):
 
 
 class _SweepState:
-    """Per-run precomputed multipliers, and G and the H1 norm over node stacks.
+    """G's precomputed multipliers, and G over node stacks; picard_solve and
+    duhamel_step share it.
 
     A node stack is a (k, *grid.shape) coefficient array holding consecutive
-    time nodes. Every operation is elementwise, a transform over the spatial
-    axes only, or a sum over one row, so each row comes out bit for bit as if
-    the node had been processed on its own.
+    time nodes. Every operation is elementwise or a transform over the
+    spatial axes only, so each row comes out bit for bit as if the node had
+    been processed on its own.
     """
 
     def __init__(self, config):
-        grid = config.grid
-        self.grid = grid
-        xi2 = grid.xi_norm_sq
-        self.abs_xi = np.sqrt(xi2)
-        self.alpha = config.alpha
-        self.h1_weight = h1_weight(grid)
-        self.b_sym = config.coefficient.symbol_on(xi2)
-
-    def linear_part(self, u0_coeffs, t):
-        return semigroup_symbol(self.grid, t, self.alpha) * u0_coeffs
+        self.grid = config.grid
+        self.abs_xi = np.sqrt(config.grid.xi_norm_sq)
+        self.b_sym = config.coefficient.symbol_on(config.grid.xi_norm_sq)
 
     def nonlinearity(self, u):
         """G(u) for each node of the stack u: coefficients of
@@ -377,11 +353,6 @@ class _SweepState:
         a = np.multiply(self.abs_xi, u, out=u)
         w = dealiased_square(a, self.grid)
         return np.multiply(w, self.b_sym, out=w)
-
-    def h1_rows(self, u):
-        """Discrete H1 norm of each row of the stack u; +inf for a row with a
-        non-finite coefficient."""
-        return _weighted_norm(self.h1_weight, u)
 
 
 def _worker(needed):
@@ -420,14 +391,16 @@ def picard_solve(config):
     itemsize = np.dtype(np.complex128).itemsize
     _require_stacks_fit(M + 1, layout.size * itemsize)
     state = _SweepState(config)
+    # every norm of the sweep is _weighted_norm(h1w, rows), h1_norm's routine
+    h1w = h1_weight(grid)
     times = config.times
     thresh = config.overflow_threshold
     half_dt = 0.5 * config.dt
     lin = np.empty((M + 1, layout.size), dtype=np.complex128)
     lin_h1 = np.empty(M + 1)
     for i, t in enumerate(times):
-        row = state.linear_part(u0c, t)[None]
-        lin_h1[i] = state.h1_rows(row)[0]
+        row = (semigroup_symbol(grid, t, config.alpha) * u0c)[None]
+        lin_h1[i] = _weighted_norm(h1w, row)[0]
         layout.gather(row, lin[i:i + 1])
     decay = layout.gather(semigroup_symbol(grid, config.dt, config.alpha)[None],
                           np.empty((1, layout.size)))[0]
@@ -522,7 +495,7 @@ def picard_solve(config):
                             np.add(lin[i], I, out=new[r])
                         g_last = g[r]
                     c = layout.scatter(new, full[:k])
-                    new_h1 = state.h1_rows(c)
+                    new_h1 = _weighted_norm(h1w, c)
                     if new_cross is None:
                         valid = k
                         crossing = crossing_of(new_h1)
@@ -537,7 +510,8 @@ def picard_solve(config):
                             max_im = max(max_im, float(np.max(np.abs(c.imag))))
                             d = np.subtract(new[:valid], prev[lo:lo + valid],
                                             out=diff[:valid])
-                            res = max(res, float(state.h1_rows(layout.scatter(d, c)).max()))
+                            d_h1 = _weighted_norm(h1w, layout.scatter(d, c))
+                            res = max(res, float(d_h1.max()))
                     prev[lo:hi] = new
                     prev_h1[lo:hi] = new_h1
                     if g_next is not None:
@@ -600,7 +574,7 @@ def duhamel_step(u_history, t, config):
     if cross is not None and i_t >= int(round(cross / config.dt)):
         return SpectralField(config.grid, np.full(config.grid.shape, np.nan,
                                                   dtype=np.complex128))
-    acc = state.linear_part(config.u0.coeffs, t)
+    acc = semigroup_symbol(config.grid, t, config.alpha) * config.u0.coeffs
     if i_t > 0:
         dt = config.dt
         for j in range(i_t + 1):
@@ -651,6 +625,9 @@ def existence_budget(config):
     if delta == 0.0 or b_norm == 0.0:
         T0_max = float("inf")
     else:
-        T0_max = (4.0 * config.C_abs * b_norm * delta) ** (-1.0 / exponent)
+        try:
+            T0_max = (4.0 * config.C_abs * b_norm * delta) ** (-1.0 / exponent)
+        except OverflowError:   # a horizon past float range
+            T0_max = float("inf")
     return ExistenceBudget(delta, config.C_abs, C_B, contraction_ok, T0_max,
                            case, b_norm, exponent)

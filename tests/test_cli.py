@@ -1,11 +1,17 @@
+import contextlib
+import io
 import math
+import tempfile
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from fraclap import UsageError
 from fraclap import certificate as cert
-from fraclap.cli import parse_config, run
+from fraclap.cli import _HANDLERS, _KEY_TYPES, parse_config, run
 
 
 @pytest.fixture()
@@ -85,7 +91,10 @@ class TestExitCodes:
         ("solve", "T0=1", "dt=1e-12"), ("solve", "T0=1", "dt=1e-300"),
         ("solve", "T0=1e300", "dt=1e-10"), ("budget", "T0=1e-3", "dt=nan"),
         ("budget", "T0=1e-3", "dt=inf"), ("budget", "C_abs=0"),
-        ("budget", "C_abs=-1")])
+        ("budget", "C_abs=-1"), ("certify", "n=-1", "alpha=1.5"),
+        ("certify", "n=-3", "rho=1"), ("kernel-check", "L=1e50", "N=512", "s=171"),
+        ("kernel-check", "N=512", "t_values=1e-300", "s=171"),
+        ("solve", "n=2", "L=1e300", "N=16")])
     def test_nonfinite_or_empty_input_is_domain_error(self, outdir, capsys, args):
         code = run([args[0], "-o", str(outdir), *args[1:]])
         err = capsys.readouterr().err
@@ -127,6 +136,18 @@ class TestExitCodes:
                     f"L={1024 * math.pi!r}", "N=4096"])
         assert code == 1
         assert "517^3" in capsys.readouterr().err
+
+    def test_blowup_past_float_range_prints_no_warning(self, outdir, capsys):
+        # with the threshold at 1e300 the iterates overflow before they cross
+        # it; the sweep saturates those rows, and numpy must not warn
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = run(["solve", "-o", str(outdir), "kind=dirac", "C=2048",
+                        "gamma=0.9", "u0=omega", "u0_amplitude=128", "T0=1e-6",
+                        "dt=5e-9", "N=512", "overflow_threshold=1e300",
+                        "picard_max_iter=20"])
+        assert code == 0
+        assert capsys.readouterr().err == ""
 
     def test_nonconvergence_is_an_error(self, outdir, capsys):
         code = run(["solve", "-o", str(outdir), "picard_max_iter=2", "T0=0.05"])
@@ -236,6 +257,14 @@ class TestSubcommands:
         text = (outdir / "budget.txt").read_text()
         assert "4 C_B delta" in text
 
+    @pytest.mark.parametrize("args", [
+        ("C_abs=1e-300",), ("gamma=0.999999", "u0_amplitude=0.01")])
+    def test_budget_horizon_past_float_range_is_inf(self, outdir, capsys, args):
+        code = run(["budget", "-o", str(outdir), *args])
+        assert code == 0, capsys.readouterr().err
+        text = (outdir / "budget.txt").read_text()
+        assert "T0_max (largest horizon with 4 C_B delta = 1) = inf\n" in text
+
     @pytest.mark.parametrize("dt", ["1e-12", "1e-300"])
     def test_budget_does_not_depend_on_dt(self, tmp_path, capsys, dt):
         # the budget builds no time lattice, so a dt whose node count fits
@@ -275,3 +304,96 @@ class TestSubcommands:
                         "seed=42", "N=128"]) == 0
         assert (out1 / "trajectory.csv").read_bytes() == \
                (out2 / "trajectory.csv").read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# the CLI key space: every input ends in exit 0, 1 or 2, with no exception
+# and no numpy warning
+
+_EIGHT_PI = repr(8 * math.pi)
+# every key's pool holds these; an int key parses only 0 and -1 of them
+_EDGES = ("0", "-1", "1e-300", "1e300", "nan", "inf")
+_POOLS = {
+    "n": ("-3", "-1", "0", "1", "2", "3", "4"),
+    "alpha": ("0.5", "1", "1.5", "2", "3"),
+    "gamma": ("0.5", "0.9", "0.999999", "1.5"),
+    "rho": ("2", "-4", "1000"),
+    "C1": ("2048",),
+    "A": ("128",),
+    "L": (_EIGHT_PI, repr(16 * math.pi)),
+    "N": ("8", "16", "32"),
+    "T0": ("0.125", "0.25", "1e-6"),
+    "dt": ("0.00390625", "1e-8", "0.3"),
+    "kind": ("dirac", "bessel_symbol", "other"),
+    "C": ("1", "2048"),
+    "picard_tol": ("1e-8",),
+    "picard_max_iter": ("1", "5", "20"),
+    "overflow_threshold": ("1e6",),
+    "C_abs": ("1",),
+    "k_max": ("1", "2"),
+    "K": ("1", "12", "1024"),
+    "s": ("0.5", "1", "171"),
+    "t_values": ("0.5,1,2", "1", "0.5,nan", "", "a"),
+    "u0": ("omega", "random", "zero", "other"),
+    "u0_amplitude": ("0.01", "128"),
+    "seed": ("42",),
+}
+# per subcommand, the values a draw starts from and the pools that replace
+# _POOLS, so that no draw allocates much: small grids for solve, budget and
+# kernel-check, and spacing 1/4 with k_max <= 2 for certify and omega
+_BASE = {
+    "solve": {"N": "16", "T0": "0.125", "picard_max_iter": "20"},
+    "budget": {"N": "16"},
+    "kernel-check": {"N": "512"},
+    "certify": {"L": _EIGHT_PI, "N": "128"},
+    "omega": {"L": _EIGHT_PI, "N": "128"},
+}
+_SUB_POOLS = {
+    "kernel-check": {"N": ("64", "512")},
+    "certify": {"L": (_EIGHT_PI,), "N": ("64", "128")},
+    "omega": {"L": (_EIGHT_PI,), "N": ("64", "128")},
+}
+
+
+def _small_solve(values):
+    """Whether a solve draw stays small: at most 128 time nodes and 2^17
+    coefficients over them, or it stops before the solver allocates (a
+    value that does not parse or fails its check, or more than 1e15 nodes,
+    which the memory check rejects)."""
+    try:
+        n, N = int(values.get("n", "1")), int(values["N"])
+        steps = float(values["T0"]) / float(values.get("dt", "0.00390625"))
+    except (ValueError, ZeroDivisionError):
+        return True
+    if not (n in (1, 2, 3) and N > 0 and 0 < steps <= 1e15):
+        return True
+    nodes = math.ceil(steps) + 1
+    return nodes <= 128 and nodes * N ** n <= 1 << 17
+
+
+@st.composite
+def _cli_args(draw):
+    sub = draw(st.sampled_from(sorted(_HANDLERS)))
+    keys = draw(st.lists(st.sampled_from(sorted(_KEY_TYPES)), max_size=4, unique=True))
+    pools = {**_POOLS, **_SUB_POOLS.get(sub, {})}
+    values = dict(_BASE[sub])
+    for key in keys:
+        values[key] = draw(st.sampled_from(tuple(dict.fromkeys(pools[key] + _EDGES))))
+    if sub == "solve":
+        assume(_small_solve(values))
+    return (sub, *(f"{key}={value}" for key, value in values.items()))
+
+
+@settings(derandomize=True, deadline=None, max_examples=500)
+@given(_cli_args())
+@example(("certify", "n=-1", "alpha=1.5"))
+@example(("certify", "n=-3", "rho=1"))
+@example(("budget", "C_abs=1e-300"))
+@example(("budget", "gamma=0.999999", "u0_amplitude=0.01"))
+def test_every_input_exits_0_1_or_2(args):
+    with tempfile.TemporaryDirectory() as outdir, warnings.catch_warnings(), \
+            contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        warnings.simplefilter("error", RuntimeWarning)
+        code = run([args[0], "-o", outdir, *args[1:]])
+    assert code in (0, 1, 2)

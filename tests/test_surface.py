@@ -16,6 +16,9 @@ Every default of a parameter or a dataclass field must be taken: some call
 in those files, matched by the callee's name, leaves the parameter out and
 passes no ``*args`` or ``**kwargs``. A default that only tests take is a
 second path that production runs never use.
+
+The modules form layers, and a module imports only from layers below its
+own (``LAYERS``): a decision that two layers need lives in the lower one.
 """
 
 import ast
@@ -28,6 +31,11 @@ PACKAGE = ROOT / "src" / "fraclap"
 # against it, and it is the reference map for a backward-error check of a
 # solver's fixed point
 EXEMPT = {"duhamel_step"}
+
+# the package's import layers, lowest first; __init__ re-exports the layers
+# below cli
+LAYERS = ({"errors"}, {"spectral"}, {"operators", "coefficient"},
+          {"solver", "certificate"}, {"cli", "__init__"})
 
 
 def _definitions(tree):
@@ -167,6 +175,30 @@ def untaken_defaults():
             if not any(_leaves_out(c, param, pos) for c in calls.get(callee, ()))]
 
 
+def _relative_imports(tree):
+    """The package modules a module imports from: ``from .spectral import x``
+    gives spectral, ``from . import certificate`` gives certificate."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            if node.module:
+                yield node.module
+            else:
+                yield from (alias.name for alias in node.names)
+
+
+def layer_violations():
+    layer = {name: i for i, names in enumerate(LAYERS) for name in names}
+    out = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem not in layer:
+            out.append(f"{path.stem} has no layer")
+            continue
+        for imported in _relative_imports(_parse(path)):
+            if not layer.get(imported, len(LAYERS)) < layer[path.stem]:
+                out.append(f"{path.stem} imports {imported}")
+    return out
+
+
 def test_every_library_name_has_a_production_or_acceptance_caller():
     assert unreached_names() == []
 
@@ -177,3 +209,7 @@ def test_every_dataclass_field_is_read():
 
 def test_every_default_is_taken():
     assert untaken_defaults() == []
+
+
+def test_modules_import_only_from_lower_layers():
+    assert layer_violations() == []
