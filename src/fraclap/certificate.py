@@ -207,9 +207,19 @@ def omega_initial_field(grid, amplitude):
     """Initial datum A * omega: the seed bump plus the mirror ball at -xi0,
     the bump of the negated axes ((-xi - 3/2)^2 = (xi + 3/2)^2 exactly), so
     the datum is a real field. The hat values stay >= the one-sided bump
-    pointwise, so every Fourier lower bound for it holds a fortiori."""
+    pointwise, so every Fourier lower bound for it holds a fortiori.
+    GridResolutionError unless the grid's lattice holds every lattice point
+    of the seed ball."""
     require_finite(u0_amplitude=amplitude)
-    hat = _bump(grid.xi_axes) + _bump([-xi for xi in grid.xi_axes])
+    bump = _bump(grid.xi_axes)
+    held = np.count_nonzero(bump)
+    count = np.count_nonzero(_seed_window(grid.n, grid.dxi).values)
+    if held != count:
+        raise GridResolutionError(
+            f"the grid holds {held} of the seed ball's {count} lattice points, which "
+            f"fails held = {count} at max resolved |xi| per axis = {grid.xi_max:.4g}; "
+            "raise N")
+    hat = bump + _bump([-xi for xi in grid.xi_axes])
     return SpectralField.from_hat_values(grid, amplitude * hat)
 
 

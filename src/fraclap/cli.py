@@ -15,15 +15,13 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from . import certificate as cert
 from .coefficient import CoefficientSpec, c1_threshold
 from .errors import DomainError, FraclapError, UsageError, require_finite
 from .operators import kernel_l1_report
 from .solver import (ProblemConfig, existence_budget, picard_solve,
                      random_nonneg_initial_field)
-from .spectral import GridSpec
+from .spectral import GridSpec, SpectralField
 
 # every recognized key with its parser; one flat namespace on purpose
 _KEY_TYPES = {
@@ -142,7 +140,7 @@ def _build_initial(values, grid):
     if choice == "random":
         return random_nonneg_initial_field(grid, amp, _get(values, "seed"))
     if choice == "zero":
-        return cert.omega_initial_field(grid, 0.0)
+        return SpectralField.zero(grid)
     raise DomainError(f"u0 must be one of omega|random|zero, got {choice!r}")
 
 
@@ -189,9 +187,7 @@ def _cmd_solve(values, outdir):
     dt = _get(values, "dt")
     if config.dt != dt:
         print(f"dt = {dt!r} does not divide T0 = {config.T0!r}: using dt = {config.dt!r}")
-    # rows past the crossing leave float range by design; the sweep saturates them
-    with np.errstate(over="ignore", invalid="ignore"):
-        traj = picard_solve(config)
+    traj = picard_solve(config)
     path = os.path.join(outdir, "trajectory.csv")
     traj.to_csv(path)
     if traj.overflow_at is not None:

@@ -33,8 +33,7 @@ def semigroup_apply(fld, t, alpha):
 
 def semigroup_symbol(grid, t, alpha):
     xi2 = grid.xi_norm_sq
-    with np.errstate(divide="ignore"):
-        e = np.where(xi2 > 0, xi2 ** (alpha / 2.0), 0.0)
+    e = np.where(xi2 > 0, xi2 ** (alpha / 2.0), 0.0)
     return np.exp(-t * e)
 
 
@@ -65,7 +64,7 @@ def _weighted_kernel_l1(t, alpha, grid, s, bessel):
     sym = semigroup_symbol(grid, t, alpha)
     # a weight past float range meets the underflowed semigroup as inf * 0;
     # the check below reports the non-finite norm that follows
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         if bessel:
             w = (1.0 + xi2) ** (s / 2.0)
         else:
@@ -124,6 +123,7 @@ class KernelEstimateReport:
 _BOUNDARY_LIMIT = 1e-6
 _BOX_SAFETY = 10.0          # auto-sized boxes aim at _BOUNDARY_LIMIT / this
 _TAIL_MASS_LIMIT = 1e-4
+_SYMBOL_TAIL_LIMIT = 1e-13
 _N_CAP = 1 << 22
 
 
@@ -163,9 +163,16 @@ def _auto_box(alpha, t_max, s):
     return max(2.0 * half, 8.0 * math.pi)
 
 
+def _symbol_tail(alpha, s, t, xi):
+    """The smoothed symbol (1 + xi^2)^(s/2) exp(-t xi^alpha) at xi; a grid
+    resolves the kernel when this is <= _SYMBOL_TAIL_LIMIT at its xi_max.
+    OverflowError where the weight leaves float range."""
+    return (1.0 + xi * xi) ** (s / 2.0) * math.exp(-t * xi ** alpha)
+
+
 def _auto_modes(alpha, s, t_min, L):
     xi = 8.0
-    while (1.0 + xi * xi) ** (max(s, 0.0) / 2.0) * math.exp(-t_min * xi ** alpha) > 1e-13:
+    while _symbol_tail(alpha, s, t_min, xi) > _SYMBOL_TAIL_LIMIT:
         xi *= 2.0
         if xi > 1e9:
             raise GridResolutionError("symbol decay too slow to resolve")
@@ -173,7 +180,17 @@ def _auto_modes(alpha, s, t_min, L):
     return N
 
 
-def _check_adequacy(grid, alpha, t_values):
+def _check_adequacy(grid, alpha, s, t_values):
+    t_min = min(t_values)
+    try:
+        tail = _symbol_tail(alpha, s, t_min, grid.xi_max)
+    except OverflowError:
+        tail = math.inf
+    if not tail <= _SYMBOL_TAIL_LIMIT:
+        raise GridResolutionError(
+            f"grid under-resolves the kernel spectrum: the symbol smoothed to order "
+            f"s = {s} at t = {t_min} is {tail:.3e} at xi_max = {grid.xi_max:.4g}, "
+            f"which fails <= {_SYMBOL_TAIL_LIMIT}; raise N or shrink L")
     worst_boundary = 0.0
     worst_tail = 0.0
     for t in t_values:
@@ -223,7 +240,7 @@ def kernel_l1_report(s, alpha, t_values, grid=None):
         grid = GridSpec(1, L, N)
     elif grid.n != 1:
         raise DomainError("kernel reports are one-dimensional")
-    _check_adequacy(grid, alpha, t_values)
+    _check_adequacy(grid, alpha, s, t_values)
 
     l1_riesz = [_weighted_kernel_l1(t, alpha, grid, s, bessel=False) for t in t_values]
     l1_bessel = [_weighted_kernel_l1(t, alpha, grid, s, bessel=True) for t in t_values]

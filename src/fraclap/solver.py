@@ -56,19 +56,19 @@ chunk (256^2 and 128^3 grids) a second thread computes G of chunk c + 1
 while this one runs chunk c's recurrence, norms and row update; numpy's
 FFTs and elementwise loops release the interpreter lock, so the two
 overlap. The worker is created inside picard_solve and joined before it
-returns, and it runs each G in a copy of the caller's context, so
-np.errstate applies to it. 1-D grids (dozens of nodes per chunk) stay on
-one thread: there, handing the interpreter lock back and forth costs more
-than the overlap saves. Both regimes do the same arithmetic and give the
-same bits.
+returns. 1-D grids (dozens of nodes per chunk) stay on one thread: there,
+handing the interpreter lock back and forth costs more than the overlap
+saves. Both regimes do the same arithmetic and give the same bits.
 
 Blow-up handling: past the true explosion time the iterates diverge doubly
 exponentially in the sweep index and would overflow float range, so the
 sweep rescales the input of G at a node whose discrete H1 exceeds
-overflow_threshold down to the threshold, and gives a node whose norm is not
-finite G = 0 (saturated forcing; continuous in the iterate, unlike an on/off
-cutoff, which orbits a limit cycle). The sweep does this before it calls
-_SweepState.nonlinearity, which is plain G, as duhamel_step evaluates it.
+overflow_threshold down to the threshold before it calls
+_SweepState.nonlinearity, which is plain G, as duhamel_step evaluates it,
+and gives a node whose norm is not finite G = 0 after it (saturated forcing;
+continuous in the iterate, unlike an on/off cutoff, which orbits a limit
+cycle). Those rows overflow by design, so picard_solve runs its sweeps, and
+G on the worker thread, under np.errstate(over="ignore", invalid="ignore").
 Saturation only affects nodes at or past the crossing; the returned
 trajectory is truncated at the first crossing, whose field is kept as the
 last one and whose time is Trajectory.overflow_at (the one record of the
@@ -86,7 +86,6 @@ truncated pass more than full sweeps would.
 """
 
 import contextlib
-import contextvars
 import itertools
 import math
 import os
@@ -225,7 +224,7 @@ class Trajectory:
     iterations: int
     converged: bool
     # global coefficient extrema over every Picard iterate and time:
-    # (min real part, max real part, max |imag|), for positivity audits
+    # (min real part, max real part), for positivity audits
     iterate_extrema: tuple
 
     def max_abs_coeff(self):
@@ -402,6 +401,9 @@ def picard_solve(config):
         row = (semigroup_symbol(grid, t, config.alpha) * u0c)[None]
         lin_h1[i] = _weighted_norm(h1w, row)[0]
         layout.gather(row, lin[i:i + 1])
+    if not lin_h1[0] <= thresh:
+        raise DomainError(f"initial datum has ||u0||_H1 = {float(lin_h1[0])!r}, which "
+                          f"fails ||u0||_H1 <= overflow_threshold = {thresh!r}")
     decay = layout.gather(semigroup_symbol(grid, config.dt, config.alpha)[None],
                           np.empty((1, layout.size)))[0]
     chunk = max(1, _CHUNK_BYTES // (u0c.size * itemsize))
@@ -434,26 +436,26 @@ def picard_solve(config):
     g_bufs = [np.empty_like(rows) for _ in range(3 if pipelined else 2)]
 
     def g_of(ci):
-        """G of chunk ci of the previous iterate, saturated: a row whose H1
-        norm exceeds thresh is rescaled down to it first, and a row whose
-        norm is not finite gets G = 0. That keeps the iteration inside float
-        range and free of on/off limit cycles, and it only influences nodes
-        at or past the previous crossing, the last node a sweep computes
-        once there is one."""
+        """G of chunk ci of the previous iterate, saturated: a row whose
+        finite H1 norm exceeds thresh is rescaled down to it first, and a row
+        whose norm is not finite gets G = 0. That keeps the iteration inside
+        float range and free of on/off limit cycles, and it only influences
+        nodes at or past the previous crossing, the last node a sweep
+        computes once there is one. It sets the sweep's error state itself,
+        as it also runs on the worker thread."""
         lo = ci * chunk
         hi = min(lo + chunk, end)
         u = layout.scatter(prev[lo:hi], g_full[:hi - lo])
         h1 = prev_h1[lo:hi]
-        for r in np.flatnonzero(~(h1 <= thresh)):
-            if np.isfinite(h1[r]):
-                np.multiply(u[r], thresh / h1[r], out=u[r])
-            else:
-                u[r] = 0.0
-        state.nonlinearity(u)
+        for r in np.flatnonzero(np.isfinite(h1) & (h1 > thresh)):
+            np.multiply(u[r], thresh / h1[r], out=u[r])
+        with np.errstate(over="ignore", invalid="ignore"):
+            state.nonlinearity(u)
         u[~np.isfinite(h1)] = 0.0
         return layout.gather(u, g_bufs[ci % len(g_bufs)][:hi - lo])
 
-    with _worker(pipelined) as pool:
+    # rows at or past a crossing leave float range by design
+    with _worker(pipelined) as pool, np.errstate(over="ignore", invalid="ignore"):
         # the first pass stops each sweep at the previous sweep's crossing;
         # a sweep that finds no crossing then sends the run to the second
         # pass, which starts over with full sweeps
@@ -462,7 +464,7 @@ def picard_solve(config):
             prev_h1[...] = lin_h1
             prev_cross = crossing_of(prev_h1)
             residuals = []
-            min_re, max_re, max_im = np.inf, -np.inf, 0.0
+            min_re, max_re = np.inf, -np.inf
             converged = stale = False
             for j in range(config.picard_max_iter):
                 iterations = j + 1
@@ -479,12 +481,9 @@ def picard_solve(config):
                     lo = ci * chunk
                     hi = min(lo + chunk, end)
                     k = hi - lo
-                    # the worker starts from this thread's context, so it
-                    # raises under the caller's np.errstate as an inline call
-                    # would
                     g_next = None
                     if pool is not None and ci + 1 < n_chunks:
-                        g_next = pool.submit(contextvars.copy_context().run, g_of, ci + 1)
+                        g_next = pool.submit(g_of, ci + 1)
                     new = rows[:k]
                     for r in range(k):
                         i = lo + r
@@ -507,7 +506,6 @@ def picard_solve(config):
                             scale = max(scale, float(new_h1[:valid].max()))
                             min_re = min(min_re, float(np.min(c.real)))
                             max_re = max(max_re, float(np.max(c.real)))
-                            max_im = max(max_im, float(np.max(np.abs(c.imag))))
                             d = np.subtract(new[:valid], prev[lo:lo + valid],
                                             out=diff[:valid])
                             d_h1 = _weighted_norm(h1w, layout.scatter(d, c))
@@ -551,7 +549,7 @@ def picard_solve(config):
         picard_residuals=residuals,
         iterations=iterations,
         converged=converged,
-        iterate_extrema=(float(min_re), float(max_re), float(max_im)),
+        iterate_extrema=(float(min_re), float(max_re)),
     )
 
 

@@ -204,7 +204,7 @@ def reference_picard_solve(config):
     prev_cross = crossing_of(prev_h1)
 
     residuals = []
-    min_re, max_re, max_im = np.inf, -np.inf, 0.0
+    min_re, max_re = np.inf, -np.inf
     converged = False
     iterations = 0
 
@@ -238,7 +238,6 @@ def reference_picard_solve(config):
             c = new[i]
             min_re = min(min_re, float(np.min(c.real)))
             max_re = max(max_re, float(np.max(c.real)))
-            max_im = max(max_im, float(np.max(np.abs(c.imag))))
 
         rel = res / scale if scale > 0 else 0.0
         stable = new_cross == prev_cross
@@ -265,7 +264,7 @@ def reference_picard_solve(config):
         picard_residuals=residuals,
         iterations=iterations,
         converged=converged,
-        iterate_extrema=(float(min_re), float(max_re), float(max_im)),
+        iterate_extrema=(float(min_re), float(max_re)),
     )
 
 

@@ -150,7 +150,7 @@ def test_criterion_8_positivity():
                     u0=random_nonneg_initial_field(g, 0.3, seed=seed),
                     T0=0.1, dt=1.0 / 256.0, picard_tol=1e-12)
                 traj = picard_solve(cfg)
-                min_re, max_re, _ = traj.iterate_extrema
+                min_re, max_re = traj.iterate_extrema
                 assert min_re >= -1e-12 * max_re, (seed, coeff.kind, min_re, max_re)
                 worst = min(worst, min_re / max_re)
                 for fld in traj.fields:   # per-time, on the converged run

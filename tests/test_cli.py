@@ -149,6 +149,37 @@ class TestExitCodes:
         assert code == 0
         assert capsys.readouterr().err == ""
 
+    # a grid that does not resolve the kernel's spectrum (xi_max = 4 leaves
+    # 6.8e-4 at N=64) or does not hold the omega datum's bump, and a datum
+    # above the overflow threshold or past float range
+    @pytest.mark.parametrize("args, key", [
+        (("kernel-check", "L=1e50", "N=512"), "s = 0.5 at t = 0.5"),
+        (("kernel-check", "N=64"), "is 6.812e-04 at xi_max = 4,"),
+        (("budget", "N=16"), "holds 0 of the seed ball's 7"),
+        (("budget", "N=24"), "holds 3 of the seed ball's 7"),
+        (("solve", "overflow_threshold=1"), "overflow_threshold = 1.0"),
+        (("solve", "N=16", "T0=0.125", "u0=random", "u0_amplitude=1e13"),
+         "overflow_threshold = 1000000000000.0"),
+        (("solve", "N=16", "T0=0.125", "u0=random", "u0_amplitude=1e300"),
+         "||u0||_H1 = inf")])
+    def test_unresolved_grid_or_datum_is_domain_error(self, outdir, capsys, args, key):
+        code = run([args[0], "-o", str(outdir), *args[1:]])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "domain error" in err and key in err and "Traceback" not in err
+        assert list(outdir.iterdir()) == []
+
+    def test_only_the_omega_datum_needs_the_bump(self, outdir, capsys):
+        # N=16 at L = 16 pi holds no lattice point of the bump
+        args = ["solve", "-o", str(outdir), "N=16", "T0=0.125"]
+        assert run(args + ["u0=zero"]) == 0
+        assert "converged=True" in capsys.readouterr().out
+        (outdir / "trajectory.csv").unlink()
+        assert run(args) == 1
+        err = capsys.readouterr().err
+        assert "holds 0 of the seed ball's 7" in err and "Traceback" not in err
+        assert list(outdir.iterdir()) == []
+
     def test_nonconvergence_is_an_error(self, outdir, capsys):
         code = run(["solve", "-o", str(outdir), "picard_max_iter=2", "T0=0.05"])
         err = capsys.readouterr().err
@@ -340,10 +371,11 @@ _POOLS = {
 }
 # per subcommand, the values a draw starts from and the pools that replace
 # _POOLS, so that no draw allocates much: small grids for solve, budget and
-# kernel-check, and spacing 1/4 with k_max <= 2 for certify and omega
+# kernel-check, and spacing 1/4 with k_max <= 2 for certify and omega. At
+# L = 8 pi, N = 16 reaches |xi| = 2, which holds the omega datum's bump
 _BASE = {
-    "solve": {"N": "16", "T0": "0.125", "picard_max_iter": "20"},
-    "budget": {"N": "16"},
+    "solve": {"L": _EIGHT_PI, "N": "16", "T0": "0.125", "picard_max_iter": "20"},
+    "budget": {"L": _EIGHT_PI, "N": "16"},
     "kernel-check": {"N": "512"},
     "certify": {"L": _EIGHT_PI, "N": "128"},
     "omega": {"L": _EIGHT_PI, "N": "128"},
