@@ -28,9 +28,13 @@ exactly +0 wherever u0 is. So a node is stored as a vector of its band
 coefficients ((2 (N//3) + 1)^n of N^n: 45% at 256^2, 30% at 128^3) followed
 by the k out-of-band coefficients where u0 is not +0. k is 0 for the CLI
 data (omega, random, zero); sampled noise fills it. The iterate is one
-(M+1, that length) stack, updated in place; the linear part is a second.
-The out-of-band entries go through the same recurrence as the band, with
-G = 0, so there is one path for both.
+(M+1, that length) stack, updated in place, and the only one a run holds.
+The linear part S(t) u0 is +0 wherever u0 is +0, so it is kept as an
+(M+1, |S|) table over u0's support S (14 of 341 stored entries for the
+omega datum at N=512, 90 of 29,241 at 256^2), and each chunk writes its
+rows into a zeroed row buffer before the recurrence adds them. The
+out-of-band entries go through the same recurrence as the band, with G = 0,
+so there is one path for both.
 
 A sweep walks the node axis in chunks of as many nodes as fit a 256 KiB
 budget of full-lattice rows (dozens per chunk on 1-D grids, one on a 256^2
@@ -265,6 +269,8 @@ class _NodeLayout:
     layout) as a (B,)*n array in C order, then the values at ext, the flat
     lattice indices outside the band where u0 is not +0. Every other
     coefficient of every iterate is exactly +0 (see the module docstring).
+    support holds the positions in a stored node where u0 is not +0: the
+    only ones where the linear part S(t) u0 is not +0.
     """
 
     def __init__(self, grid, u0c):
@@ -279,9 +285,11 @@ class _NodeLayout:
         self.band_size = width ** grid.n
         # -0.0 counts: the sweep turns it into +0.0 at later nodes, as on
         # the full lattice
-        stored = (u0c != 0) | np.signbit(u0c.real) | np.signbit(u0c.imag)
-        self.ext = np.flatnonzero(~grid.dealias_mask & stored)
+        nonzero = (u0c != 0) | np.signbit(u0c.real) | np.signbit(u0c.imag)
+        self.ext = np.flatnonzero(~grid.dealias_mask & nonzero)
         self.size = self.band_size + len(self.ext)
+        self.support = np.flatnonzero(
+            self.gather(nonzero[None], np.empty((1, self.size), dtype=bool)))
 
     def _band(self, rows):
         # a view: a row's band part is contiguous
@@ -364,13 +372,14 @@ def _worker(needed):
     return ThreadPoolExecutor(max_workers=1, thread_name_prefix="fraclap-G")
 
 
-def _require_stacks_fit(nodes, node_bytes):
-    """DomainError unless the two node stacks of a run fit in physical memory."""
-    need = 2.0 * nodes * node_bytes
+def _require_stack_fits(nodes, node_bytes):
+    """DomainError unless a run's node stack, node_bytes per time node (the
+    iterate and the linear part on u0's support), fits in physical memory."""
+    need = nodes * node_bytes
     have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     if need > have:
         raise DomainError(
-            f"{nodes:.4g} time nodes need {need:.4g} bytes of node stacks, which "
+            f"{nodes:.4g} time nodes need {need:.4g} bytes of node stack, which "
             f"fails bytes <= physical memory = {have:.4g}; raise dt or lower T0")
 
 
@@ -387,20 +396,23 @@ def picard_solve(config):
     u0c = config.u0.coeffs
     layout = _NodeLayout(grid, u0c)
     M = config.n_steps
+    support = layout.support
     itemsize = np.dtype(np.complex128).itemsize
-    _require_stacks_fit(M + 1, layout.size * itemsize)
+    _require_stack_fits(M + 1, (layout.size + len(support)) * itemsize)
     state = _SweepState(config)
     # every norm of the sweep is _weighted_norm(h1w, rows), h1_norm's routine
     h1w = h1_weight(grid)
     times = config.times
     thresh = config.overflow_threshold
     half_dt = 0.5 * config.dt
-    lin = np.empty((M + 1, layout.size), dtype=np.complex128)
+    # the linear part S(t) u0 on u0's support only: it is +0 elsewhere
+    lin = np.empty((M + 1, len(support)), dtype=np.complex128)
     lin_h1 = np.empty(M + 1)
+    stored = np.empty((1, layout.size), dtype=np.complex128)
     for i, t in enumerate(times):
         row = (semigroup_symbol(grid, t, config.alpha) * u0c)[None]
         lin_h1[i] = _weighted_norm(h1w, row)[0]
-        layout.gather(row, lin[i:i + 1])
+        lin[i] = layout.gather(row, stored)[0, support]
     if not lin_h1[0] <= thresh:
         raise DomainError(f"initial datum has ||u0||_H1 = {float(lin_h1[0])!r}, which "
                           f"fails ||u0||_H1 <= overflow_threshold = {thresh!r}")
@@ -415,9 +427,11 @@ def picard_solve(config):
     # the iterate is updated in place, chunk by chunk: the G values a chunk
     # needs from the previous iterate are taken before its rows are replaced,
     # and later nodes only read later rows
-    prev = np.empty_like(lin)
+    prev = np.empty((M + 1, layout.size), dtype=np.complex128)
     prev_h1 = np.empty(M + 1)
     rows = np.empty((chunk, layout.size), dtype=np.complex128)
+    # a chunk's rows of the linear part; off the support they stay +0
+    lin_rows = np.zeros_like(rows)
     diff = np.empty_like(rows)
     I = np.empty(layout.size, dtype=np.complex128)
     step_work = np.empty_like(I)
@@ -460,7 +474,8 @@ def picard_solve(config):
         # a sweep that finds no crossing then sends the run to the second
         # pass, which starts over with full sweeps
         for truncate in (True, False):
-            prev[...] = lin
+            prev[...] = 0.0
+            prev[:, support] = lin
             prev_h1[...] = lin_h1
             prev_cross = crossing_of(prev_h1)
             residuals = []
@@ -485,13 +500,15 @@ def picard_solve(config):
                     if pool is not None and ci + 1 < n_chunks:
                         g_next = pool.submit(g_of, ci + 1)
                     new = rows[:k]
+                    lin_c = lin_rows[:k]
+                    lin_c[:, support] = lin[lo:hi]
                     for r in range(k):
                         i = lo + r
                         if i == 0:
-                            new[0] = lin[0]
+                            new[0] = lin_c[0]
                         else:
                             sweep_step(I, decay, g_last, g[r], half_dt, step_work)
-                            np.add(lin[i], I, out=new[r])
+                            np.add(lin_c[r], I, out=new[r])
                         g_last = g[r]
                     c = layout.scatter(new, full[:k])
                     new_h1 = _weighted_norm(h1w, c)

@@ -267,6 +267,26 @@ class TestSubcommands:
         h1 = data[:, 1]
         assert np.all(np.diff(h1) <= 1e-12)
 
+    def test_solve_is_scale_equivariant(self, tmp_path, capsys):
+        # u solves the problem with b, u0 iff u/2 solves it with 2b, u0/2;
+        # halving the threshold too keeps every crossing and saturation
+        # ratio, and each step scales by a power of two, so the run is the
+        # defaults' run with every norm exactly halved
+        runs = []
+        for name, args in (("base", ()), ("half", ("C=2", "u0_amplitude=0.5",
+                                                   "overflow_threshold=5e11"))):
+            out = tmp_path / name
+            out.mkdir()
+            assert run(["solve", "-o", str(out), *args]) == 0
+            lines = (out / "trajectory.csv").read_text().splitlines()
+            runs.append((lines[1], np.loadtxt(lines[3:], delimiter=",")))
+        (base_run, base), (half_run, half) = runs
+        # overflow_at, the sweep count and the converged flag
+        assert half_run == base_run
+        assert "overflow_at=None" not in base_run
+        assert np.array_equal(half[:, 0], base[:, 0])
+        assert np.array_equal(half[:, 1:], 0.5 * base[:, 1:])
+
     def test_kernel_check_writes_csv(self, outdir, capsys):
         code = run(["kernel-check", "-o", str(outdir), "alpha=2", "s=1",
                     "t_values=0.5,1"])

@@ -1,3 +1,4 @@
+import os
 import sys
 import threading
 import warnings
@@ -297,6 +298,18 @@ def _config_white_noise():
                        dt=1.0 / 256.0, picard_tol=1e-14, u0=forward_transform(noise, g))
 
 
+def _config_signed_zeros():
+    # u0 holds -0.0 at a band mode (|m| = 30 <= 42) and at an out-of-band
+    # mode (|m| = 60), both outside the random datum's |m| <= 21. Node 0
+    # keeps both signs (1 * (-0 + 0j) is -0 + 0j), so the linear part and
+    # the stored node must keep them apart from +0
+    g = grid1()
+    c = random_nonneg_initial_field(g, 0.2, seed=6).coeffs.copy()
+    c[[30, 60]] = complex(-0.0, 0.0)
+    return make_config(g=g, coeff=bessel_coeff(C=5.0), gamma=0.0, T0=0.125,
+                       dt=1.0 / 256.0, picard_tol=1e-14, u0=SpectralField(g, c))
+
+
 _CHUNK_512 = solver._CHUNK_BYTES // (16 * 512)   # nodes per sweep chunk at N=512
 
 ORACLE_CASES = {
@@ -312,12 +325,14 @@ ORACLE_CASES = {
     "nodes-two-chunks": lambda: _config_nodes(2 * _CHUNK_512),
     "nodes-not-multiple": lambda: _config_nodes(2 * _CHUNK_512 + 1),
     "white-noise-1d": _config_white_noise,
+    "signed-zeros-1d": _config_signed_zeros,
 }
 
 
 class TestChunkedSweepOracle:
     """picard_solve batches each sweep over chunks of the node stack; it must
-    reproduce the per-node reference loop bit for bit."""
+    reproduce the per-node reference loop bit for bit. Fields are compared
+    by their bytes, so signed zeros and NaN payloads count."""
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
                                 "ignore:invalid value:RuntimeWarning")
@@ -330,7 +345,7 @@ class TestChunkedSweepOracle:
         assert np.array_equal(got.h1_dot_norms, ref.h1_dot_norms, equal_nan=True)
         assert len(got.fields) == len(ref.fields)
         for f, r in zip(got.fields, ref.fields):
-            assert np.array_equal(f.coeffs, r.coeffs, equal_nan=True)
+            assert f.coeffs.tobytes() == r.coeffs.tobytes()
         assert np.array_equal(got.picard_residuals, ref.picard_residuals)
         assert np.array_equal(got.iterate_extrema, ref.iterate_extrema)
         assert got.iterations == ref.iterations
@@ -431,22 +446,52 @@ class TestChunkedSweepOracle:
         assert np.array_equal(got.value.residuals, ref.value.residuals)
 
 
+def _traced_peak(cfg):
+    tracemalloc.start()
+    try:
+        picard_solve(cfg)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_node_stacks_hold_the_band_only():
-    # a 128^2 node is 256 KiB, one node per sweep chunk: the run's two node
-    # stacks hold 85^2 of each node's 128^2 coefficients, and the full-lattice
-    # rows it works in stay a bounded few
+    # a 128^2 node is 256 KiB, one node per sweep chunk: the run's node stack
+    # holds 85^2 of each node's 128^2 coefficients, the linear part only
+    # u0's support (43^2 of them), and the full-lattice rows it works in
+    # stay a bounded few
     g = GridSpec(2, 16 * np.pi, 128)
     cfg = make_config(g=g, coeff=bessel_coeff(C=5.0), gamma=0.0, T0=0.125,
                       dt=1.0 / 128.0, u0=random_nonneg_initial_field(g, 0.3, seed=4))
     full_node = 16 * g.N ** 2
     band_node = 16 * (2 * (g.N // 3) + 1) ** 2
-    tracemalloc.start()
-    try:
-        picard_solve(cfg)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 2 * (cfg.n_steps + 1) * band_node + 16 * full_node
+    support_node = 16 * (2 * (g.N // 6) + 1) ** 2
+    peak = _traced_peak(cfg)
+    assert peak < (cfg.n_steps + 1) * (band_node + support_node) + 16 * full_node
+
+
+def test_run_holds_one_node_stack():
+    # two runs that differ only in their node count: the extra peak per
+    # extra node is one stored node (the iterate) plus the linear part on
+    # u0's support (14 of 85 entries for this omega datum), not two nodes
+    g = grid1()
+    u0 = omega_initial_field(g, 0.1)
+    cfgs = [make_config(g=g, coeff=bessel_coeff(C=1.0, rho=1.0), gamma=0.0,
+                        u0=u0, T0=0.0625, dt=dt)
+            for dt in (2.0 ** -14, 2.0 ** -15)]
+    node_bytes = 16 * solver._NodeLayout(g, u0.coeffs).size
+    small, large = (_traced_peak(cfg) for cfg in cfgs)
+    extra_nodes = cfgs[1].n_steps - cfgs[0].n_steps
+    assert (large - small) / (extra_nodes * node_bytes) <= 1.25
+
+
+def test_memory_guard_counts_one_stack():
+    # the guard only compares numbers, so nothing of this size is allocated:
+    # a stack of 0.75 of physical memory fits, one of 1.5 does not
+    have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    assert solver._require_stack_fits(2, int(0.375 * have)) is None
+    with pytest.raises(DomainError, match="physical memory"):
+        solver._require_stack_fits(2, int(0.75 * have))
 
 
 class TestBudget:
