@@ -190,9 +190,15 @@ def _cmd_solve(values, outdir):
     traj = picard_solve(config)
     path = os.path.join(outdir, "trajectory.csv")
     traj.to_csv(path)
-    if traj.overflow_at is not None:
+    if traj.overflow_at is not None and traj.converged:
         print(f"numerical blow-up at t = {traj.overflow_at!r} "
               f"(discrete H1 crossed {config.overflow_threshold:g})")
+    elif traj.overflow_at is not None:
+        # the iteration stopped at picard_max_iter: the crossing belongs to
+        # an iterate that is not the fixed point, so it shows no blow-up
+        print(f"discrete H1 crossed {config.overflow_threshold:g} at "
+              f"t = {traj.overflow_at!r} in an unconverged iterate; "
+              "no blow-up is claimed")
     print(f"wrote {path} ({len(traj.times)} times, {traj.iterations} sweeps, "
           f"converged={traj.converged})")
     return 0

@@ -67,11 +67,10 @@ class CoefficientSpec:
             values = np.full_like(xi_sq, self.C)
         else:
             values = self.C * (1.0 + xi_sq) ** (-self.rho / 2.0)
-        # a copy, which changes where glibc's malloc puts the solver's
-        # per-node temporaries. On a 2-CPU x86 host (numpy 2.4), perfbench
-        # solve-2d ran slower without it in 19 of 30 alternating pairs
-        # (medians 13.8 s against 12.5 s in the last ten), although
-        # `solve n=2` then takes 5.6K minor page faults instead of 26.3K.
+        # a copy, which changes where glibc's malloc puts the solver's later
+        # arrays. On a 2-CPU x86 host (numpy 2.4), in-process `solve n=2`
+        # ran slower without it in 7 of 8 alternating pairs (medians 9.1 s
+        # against 8.6 s), with about 10.2K minor page faults either way.
         # Why is not established
         return values.copy()
 

@@ -26,29 +26,32 @@ There the recurrence adds exact zeros to the decayed data: every iterate
 equals S(t) u0 = exp(-t (-Lap)^(alpha/2)) u0 + 0 outside the band, and is
 exactly +0 wherever u0 is. So a node is stored as a vector of its band
 coefficients ((2 (N//3) + 1)^n of N^n: 45% at 256^2, 30% at 128^3) followed
-by the k out-of-band coefficients where u0 is not +0. k is 0 for the CLI
-data (omega, random, zero); sampled noise fills it. The iterate is one
-(M+1, that length) stack, updated in place, and the only one a run holds.
-The linear part S(t) u0 is +0 wherever u0 is +0, so it is kept as an
-(M+1, |S|) table over u0's support S (14 of 341 stored entries for the
-omega datum at N=512, 90 of 29,241 at 256^2), and each chunk writes its
+by the k out-of-band coefficients where u0 is not +0 (spectral.BandLayout).
+k is 0 for the CLI data (omega, random, zero); sampled noise fills it. The
+iterate is one (M+1, that length) stack, updated in place, and the only one
+a run holds. The linear part S(t) u0 is +0 wherever u0 is +0, so it is kept
+as an (M+1, |S|) table over u0's support S (14 of 341 stored entries for
+the omega datum at N=512, 90 of 29,241 at 256^2), and each chunk writes its
 rows into a zeroed row buffer before the recurrence adds them. The
 out-of-band entries go through the same recurrence as the band, with G = 0,
 so there is one path for both.
 
 A sweep walks the node axis in chunks of as many nodes as fit a 256 KiB
 budget of full-lattice rows (dozens per chunk on 1-D grids, one on a 256^2
-or 128^3 grid). Per chunk, the previous iterate's rows are scattered onto
-the full lattice (2^n block copies per row, plus the k entries), G is one
-batched inverse and one forward FFT over the spatial axes there, and its
-stored entries are gathered back. The recurrence steps node by node on
-stored vectors, in place in preallocated buffers. The chunk's new rows are
-scattered onto the full lattice for their H1 norms, residual and
-coefficient extrema, which are taken before the stored rows are replaced:
-numpy's pairwise sums see the same full-shape rows as before, so the norms
-keep their bits. Batched transforms, elementwise ops and per-row sums apply
-the same arithmetic to each node as a call on that node alone, so every
-result is bitwise identical to a per-node sweep on full-lattice nodes
+or 128^3 grid). Only G's transforms need the full lattice. G saturates the
+previous iterate's stored rows and multiplies them by |xi|, scatters them
+into a zeroed lattice buffer, runs one batched inverse and one forward FFT
+over the spatial axes there, gathers the stored entries back, and divides
+by N^n, zeroes the out-of-band entries and multiplies by b_hat on those.
+The recurrence steps node by node on stored vectors, in place in
+preallocated buffers. The H1 norms and the residual weight the stored
+entries and place the terms on lattice rows that are +0 elsewhere, so
+numpy's pairwise sums see the same full-shape rows as before; the
+coefficient extrema are those of the stored real parts and the +0 entries.
+Each stored entry goes through the same IEEE operations as on a
+full-lattice node, and batched transforms, elementwise ops and per-row sums
+apply the same arithmetic to each node as a call on that node alone, so
+every result is bitwise identical to a per-node sweep on full-lattice nodes
 (tests/oracles.py keeps that loop as the reference).
 
 The returned Trajectory keeps the stored stack; its fields are a read-only
@@ -56,13 +59,20 @@ sequence that builds each full-lattice SpectralField when it is read, so
 the h1_dot norms and Trajectory.to_csv hold one full field at a time.
 
 G at a node depends only on the previous iterate, so when one node fills a
-chunk (256^2 and 128^3 grids) a second thread computes G of chunk c + 1
-while this one runs chunk c's recurrence, norms and row update; numpy's
-FFTs and elementwise loops release the interpreter lock, so the two
-overlap. The worker is created inside picard_solve and joined before it
-returns. 1-D grids (dozens of nodes per chunk) stay on one thread: there,
-handing the interpreter lock back and forth costs more than the overlap
-saves. Both regimes do the same arithmetic and give the same bits.
+chunk (256^2 and 128^3 grids) the sweep queues G of the next _LOOKAHEAD
+chunks on a second thread while this one runs chunk c's recurrence, norms
+and row update. When G of chunk c + 1 is not ready, this thread claims the
+farthest queued chunk that the worker has not started and computes its G
+itself, and it waits only when none is left; so both CPUs stay busy when G
+costs more than the rest of a node. numpy's FFTs and elementwise loops
+release the interpreter lock, so the threads overlap. G of a chunk reads
+only rows of the previous iterate that this thread has not yet replaced,
+and each thread transforms in its own lattice buffer, so G has the same
+bits whichever thread computes it. The worker is created inside
+picard_solve and joined before it returns. 1-D grids (dozens of nodes per
+chunk) stay on one thread: there, handing the interpreter lock back and
+forth costs more than the overlap saves. Both regimes do the same
+arithmetic and give the same bits.
 
 Blow-up handling: past the true explosion time the iterates diverge doubly
 exponentially in the sweep index and would overflow float range, so the
@@ -72,7 +82,7 @@ _SweepState.nonlinearity, which is plain G, as duhamel_step evaluates it,
 and gives a node whose norm is not finite G = 0 after it (saturated forcing;
 continuous in the iterate, unlike an on/off cutoff, which orbits a limit
 cycle). Those rows overflow by design, so picard_solve runs its sweeps, and
-G on the worker thread, under np.errstate(over="ignore", invalid="ignore").
+G on either thread, under np.errstate(over="ignore", invalid="ignore").
 Saturation only affects nodes at or past the crossing; the returned
 trajectory is truncated at the first crossing, whose field is kept as the
 last one and whose time is Trajectory.overflow_at (the one record of the
@@ -90,7 +100,6 @@ truncated pass more than full sweeps would.
 """
 
 import contextlib
-import itertools
 import math
 import os
 from collections.abc import Sequence
@@ -102,8 +111,8 @@ import numpy as np
 from .coefficient import CoefficientSpec, gamma_case, sobolev_norm_of_b
 from .errors import DomainError, NonConvergenceError, require_finite
 from .operators import require_alpha, semigroup_symbol
-from .spectral import (GridSpec, SpectralField, _weighted_norm, dealiased_square,
-                       h1_dot_norm, h1_norm, h1_weight, write_csv)
+from .spectral import (BandLayout, GridSpec, SpectralField, _weighted_norm,
+                       dealiased_square, h1_dot_norm, h1_norm, h1_weight, write_csv)
 
 
 def random_nonneg_initial_field(grid, h1_amplitude, seed):
@@ -258,61 +267,9 @@ def sweep_step(I, decay, g_prev, g_new, half_dt, work):
 # scratch budget for one chunk of the node stack: a 1-D sweep batches many
 # nodes per transform call, a 256^2 or 128^3 field goes one node at a time
 _CHUNK_BYTES = 256 * 1024
-
-
-class _NodeLayout:
-    """Which coefficients of a node the solver stores, and where they sit on
-    the full lattice.
-
-    A stored node is one vector: the 2/3-rule band (|m| <= lim per axis, lim
-    = grid.dealias_limit, B = 2 lim + 1 modes, so 2^n blocks of the FFT
-    layout) as a (B,)*n array in C order, then the values at ext, the flat
-    lattice indices outside the band where u0 is not +0. Every other
-    coefficient of every iterate is exactly +0 (see the module docstring).
-    support holds the positions in a stored node where u0 is not +0: the
-    only ones where the linear part S(t) u0 is not +0.
-    """
-
-    def __init__(self, grid, u0c):
-        lim = grid.dealias_limit
-        width = 2 * lim + 1
-        halves = ((slice(0, lim + 1), slice(0, lim + 1)),
-                  (slice(lim + 1, width), slice(grid.N - lim, grid.N)))
-        # (stored slices, lattice slices) per block, with the node axis first
-        self.blocks = [tuple((slice(None),) + s for s in zip(*combo))
-                       for combo in itertools.product(halves, repeat=grid.n)]
-        self.band_shape = (width,) * grid.n
-        self.band_size = width ** grid.n
-        # -0.0 counts: the sweep turns it into +0.0 at later nodes, as on
-        # the full lattice
-        nonzero = (u0c != 0) | np.signbit(u0c.real) | np.signbit(u0c.imag)
-        self.ext = np.flatnonzero(~grid.dealias_mask & nonzero)
-        self.size = self.band_size + len(self.ext)
-        self.support = np.flatnonzero(
-            self.gather(nonzero[None], np.empty((1, self.size), dtype=bool)))
-
-    def _band(self, rows):
-        # a view: a row's band part is contiguous
-        return rows[:, :self.band_size].reshape((len(rows),) + self.band_shape)
-
-    def scatter(self, rows, full):
-        """Write stored rows (k, size) to their places in the lattice rows
-        full (k, *grid.shape), leaving every other entry as it is."""
-        band = self._band(rows)
-        for stored, lattice in self.blocks:
-            full[lattice] = band[stored]
-        if len(self.ext):
-            full.reshape(len(full), -1)[:, self.ext] = rows[:, self.band_size:]
-        return full
-
-    def gather(self, full, rows):
-        """Inverse of scatter: copy the stored entries of full into rows."""
-        band = self._band(rows)
-        for stored, lattice in self.blocks:
-            band[stored] = full[lattice]
-        if len(self.ext):
-            rows[:, self.band_size:] = full.reshape(len(full), -1)[:, self.ext]
-        return rows
+# chunks whose G a pipelined sweep queues for the worker ahead of the one it
+# runs; each holds one more stored G buffer
+_LOOKAHEAD = 2
 
 
 class _NodeFields(Sequence):
@@ -338,28 +295,37 @@ class _NodeFields(Sequence):
 
 
 class _SweepState:
-    """G's precomputed multipliers, and G over node stacks; picard_solve and
-    duhamel_step share it.
+    """G's precomputed multipliers on a BandLayout's stored entries, and G
+    over stacks of stored rows; picard_solve and duhamel_step share it.
 
-    A node stack is a (k, *grid.shape) coefficient array holding consecutive
-    time nodes. Every operation is elementwise or a transform over the
-    spatial axes only, so each row comes out bit for bit as if the node had
-    been processed on its own.
+    Every operation is elementwise on the stored entries or a transform
+    over the spatial axes of one lattice row per stored row, so each row
+    comes out bit for bit as if its node had been processed on its own, on
+    the full lattice.
     """
 
-    def __init__(self, config):
-        self.grid = config.grid
-        self.abs_xi = np.sqrt(config.grid.xi_norm_sq)
-        self.b_sym = config.coefficient.symbol_on(config.grid.xi_norm_sq)
+    def __init__(self, config, layout):
+        grid = config.grid
+        self.layout = layout
+        self.abs_xi = _stored(layout, np.sqrt(grid.xi_norm_sq))
+        # b_hat >= 0 (C >= 0), so the out-of-band entries, which come out of
+        # the square as +0, stay +0, as the masked lattice entries did
+        self.b_hat = _stored(layout, config.coefficient.symbol_on(grid.xi_norm_sq))
 
-    def nonlinearity(self, u):
-        """G(u) for each node of the stack u: coefficients of
-        b * ((-Lap)^(1/2) u)^2, the square dealiased by the 2/3 rule,
-        computed in place in u, which is returned. A sweep saturates u
-        before this call (g_of in picard_solve)."""
-        a = np.multiply(self.abs_xi, u, out=u)
-        w = dealiased_square(a, self.grid)
-        return np.multiply(w, self.b_sym, out=w)
+    def nonlinearity(self, u, out, lattice):
+        """G(u) for each stored row of u: coefficients of
+        b * ((-Lap)^(1/2) u)^2, the square dealiased by the 2/3 rule, written
+        into out (which may be u) and returned; lattice is dealiased_square's
+        scratch. A sweep saturates u before this call (g_of in
+        picard_solve)."""
+        a = np.multiply(self.abs_xi, u, out=out)
+        w = dealiased_square(a, self.layout, lattice)
+        return np.multiply(w, self.b_hat, out=w)
+
+
+def _stored(layout, values):
+    """The stored entries of one full-lattice array."""
+    return layout.gather(values[None], np.empty((1, layout.size), values.dtype))[0]
 
 
 def _worker(needed):
@@ -394,14 +360,30 @@ def picard_solve(config):
     """
     grid = config.grid
     u0c = config.u0.coeffs
-    layout = _NodeLayout(grid, u0c)
+    # -0.0 counts: the sweep turns it into +0.0 at later nodes, as on the
+    # full lattice
+    nonzero = (u0c != 0) | np.signbit(u0c.real) | np.signbit(u0c.imag)
+    layout = BandLayout(grid, nonzero)
+    # the stored positions where u0 is not +0: the only ones where the
+    # linear part S(t) u0 is not +0
+    support = np.flatnonzero(_stored(layout, nonzero))
     M = config.n_steps
-    support = layout.support
     itemsize = np.dtype(np.complex128).itemsize
     _require_stack_fits(M + 1, (layout.size + len(support)) * itemsize)
-    state = _SweepState(config)
-    # every norm of the sweep is _weighted_norm(h1w, rows), h1_norm's routine
-    h1w = h1_weight(grid)
+    state = _SweepState(config, layout)
+    chunk = max(1, _CHUNK_BYTES // (u0c.size * itemsize))
+    # every norm of the sweep is _weighted_norm(h1w, rows, place=on_lattice),
+    # h1_norm's routine on stored rows. The terms go onto lattice rows that
+    # stay +0 off the stored positions, where scatter never writes
+    h1w = _stored(layout, h1_weight(grid))
+    norm_rows = np.zeros((chunk,) + grid.shape)
+
+    def on_lattice(terms):
+        return layout.scatter(terms, norm_rows[:len(terms)])
+
+    # the lattice entries off the stored positions are +0 in every iterate,
+    # and they count in its extrema
+    unstored = (0.0,) if layout.size < u0c.size else ()
     times = config.times
     thresh = config.overflow_threshold
     half_dt = 0.5 * config.dt
@@ -410,15 +392,13 @@ def picard_solve(config):
     lin_h1 = np.empty(M + 1)
     stored = np.empty((1, layout.size), dtype=np.complex128)
     for i, t in enumerate(times):
-        row = (semigroup_symbol(grid, t, config.alpha) * u0c)[None]
-        lin_h1[i] = _weighted_norm(h1w, row)[0]
-        lin[i] = layout.gather(row, stored)[0, support]
+        layout.gather((semigroup_symbol(grid, t, config.alpha) * u0c)[None], stored)
+        lin_h1[i] = _weighted_norm(h1w, stored, place=on_lattice)[0]
+        lin[i] = stored[0, support]
     if not lin_h1[0] <= thresh:
         raise DomainError(f"initial datum has ||u0||_H1 = {float(lin_h1[0])!r}, which "
                           f"fails ||u0||_H1 <= overflow_threshold = {thresh!r}")
-    decay = layout.gather(semigroup_symbol(grid, config.dt, config.alpha)[None],
-                          np.empty((1, layout.size)))[0]
-    chunk = max(1, _CHUNK_BYTES // (u0c.size * itemsize))
+    decay = _stored(layout, semigroup_symbol(grid, config.dt, config.alpha))
 
     def crossing_of(h1):
         over = np.flatnonzero(~np.isfinite(h1) | (h1 > thresh))
@@ -435,21 +415,22 @@ def picard_solve(config):
     diff = np.empty_like(rows)
     I = np.empty(layout.size, dtype=np.complex128)
     step_work = np.empty_like(I)
-    # lattice rows for the norms and extrema of a chunk, and for G's input
-    # and output. Both start at zero and only ever get new values at stored
-    # positions: scatter writes nothing else, and G is zero outside the band
-    full = np.zeros((chunk,) + grid.shape, dtype=np.complex128)
-    g_full = np.zeros_like(full)
     # one node fills a chunk (256^2 and 128^3 grids): a worker thread computes
-    # G of chunk ci + 1 while this thread runs chunk ci. The worker reads only
-    # chunk ci + 1's rows of prev and prev_h1, which this thread replaces only
-    # after it has taken that G
+    # G of the next _LOOKAHEAD chunks while this thread runs chunk ci, and
+    # this thread takes the queued ones the worker has not started when it
+    # would otherwise wait. G of a chunk reads only its rows of prev and
+    # prev_h1, which this thread replaces only after it has taken that G
     pipelined = chunk == 1
-    # G buffers in rotation: chunk ci's G, chunk ci - 1's (its last row is the
-    # recurrence's g_last) and, pipelined, chunk ci + 1's being computed
-    g_bufs = [np.empty_like(rows) for _ in range(3 if pipelined else 2)]
+    # G buffers by chunk: chunk ci's G, chunk ci - 1's (its last row is the
+    # recurrence's g_last) and, pipelined, the queued chunks'
+    g_bufs = [np.empty_like(rows) for _ in range(_LOOKAHEAD + 2 if pipelined else 2)]
+    # dealiased_square's lattice scratch, one for each thread that runs G
+    lattice = np.empty((chunk,) + grid.shape, dtype=np.complex128)
+    worker_lattice = np.empty_like(lattice) if pipelined else None
+    queued = {}     # chunk -> Future of its G on the worker
+    taken = {}      # chunk -> its G, taken off the queue by this thread
 
-    def g_of(ci):
+    def g_of(ci, scratch):
         """G of chunk ci of the previous iterate, saturated: a row whose
         finite H1 norm exceeds thresh is rescaled down to it first, and a row
         whose norm is not finite gets G = 0. That keeps the iteration inside
@@ -459,14 +440,37 @@ def picard_solve(config):
         as it also runs on the worker thread."""
         lo = ci * chunk
         hi = min(lo + chunk, end)
-        u = layout.scatter(prev[lo:hi], g_full[:hi - lo])
+        u = prev[lo:hi]
+        out = g_bufs[ci % len(g_bufs)][:hi - lo]
         h1 = prev_h1[lo:hi]
-        for r in np.flatnonzero(np.isfinite(h1) & (h1 > thresh)):
-            np.multiply(u[r], thresh / h1[r], out=u[r])
+        big = np.flatnonzero(np.isfinite(h1) & (h1 > thresh))
+        if len(big):
+            out[...] = u
+            u = out
+            for r in big:
+                np.multiply(u[r], thresh / h1[r], out=u[r])
         with np.errstate(over="ignore", invalid="ignore"):
-            state.nonlinearity(u)
-        u[~np.isfinite(h1)] = 0.0
-        return layout.gather(u, g_bufs[ci % len(g_bufs)][:hi - lo])
+            state.nonlinearity(u, out, scratch[:hi - lo])
+        out[~np.isfinite(h1)] = 0.0
+        return out
+
+    def g_take(ci):
+        """G of chunk ci. While the worker has not finished a queued ci,
+        this thread claims the farthest queued chunk the worker has not
+        started (cancel() fails once it has) and computes that G itself; it
+        waits only when none is left."""
+        while ci in queued and not queued[ci].done():
+            far = next((c for c in sorted(queued, reverse=True) if queued[c].cancel()),
+                       None)
+            if far is None:
+                break
+            del queued[far]
+            taken[far] = g_of(far, lattice)
+        if ci in taken:
+            return taken.pop(ci)
+        if ci in queued:
+            return queued.pop(ci).result()
+        return g_of(ci, lattice)
 
     # rows at or past a crossing leave float range by design
     with _worker(pipelined) as pool, np.errstate(over="ignore", invalid="ignore"):
@@ -491,14 +495,15 @@ def picard_solve(config):
                 res = 0.0
                 scale = 0.0
                 I[...] = 0.0
-                g = g_of(0)
+                ahead = 1
                 for ci in range(n_chunks):
+                    while pool is not None and ahead < min(ci + 1 + _LOOKAHEAD, n_chunks):
+                        queued[ahead] = pool.submit(g_of, ahead, worker_lattice)
+                        ahead += 1
+                    g = g_take(ci)
                     lo = ci * chunk
                     hi = min(lo + chunk, end)
                     k = hi - lo
-                    g_next = None
-                    if pool is not None and ci + 1 < n_chunks:
-                        g_next = pool.submit(g_of, ci + 1)
                     new = rows[:k]
                     lin_c = lin_rows[:k]
                     lin_c[:, support] = lin[lo:hi]
@@ -510,8 +515,7 @@ def picard_solve(config):
                             sweep_step(I, decay, g_last, g[r], half_dt, step_work)
                             np.add(lin_c[r], I, out=new[r])
                         g_last = g[r]
-                    c = layout.scatter(new, full[:k])
-                    new_h1 = _weighted_norm(h1w, c)
+                    new_h1 = _weighted_norm(h1w, new, place=on_lattice)
                     if new_cross is None:
                         valid = k
                         crossing = crossing_of(new_h1)
@@ -519,20 +523,15 @@ def picard_solve(config):
                             new_cross = lo + crossing
                             valid = crossing
                         if valid:
-                            c = c[:valid]
+                            c = new[:valid]
                             scale = max(scale, float(new_h1[:valid].max()))
-                            min_re = min(min_re, float(np.min(c.real)))
-                            max_re = max(max_re, float(np.max(c.real)))
-                            d = np.subtract(new[:valid], prev[lo:lo + valid],
-                                            out=diff[:valid])
-                            d_h1 = _weighted_norm(h1w, layout.scatter(d, c))
+                            min_re = min(min_re, float(np.min(c.real)), *unstored)
+                            max_re = max(max_re, float(np.max(c.real)), *unstored)
+                            d = np.subtract(c, prev[lo:lo + valid], out=diff[:valid])
+                            d_h1 = _weighted_norm(h1w, d, place=on_lattice)
                             res = max(res, float(d_h1.max()))
                     prev[lo:hi] = new
                     prev_h1[lo:hi] = new_h1
-                    if g_next is not None:
-                        g = g_next.result()
-                    elif ci + 1 < n_chunks:
-                        g = g_of(ci + 1)
                 # no crossing below end: a full sweep's crossing, if any, lies
                 # in rows this sweep left stale
                 stale = new_cross is None and end <= M
@@ -577,7 +576,7 @@ def duhamel_step(u_history, t, config):
     up to roundoff); the prefix must cover [0, t] on the dt lattice. At or
     past the history's overflow_at the result is a NaN field.
     """
-    state = _SweepState(config)
+    grid = config.grid
     i_t = _lattice_index(t, config.dt)
     if i_t is None:
         raise DomainError(f"time {t} is not on the dt = {config.dt} lattice")
@@ -587,17 +586,23 @@ def duhamel_step(u_history, t, config):
             f"need node {i_t}")
     cross = u_history.overflow_at
     if cross is not None and i_t >= int(round(cross / config.dt)):
-        return SpectralField(config.grid, np.full(config.grid.shape, np.nan,
-                                                  dtype=np.complex128))
-    acc = semigroup_symbol(config.grid, t, config.alpha) * config.u0.coeffs
+        return SpectralField(grid, np.full(grid.shape, np.nan, dtype=np.complex128))
+    acc = semigroup_symbol(grid, t, config.alpha) * config.u0.coeffs
     if i_t > 0:
+        # a layout that stores every lattice entry takes any history
+        layout = BandLayout(grid, np.ones(grid.shape, dtype=bool))
+        state = _SweepState(config, layout)
+        row = np.empty((1, layout.size), dtype=np.complex128)
+        lattice = np.empty((1,) + grid.shape, dtype=np.complex128)
         dt = config.dt
         for j in range(i_t + 1):
             w = dt if 0 < j < i_t else 0.5 * dt
             # by index, not by slice: a solve's fields are built one read at a time
-            g = state.nonlinearity(u_history.fields[j].coeffs[None].copy())[0]
-            acc = acc + w * semigroup_symbol(config.grid, t - j * dt, config.alpha) * g
-    return SpectralField(config.grid, acc)
+            layout.gather(u_history.fields[j].coeffs[None], row)
+            state.nonlinearity(row, row, lattice)
+            g = layout.scatter(row, np.empty_like(lattice))[0]
+            acc = acc + w * semigroup_symbol(grid, t - j * dt, config.alpha) * g
+    return SpectralField(grid, acc)
 
 
 @dataclass

@@ -23,6 +23,7 @@ Conventions (fixed once, used everywhere):
   rejects complex samples and ``inverse_transform`` returns real samples.
 """
 
+import itertools
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -152,14 +153,24 @@ def inverse_transform(fld):
     return (np.fft.ifftn(fld.coeffs) * fld.grid.N ** fld.grid.n).real
 
 
-def _weighted_norm(weight, coeffs, scale=1.0):
+def _weighted_norm(weight, coeffs, scale=1.0, place=None):
     """sqrt(scale * sum(weight * (re^2 + im^2))) of coeffs over the trailing
     weight.ndim axes: one number for a field, one per row for a stack of
     fields. +inf where a summed coefficient is not finite. The scalar scale
-    multiplies the sum once instead of every term."""
-    axes = tuple(range(coeffs.ndim - weight.ndim, coeffs.ndim))
+    multiplies the sum once instead of every term.
+
+    With place, coeffs and weight hold only the stored entries of lattice
+    rows (a BandLayout's), every other coefficient being +0, and
+    place(terms) returns the terms on lattice rows that are +0 off the
+    stored positions. The sum then runs over the same array as for the
+    full rows, so the norms keep their bits.
+    """
     with np.errstate(invalid="ignore", over="ignore"):
-        h = np.sqrt(scale * (weight * (coeffs.real ** 2 + coeffs.imag ** 2)).sum(axis=axes))
+        terms = weight * (coeffs.real ** 2 + coeffs.imag ** 2)
+        lead = coeffs.ndim - weight.ndim
+        if place is not None:
+            terms = place(terms)
+        h = np.sqrt(scale * terms.sum(axis=tuple(range(lead, terms.ndim))))
     return np.where(np.isfinite(h), h, np.inf)
 
 
@@ -179,26 +190,82 @@ def h1_dot_norm(fld):
     return float(_weighted_norm(grid.xi_norm_sq, fld.coeffs, scale=grid.L ** grid.n))
 
 
-def dealiased_square(coeffs, grid):
-    """Coefficients of the pointwise square of the field(s) with coefficients
-    coeffs, dealiased, in place: coeffs is a complex field, or a stack of
-    fields whose trailing grid.n axes are the spatial ones, and it is
-    overwritten and returned.
+class BandLayout:
+    """Which coefficients of lattice rows are stored, and where they sit on
+    the lattice.
 
-    Both transforms run in that one buffer. Computed as inverse transform ->
-    square -> forward transform, which equals the lattice autoconvolution of
-    the coefficients on the retained modes (the 2/3 rule removes exactly the
-    aliased band).
+    A stored row is one vector: the 2/3-rule band (|m| <= lim per axis, lim
+    = grid.dealias_limit, B = 2 lim + 1 modes, so 2^n blocks of the FFT
+    layout) as a (B,)*n array in C order, then the values at ext, the flat
+    lattice indices outside the band where keep (a boolean lattice) is True.
+    A row stands for the lattice row that holds its values at those places
+    and +0 everywhere else.
     """
+
+    def __init__(self, grid, keep):
+        self.grid = grid
+        lim = grid.dealias_limit
+        width = 2 * lim + 1
+        halves = ((slice(0, lim + 1), slice(0, lim + 1)),
+                  (slice(lim + 1, width), slice(grid.N - lim, grid.N)))
+        # (stored slices, lattice slices) per block, with the row axis first
+        self.blocks = [tuple((slice(None),) + s for s in zip(*combo))
+                       for combo in itertools.product(halves, repeat=grid.n)]
+        self.band_shape = (width,) * grid.n
+        self.band_size = width ** grid.n
+        self.ext = np.flatnonzero(~grid.dealias_mask & keep)
+        self.size = self.band_size + len(self.ext)
+
+    def _band(self, rows):
+        # a view: a row's band part is contiguous
+        return rows[:, :self.band_size].reshape((len(rows),) + self.band_shape)
+
+    def scatter(self, rows, full):
+        """Write stored rows (k, size) to their places in the lattice rows
+        full (k, *grid.shape), leaving every other entry as it is."""
+        band = self._band(rows)
+        for stored, lattice in self.blocks:
+            full[lattice] = band[stored]
+        if len(self.ext):
+            full.reshape(len(full), -1)[:, self.ext] = rows[:, self.band_size:]
+        return full
+
+    def gather(self, full, rows):
+        """Inverse of scatter: copy the stored entries of full into rows."""
+        band = self._band(rows)
+        for stored, lattice in self.blocks:
+            band[stored] = full[lattice]
+        if len(self.ext):
+            rows[:, self.band_size:] = full.reshape(len(full), -1)[:, self.ext]
+        return rows
+
+
+def dealiased_square(rows, layout, lattice):
+    """Stored coefficients of the pointwise squares of the fields whose
+    stored coefficients (a BandLayout's) are rows, dealiased by the 2/3 rule,
+    in place in rows, which is returned.
+
+    lattice is complex scratch of shape (len(rows), *grid.shape): it is
+    zeroed, receives the rows, and both transforms run in it. Computed as
+    inverse transform -> square -> forward transform, which equals the
+    lattice autoconvolution of the coefficients on the retained modes (the
+    2/3 rule removes exactly the aliased band); the out-of-band entries
+    come out +0. Each stored entry goes through the same operations as on
+    the full lattice, so the result has the full-lattice bits.
+    """
+    grid = layout.grid
     Nn = grid.N ** grid.n
-    axes = tuple(range(coeffs.ndim - grid.n, coeffs.ndim))
-    v = np.fft.ifftn(coeffs, axes=axes, out=coeffs)
+    axes = tuple(range(1, lattice.ndim))
+    lattice[...] = 0.0
+    v = layout.scatter(rows, lattice)
+    np.fft.ifftn(v, axes=axes, out=v)
     np.multiply(v, Nn, out=v)
     np.multiply(v, v, out=v)
     np.fft.fftn(v, axes=axes, out=v)
-    np.true_divide(v, Nn, out=v)
-    np.copyto(v, 0.0, where=~grid.dealias_mask)
-    return v
+    layout.gather(v, rows)
+    np.true_divide(rows, Nn, out=rows)
+    rows[:, layout.band_size:] = 0.0
+    return rows
 
 
 #: rows per formatting block; bounds the Python objects alive at once

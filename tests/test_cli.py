@@ -287,6 +287,20 @@ class TestSubcommands:
         assert np.array_equal(half[:, 0], base[:, 0])
         assert np.array_equal(half[:, 1:], 0.5 * base[:, 1:])
 
+    @pytest.mark.parametrize("args, converged", [
+        # the n=1 defaults stop at picard_max_iter = 60 with a crossing
+        ((), False),
+        (("kind=dirac", "C=2048", "gamma=0.9", "u0=omega", "u0_amplitude=128",
+          "T0=1e-6", "dt=5e-9", "N=512", "picard_max_iter=150"), True)])
+    def test_solve_claims_blowup_only_when_converged(self, outdir, capsys, args,
+                                                     converged):
+        assert run(["solve", "-o", str(outdir), *args]) == 0
+        out = capsys.readouterr().out
+        assert f"converged={converged}" in out
+        assert ("numerical blow-up at t = " in out) == converged
+        assert ("in an unconverged iterate; no blow-up is claimed" in out) != converged
+        assert "crossed 1e+12" in out
+
     def test_kernel_check_writes_csv(self, outdir, capsys):
         code = run(["kernel-check", "-o", str(outdir), "alpha=2", "s=1",
                     "t_values=0.5,1"])

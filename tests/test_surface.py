@@ -19,9 +19,14 @@ second path that production runs never use.
 
 The modules form layers, and a module imports only from layers below its
 own (``LAYERS``): a decision that two layers need lives in the lower one.
+
+Importing the CLI loads no module that only some runs use (``LAZY``):
+every call pays its import time.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -36,6 +41,11 @@ EXEMPT = {"duhamel_step"}
 # below cli
 LAYERS = ({"errors"}, {"spectral"}, {"operators", "coefficient"},
           {"solver", "certificate"}, {"cli", "__init__"})
+
+
+# modules that only some runs use, imported where they are used: the
+# solver's worker pool
+LAZY = ("concurrent.futures",)
 
 
 def _definitions(tree):
@@ -213,3 +223,12 @@ def test_every_default_is_taken():
 
 def test_modules_import_only_from_lower_layers():
     assert layer_violations() == []
+
+
+def test_cli_import_loads_no_lazy_module():
+    # a fresh interpreter: this one has imported the test suite's modules
+    code = ("import sys; import fraclap.cli; "
+            f"print(sorted(m for m in {LAZY!r} if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], cwd=ROOT / "src",
+                         capture_output=True, text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"
