@@ -71,15 +71,15 @@ and each thread transforms in its own lattice buffer, so G has the same
 bits whichever thread computes it. The worker is created inside
 picard_solve and joined before it returns. 1-D grids (dozens of nodes per
 chunk) stay on one thread: there, handing the interpreter lock back and
-forth costs more than the overlap saves. Both regimes do the same
-arithmetic and give the same bits.
+forth costs more than the overlap saves (with the worker forced on, the
+blow-up proxy's two solves ran about 20% slower; README, Performance
+notes). Both regimes do the same arithmetic and give the same bits.
 
 Blow-up handling: past the true explosion time the iterates diverge doubly
 exponentially in the sweep index and would overflow float range, so the
 sweep rescales the input of G at a node whose discrete H1 exceeds
-overflow_threshold down to the threshold before it calls
-_SweepState.nonlinearity, which is plain G, as duhamel_step evaluates it,
-and gives a node whose norm is not finite G = 0 after it (saturated forcing;
+overflow_threshold down to the threshold before it evaluates plain G, and
+gives a node whose norm is not finite G = 0 after it (saturated forcing;
 continuous in the iterate, unlike an on/off cutoff, which orbits a limit
 cycle). Those rows overflow by design, so picard_solve runs its sweeps, and
 G on either thread, under np.errstate(over="ignore", invalid="ignore").
@@ -294,35 +294,6 @@ class _NodeFields(Sequence):
         return SpectralField(self.grid, full[0])
 
 
-class _SweepState:
-    """G's precomputed multipliers on a BandLayout's stored entries, and G
-    over stacks of stored rows; picard_solve and duhamel_step share it.
-
-    Every operation is elementwise on the stored entries or a transform
-    over the spatial axes of one lattice row per stored row, so each row
-    comes out bit for bit as if its node had been processed on its own, on
-    the full lattice.
-    """
-
-    def __init__(self, config, layout):
-        grid = config.grid
-        self.layout = layout
-        self.abs_xi = _stored(layout, np.sqrt(grid.xi_norm_sq))
-        # b_hat >= 0 (C >= 0), so the out-of-band entries, which come out of
-        # the square as +0, stay +0, as the masked lattice entries did
-        self.b_hat = _stored(layout, config.coefficient.symbol_on(grid.xi_norm_sq))
-
-    def nonlinearity(self, u, out, lattice):
-        """G(u) for each stored row of u: coefficients of
-        b * ((-Lap)^(1/2) u)^2, the square dealiased by the 2/3 rule, written
-        into out (which may be u) and returned; lattice is dealiased_square's
-        scratch. A sweep saturates u before this call (g_of in
-        picard_solve)."""
-        a = np.multiply(self.abs_xi, u, out=out)
-        w = dealiased_square(a, self.layout, lattice)
-        return np.multiply(w, self.b_hat, out=w)
-
-
 def _stored(layout, values):
     """The stored entries of one full-lattice array."""
     return layout.gather(values[None], np.empty((1, layout.size), values.dtype))[0]
@@ -370,7 +341,10 @@ def picard_solve(config):
     M = config.n_steps
     itemsize = np.dtype(np.complex128).itemsize
     _require_stack_fits(M + 1, (layout.size + len(support)) * itemsize)
-    state = _SweepState(config, layout)
+    abs_xi = _stored(layout, np.sqrt(grid.xi_norm_sq))
+    # b_hat >= 0 (C >= 0), so the out-of-band entries, which come out of the
+    # square as +0, stay +0, as the masked lattice entries did
+    b_hat = _stored(layout, config.coefficient.symbol_on(grid.xi_norm_sq))
     chunk = max(1, _CHUNK_BYTES // (u0c.size * itemsize))
     # every norm of the sweep is _weighted_norm(h1w, rows, place=on_lattice),
     # h1_norm's routine on stored rows. The terms go onto lattice rows that
@@ -387,17 +361,16 @@ def picard_solve(config):
     times = config.times
     thresh = config.overflow_threshold
     half_dt = 0.5 * config.dt
+    u0_h1 = _weighted_norm(h1w, _stored(layout, u0c)[None], place=on_lattice)[0]
+    if not u0_h1 <= thresh:
+        raise DomainError(f"initial datum has ||u0||_H1 = {float(u0_h1)!r}, which "
+                          f"fails ||u0||_H1 <= overflow_threshold = {thresh!r}")
     # the linear part S(t) u0 on u0's support only: it is +0 elsewhere
     lin = np.empty((M + 1, len(support)), dtype=np.complex128)
-    lin_h1 = np.empty(M + 1)
     stored = np.empty((1, layout.size), dtype=np.complex128)
     for i, t in enumerate(times):
         layout.gather((semigroup_symbol(grid, t, config.alpha) * u0c)[None], stored)
-        lin_h1[i] = _weighted_norm(h1w, stored, place=on_lattice)[0]
         lin[i] = stored[0, support]
-    if not lin_h1[0] <= thresh:
-        raise DomainError(f"initial datum has ||u0||_H1 = {float(lin_h1[0])!r}, which "
-                          f"fails ||u0||_H1 <= overflow_threshold = {thresh!r}")
     decay = _stored(layout, semigroup_symbol(grid, config.dt, config.alpha))
 
     def crossing_of(h1):
@@ -449,8 +422,10 @@ def picard_solve(config):
             u = out
             for r in big:
                 np.multiply(u[r], thresh / h1[r], out=u[r])
+        # b * ((-Lap)^(1/2) u)^2, the square dealiased by the 2/3 rule
         with np.errstate(over="ignore", invalid="ignore"):
-            state.nonlinearity(u, out, scratch[:hi - lo])
+            np.multiply(abs_xi, u, out=out)
+            np.multiply(dealiased_square(out, layout, scratch[:hi - lo]), b_hat, out=out)
         out[~np.isfinite(h1)] = 0.0
         return out
 
@@ -480,8 +455,13 @@ def picard_solve(config):
         for truncate in (True, False):
             prev[...] = 0.0
             prev[:, support] = lin
-            prev_h1[...] = lin_h1
-            prev_cross = crossing_of(prev_h1)
+            # S(t) scales each coefficient by exp(-t |xi|^alpha) <= 1 and
+            # rounding is monotone, so no node of the linear part has an H1
+            # norm above ||u0|| <= thresh: the first sweep saturates no G, and
+            # the pass starts with no crossing. The last sweep rewrites every
+            # norm the run returns
+            prev_h1[...] = u0_h1
+            prev_cross = None
             residuals = []
             min_re, max_re = np.inf, -np.inf
             converged = stale = False
@@ -567,42 +547,6 @@ def picard_solve(config):
         converged=converged,
         iterate_extrema=(float(min_re), float(max_re)),
     )
-
-
-def duhamel_step(u_history, t, config):
-    """Evaluate the Duhamel right side at time t from a trajectory prefix.
-
-    Direct trapezoid sum (the recurrence inside picard_solve reproduces this
-    up to roundoff); the prefix must cover [0, t] on the dt lattice. At or
-    past the history's overflow_at the result is a NaN field.
-    """
-    grid = config.grid
-    i_t = _lattice_index(t, config.dt)
-    if i_t is None:
-        raise DomainError(f"time {t} is not on the dt = {config.dt} lattice")
-    if i_t >= len(u_history.fields):
-        raise DomainError(
-            f"history gap: trajectory covers {len(u_history.fields)} nodes, "
-            f"need node {i_t}")
-    cross = u_history.overflow_at
-    if cross is not None and i_t >= int(round(cross / config.dt)):
-        return SpectralField(grid, np.full(grid.shape, np.nan, dtype=np.complex128))
-    acc = semigroup_symbol(grid, t, config.alpha) * config.u0.coeffs
-    if i_t > 0:
-        # a layout that stores every lattice entry takes any history
-        layout = BandLayout(grid, np.ones(grid.shape, dtype=bool))
-        state = _SweepState(config, layout)
-        row = np.empty((1, layout.size), dtype=np.complex128)
-        lattice = np.empty((1,) + grid.shape, dtype=np.complex128)
-        dt = config.dt
-        for j in range(i_t + 1):
-            w = dt if 0 < j < i_t else 0.5 * dt
-            # by index, not by slice: a solve's fields are built one read at a time
-            layout.gather(u_history.fields[j].coeffs[None], row)
-            state.nonlinearity(row, row, lattice)
-            g = layout.scatter(row, np.empty_like(lattice))[0]
-            acc = acc + w * semigroup_symbol(grid, t - j * dt, config.alpha) * g
-    return SpectralField(grid, acc)
 
 
 @dataclass

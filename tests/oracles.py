@@ -2,8 +2,8 @@
 
 Everything here is deliberately naive (nested loops, adaptive quadrature,
 closed forms) and shares no code with the library paths it checks; the
-reference Picard loop at the end borrows only library pieces that the path
-it checks leaves unchanged.
+reference Picard loop and the direct Duhamel sum at the end borrow only
+library pieces that the paths they check leave unchanged.
 """
 
 import numpy as np
@@ -155,20 +155,18 @@ class _SweepState:
         self.decay_dt = semigroup_symbol(grid, config.dt, config.alpha)
         self.alpha = config.alpha
         self.h1_weight = grid.L ** grid.n * (1.0 + xi2)
-        times = config.times
-        base = config.coefficient.symbol_on(xi2)
-        self.b_syms = [base] * len(times)
+        self.b_sym = config.coefficient.symbol_on(xi2)
 
     def linear_part(self, u0_coeffs, t):
         return semigroup_symbol(self.grid, t, self.alpha) * u0_coeffs
 
-    def nonlinearity(self, coeffs, i):
-        """G(u)(t_i): coefficients of b * ((-Lap)^(1/2) u)^2, the square
+    def nonlinearity(self, coeffs):
+        """G(u): coefficients of b * ((-Lap)^(1/2) u)^2, the square
         dealiased by the 2/3 rule."""
         v = np.fft.ifftn(self.abs_xi * coeffs) * self.Nn
         w = np.fft.fftn(v * v) / self.Nn
         w = np.where(self.mask, w, 0.0)
-        return w * self.b_syms[i]
+        return w * self.b_sym
 
     def h1_of(self, coeffs):
         if not np.all(np.isfinite(coeffs)):
@@ -213,8 +211,9 @@ def reference_picard_solve(config):
         # G of the previous iterate; at over-threshold nodes the field is
         # rescaled down to the threshold first (saturated forcing keeps the
         # iteration inside float range and free of on/off limit cycles;
-        # saturation only ever influences times at or past the crossing,
-        # which are truncated from the result anyway)
+        # saturation only ever influences times at or past the previous
+        # iterate's crossing; once the crossing is stable, the result keeps
+        # only the crossing node of those, as its last)
         new = [lin[0].copy()]
         I = np.zeros_like(u0c)
         g_last = _saturated_nonlinearity(state, prev, prev_h1, 0, thresh)
@@ -273,5 +272,23 @@ def _saturated_nonlinearity(state, prev, prev_h1, i, thresh):
     if not np.isfinite(h):
         return np.zeros_like(prev[i])
     if h > thresh:
-        return state.nonlinearity(prev[i] * (thresh / h), i)
-    return state.nonlinearity(prev[i], i)
+        return state.nonlinearity(prev[i] * (thresh / h))
+    return state.nonlinearity(prev[i])
+
+
+def direct_duhamel(fields, i, config):
+    """The Duhamel map at node i of the dt lattice, summed directly: a
+    SpectralField with coefficients S(t_i) u0 + sum_j w_j S(t_i - t_j) G(u_j)
+    over j = 0..i, where u_j is fields[j].coeffs (read by index), G is the
+    reference loop's unsaturated nonlinearity on the full lattice and the
+    trapezoid weights are w_j = dt/2 at both ends and dt between. O(i)
+    transforms per node where the solver's recurrence takes O(1)."""
+    state = _SweepState(config)
+    times = config.times
+    acc = state.linear_part(config.u0.coeffs, times[i])
+    # no terms at i = 0: the integral over [0, 0]
+    for j in range(i + 1 if i else 0):
+        w = config.dt if 0 < j < i else 0.5 * config.dt
+        g = state.nonlinearity(fields[j].coeffs)
+        acc = acc + w * semigroup_symbol(config.grid, times[i - j], config.alpha) * g
+    return SpectralField(config.grid, acc)

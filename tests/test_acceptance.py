@@ -13,11 +13,13 @@ import pytest
 
 from fraclap import (CertificateParams, CoefficientSpec, GridSpec,
                      ProblemConfig, blowup_constants, build_omega_sequence,
-                     certify, default_certificate_grid, divergence_partial_sums,
+                     c1_threshold, certify, default_certificate_grid,
+                     default_k_max, divergence_partial_sums,
                      forward_transform, kernel_l1_report, kernel_samples,
                      omega_initial_field, picard_solve,
                      random_nonneg_initial_field, semigroup_apply,
                      verify_induction_chain, existence_budget)
+from fraclap.cli import build_certificate_params
 
 LN2 = math.log(2.0)
 DEFAULT_1D = GridSpec(1, 16 * np.pi, 512)
@@ -245,3 +247,32 @@ def test_criterion_11_blowup_proxy_dt_refinement():
         assert abs(crossings[2.5e-9] - 2 * crossings[5e-9]) <= 2
     report(11, timer, f"numerical blow-up at t = {crossings[5e-9] * 5e-9:.3e} "
                       f"(dt=5e-9) vs {crossings[2.5e-9] * 2.5e-9:.3e} (dt=2.5e-9)")
+
+
+def test_criterion_12a_certified_configuration_crosses_before_t_star():
+    with Timed(300.0) as timer:
+        # the configuration a bare `certify n=1` certifies: C1 and A at their
+        # floors, gamma = 0.9 at alpha = 2, rho = 0
+        p = build_certificate_params({"n": 1})
+        assert (p.alpha, p.gamma, p.rho) == (2.0, 0.9, 0.0)
+        assert p.C1 == c1_threshold(1, 2.0, 0.0) == 2048.0
+        assert p.A == p.A_min == 128.0
+        cert_report = certify(p, default_certificate_grid(1), default_k_max(1), 12)
+        assert cert_report.verdict == "certified-divergent", cert_report.messages
+        # the blow-up proxy of criterion 11 is that configuration: C = C1 and
+        # u0_amplitude = A
+        coeff = CoefficientSpec(kind="dirac", C=p.C1)
+        crossings = {}
+        for N in (512, 1024):
+            g = GridSpec(1, 16 * np.pi, N)
+            cfg = ProblemConfig(grid=g, alpha=p.alpha, gamma=p.gamma, coefficient=coeff,
+                                u0=omega_initial_field(g, p.A),
+                                T0=1e-6, dt=5e-9, picard_tol=1e-8,
+                                picard_max_iter=150)
+            traj = picard_solve(cfg)
+            assert traj.converged and traj.overflow_at is not None, N
+            assert traj.overflow_at < p.t_star, (N, traj.overflow_at)
+            crossings[N] = traj.overflow_at
+    report("12(a)", timer, f"certified n=1 configuration (C1 = {p.C1:g}, A = {p.A:g}) "
+                           f"crosses at t = {crossings[512]:.3e} (N=512), "
+                           f"{crossings[1024]:.3e} (N=1024), before t_star = {p.t_star:.4f}")

@@ -32,11 +32,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "fraclap"
 
-# the Duhamel right side evaluated directly: the tests compare the solver
-# against it, and it is the reference map for a backward-error check of a
-# solver's fixed point
-EXEMPT = {"duhamel_step"}
-
 # the package's import layers, lowest first; __init__ re-exports the layers
 # below cli
 LAYERS = ({"errors"}, {"spectral"}, {"operators", "coefficient"},
@@ -162,7 +157,7 @@ def unreached_names():
         reached.update(_identifiers(_parse(path)))
     return [f"{path.name}:{name}" for path in modules
             for name in _definitions(_parse(path))
-            if name not in reached and name not in EXEMPT]
+            if name not in reached]
 
 
 def unread_fields():
