@@ -135,6 +135,10 @@ def bessel_symbol_l2(rho, order=0.0):
 # recurrence step and one norm per node, every node on the full lattice).
 # The chunked, band-stored solver must reproduce it bit for bit. It reuses the
 # library's semigroup symbol and result types, which neither change touched.
+# Its G squares a real field: for n >= 2 through full-lattice irfftn and
+# rfftn, as the solver's pruned half-spectrum passes do; in 1-D, and for any
+# n with complex_g=True, through the complex ifftn and fftn of the design
+# before them.
 
 
 def sweep_step(I, decay, g_prev, g_new, half_dt):
@@ -145,9 +149,10 @@ def sweep_step(I, decay, g_prev, g_new, half_dt):
 class _SweepState:
     """Per-run precomputed multipliers and the nonlinearity evaluator."""
 
-    def __init__(self, config):
+    def __init__(self, config, complex_g=False):
         grid = config.grid
         self.grid = grid
+        self.complex_g = complex_g or grid.n == 1
         self.Nn = grid.N ** grid.n
         xi2 = grid.xi_norm_sq
         self.abs_xi = np.sqrt(xi2)
@@ -156,6 +161,13 @@ class _SweepState:
         self.alpha = config.alpha
         self.h1_weight = grid.L ** grid.n * (1.0 + xi2)
         self.b_sym = config.coefficient.symbol_on(xi2)
+        # entries whose last nonzero mode is positive, and the zero mode: a
+        # real field's Hermitian completion keeps them and sets every other
+        # entry to the conjugate of its mirror
+        sign = np.zeros(grid.shape, dtype=int)
+        for m in np.meshgrid(*((grid.modes,) * grid.n), indexing="ij"):
+            sign = np.where(m != 0, np.sign(m), sign)
+        self.own = sign >= 0
 
     def linear_part(self, u0_coeffs, t):
         return semigroup_symbol(self.grid, t, self.alpha) * u0_coeffs
@@ -163,6 +175,23 @@ class _SweepState:
     def nonlinearity(self, coeffs):
         """G(u): coefficients of b * ((-Lap)^(1/2) u)^2, the square
         dealiased by the 2/3 rule."""
+        if self.complex_g:
+            return self.complex_nonlinearity(coeffs)
+        N = self.grid.N
+        axes = tuple(range(self.grid.n))
+        half = (self.abs_xi * coeffs)[..., :N // 2 + 1]
+        v = np.fft.irfftn(half, s=self.grid.shape, axes=axes) * self.Nn
+        w = np.zeros_like(coeffs)
+        w[..., :N // 2 + 1] = np.fft.rfftn(v * v, axes=axes)
+        mirror = w
+        for ax in axes:
+            mirror = np.roll(np.flip(mirror, axis=ax), 1, axis=ax)
+        w = np.where(self.own, w, np.conj(mirror)) / self.Nn
+        w = np.where(self.mask, w, 0.0)
+        return w * self.b_sym
+
+    def complex_nonlinearity(self, coeffs):
+        """G(u) through complex transforms of the whole lattice."""
         v = np.fft.ifftn(self.abs_xi * coeffs) * self.Nn
         w = np.fft.fftn(v * v) / self.Nn
         w = np.where(self.mask, w, 0.0)
@@ -174,16 +203,17 @@ class _SweepState:
         return float(np.sqrt((self.h1_weight * (coeffs.real ** 2 + coeffs.imag ** 2)).sum()))
 
 
-def reference_picard_solve(config):
+def reference_picard_solve(config, complex_g=False):
     """Iterate the Duhamel map to its fixed point over [0, T0].
 
     Returns a Trajectory. Convergence means the sup-in-time relative H1 change
     between sweeps dropped below picard_tol on the valid (pre-overflow) range
     with a stable overflow index. Hitting max_iter with an overflow pending is
     a blow-up diagnostic, not a failure; without overflow it raises
-    NonConvergenceError carrying the residual history.
+    NonConvergenceError carrying the residual history. complex_g=True squares
+    through complex transforms on every grid (_SweepState).
     """
-    state = _SweepState(config)
+    state = _SweepState(config, complex_g)
     M = config.n_steps
     times = config.times
     u0c = config.u0.coeffs

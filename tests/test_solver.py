@@ -249,6 +249,14 @@ def _config_2d():
                        picard_tol=1e-12)
 
 
+def _config_3d():
+    # 64 KiB nodes, four to a sweep chunk: six nodes end on a partial chunk
+    g = GridSpec(3, 16 * np.pi, 16)
+    return make_config(g=g, coeff=bessel_coeff(C=5.0), gamma=0.0, T0=5.0 / 128.0,
+                       dt=1.0 / 128.0, u0=random_nonneg_initial_field(g, 0.3, seed=7),
+                       picard_tol=1e-12)
+
+
 def _config_nodes(n_nodes):
     g = grid1(512)
     dt = 1.0 / 256.0
@@ -339,6 +347,7 @@ ORACLE_CASES = {
     # iterates overflow to inf past the crossing: the G = 0 rows
     "nonfinite-rows": lambda: _blowup_config(1e300, max_iter=40),
     "grid-2d-N32": _config_2d,
+    "grid-3d-N16": _config_3d,
     "nodes-below-chunk": lambda: _config_nodes(_CHUNK_512 // 2),
     "nodes-equal-chunk": lambda: _config_nodes(_CHUNK_512),
     "nodes-two-chunks": lambda: _config_nodes(2 * _CHUNK_512),
@@ -389,18 +398,18 @@ class TestChunkedSweepOracle:
         # forced-steal: queued G work never starts, so the sweep's thread
         # takes all of it. worker-runs-all: the sweep's thread takes none,
         # and the queued calls run inside its own G, between filling its
-        # lattice and transforming it, so a lattice the two share fails
+        # scratch and transforming it (at the first transform: ifftn in 1-D,
+        # the first ifft pass for n >= 2), so scratch the two share fails
         pool = _StubPool(worker_runs)
         monkeypatch.setattr(solver, "_CHUNK_BYTES", 1)
         monkeypatch.setattr(solver, "_worker",
                             lambda needed: pool if needed else contextlib.nullcontext())
-        ifftn = np.fft.ifftn
+        for name in ("ifftn", "ifft"):
+            def hooked(*args, transform=getattr(np.fft, name), **kwargs):
+                pool.run_queued(nested=True)
+                return transform(*args, **kwargs)
 
-        def hooked_ifftn(*args, **kwargs):
-            pool.run_queued(nested=True)
-            return ifftn(*args, **kwargs)
-
-        monkeypatch.setattr(np.fft, "ifftn", hooked_ifftn)
+            monkeypatch.setattr(np.fft, name, hooked)
         self.test_bitwise_equal_to_per_node_loop(case)
         futures = [job[0] for job in pool.submitted]
         assert futures
@@ -493,6 +502,20 @@ class TestChunkedSweepOracle:
         with pytest.raises(NonConvergenceError) as ref:
             reference_picard_solve(cfg)
         assert np.array_equal(got.value.residuals, ref.value.residuals)
+
+
+@pytest.mark.parametrize("case", ["grid-2d-N32", "grid-3d-N16"])
+def test_real_transforms_reach_the_complex_fixed_point(case):
+    # for n >= 2 G squares on the half spectrum; the design before it, with
+    # complex transforms of the whole lattice, has the same fixed point
+    cfg = ORACLE_CASES[case]()
+    got = picard_solve(cfg)
+    old = reference_picard_solve(cfg, complex_g=True)
+    assert got.converged == old.converged
+    assert got.overflow_at == old.overflow_at
+    assert len(got.h1_norms) == len(old.h1_norms)
+    gap = np.abs(got.h1_norms - old.h1_norms).max() / old.h1_norms.max()
+    assert gap <= cfg.picard_tol
 
 
 # every converging ORACLE_CASES entry, and the blow-up proxy of perfbench
