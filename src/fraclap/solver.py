@@ -33,8 +33,8 @@ a run holds. The linear part S(t) u0 is +0 wherever u0 is +0, so it is kept
 as an (M+1, |S|) table over u0's support S (14 of 341 stored entries for
 the omega datum at N=512, 90 of 29,241 at 256^2), and each chunk writes its
 rows into a zeroed row buffer before the recurrence adds them. The
-out-of-band entries go through the same recurrence as the band, with G = 0,
-so there is one path for both.
+out-of-band entries go through the same recurrence as the band, where G is
+zero, so there is one path for both.
 
 A sweep walks the node axis in chunks of as many nodes as fit a 256 KiB
 budget of full-lattice rows (dozens per chunk on 1-D grids, one on a 256^2
@@ -82,16 +82,15 @@ forth costs more than the overlap saves (with the worker forced on, the
 blow-up proxy's two solves ran about 20% slower; README, Performance
 notes). Both regimes do the same arithmetic and give the same bits.
 
-Blow-up handling: past the true explosion time the iterates diverge doubly
-exponentially in the sweep index and would overflow float range, so the
-sweep rescales the input of G at a node whose discrete H1 exceeds
-overflow_threshold down to the threshold before it evaluates plain G, and
-gives a node whose norm is not finite G = 0 after it (saturated forcing;
-continuous in the iterate, unlike an on/off cutoff, which orbits a limit
-cycle). Those rows overflow by design, so picard_solve runs its sweeps, and
-G on either thread, under np.errstate(over="ignore", invalid="ignore").
-Saturation only affects nodes at or past the crossing; the returned
-trajectory is truncated at the first crossing, whose field is kept as the
+Blow-up handling: past the true explosion time the iterates grow doubly
+exponentially in the sweep index, so the sweep rescales the input of G at a
+node whose discrete H1 exceeds overflow_threshold down to the threshold
+(saturated forcing; continuous in the iterate, unlike an on/off cutoff,
+which orbits a limit cycle). That bounds G, and every sweep, by config
+values alone; ProblemConfig rejects a config whose bound exceeds float max
+/ 16, so no sweep leaves float range, and numpy's error state is the
+caller's. Saturation only affects nodes at or past the crossing; the
+returned trajectory ends at the first crossing, whose field is kept as the
 last one and whose time is Trajectory.overflow_at (the one record of the
 crossing), and convergence is declared on the pre-crossing prefix with a
 stable crossing index.
@@ -99,11 +98,12 @@ Once a sweep has crossed at node c, the next sweep computes nodes 0..c only.
 The map is causal (node i of the new iterate reads nodes 0..i of the previous
 one), so those nodes come out exactly as in a full sweep, and when the new
 crossing lies at or below c, nothing past it reaches the residual, the
-extrema, the crossing or the returned prefix: every output is bitwise that
-of full sweeps. If such a sweep finds no crossing, the full sweep's crossing
-(if any) lies at a node it did not compute, so the run starts over from the
-linear part with full sweeps throughout. A run therefore costs at most one
-truncated pass more than full sweeps would.
+extrema, the crossing or the returned prefix: whenever the crossing never
+moves later, every output is bitwise that of full sweeps. On nonnegative
+data (every CLI datum) Picard rises toward the least fixed point, and the
+crossing never moves later (ROADMAP item 19; tested sweep by sweep). A
+sweep that lost its crossing would leave none, and the next sweep would run
+full length from the iterate as it stands.
 """
 
 import contextlib
@@ -207,6 +207,23 @@ class ProblemConfig:
                 f"picard_max_iter = {self.picard_max_iter} fails picard_max_iter >= 1")
         if self.u0.grid != self.grid:
             raise DomainError("initial datum lives on a different grid")
+        # no sweep leaves float range: every row fed to G has H1 <= th
+        # (saturation; picard_solve checks u0), so by Cauchy-Schwarz its
+        # sum |xi| |c| is at most A, A^2 = (N/L)^n th^2; G's transforms hold at
+        # most N^n A^2, |G| <= C A^2, every |c| a sweep computes is below
+        # c_max = th / L^(n/2) + T0 C A^2, and a step's below 2 c_max, which
+        # bounds the H1 sums. Float products: ** raises on overflow
+        g, th, C = self.grid, self.overflow_threshold, self.coefficient.C
+        Nn, Ln = g.N ** g.n, g.L ** g.n
+        A2 = Nn / Ln * th * th
+        c_max = th / math.sqrt(Ln) + self.T0 * C * A2
+        reach = max(Nn * A2, Nn * Ln * (1.0 + g.n * g.xi_max ** 2) * 4.0 * c_max * c_max)
+        limit = np.finfo(float).max / 16
+        if not reach <= limit:
+            raise DomainError(
+                f"overflow_threshold = {th!r}, C = {C!r} and T0 = {self.T0!r} give "
+                f"max(N^n A^2, N^n max(h1 weight) 4 c_max^2) = {reach:.4g}, which "
+                f"fails <= float max / 16 = {limit:.4g}")
         # real u0: c(-m) = conj(c(m)), where -m is index (N - i) mod N per
         # axis. The CLI data meet it exactly, transformed real noise to 3e-16
         c = self.u0.coeffs
@@ -336,6 +353,9 @@ def picard_solve(config):
     with a stable overflow index. Hitting max_iter with an overflow pending is
     a blow-up diagnostic, not a failure; without overflow it raises
     NonConvergenceError carrying the residual history.
+    Every value a sweep computes stays in float range. Each sweep stops at
+    the previous crossing, with the bits of full sweeps whenever the crossing
+    never moves later; one that loses it leaves the next sweep full length.
     """
     grid = config.grid
     u0c = config.u0.coeffs
@@ -387,9 +407,12 @@ def picard_solve(config):
 
     # the iterate is updated in place, chunk by chunk: the G values a chunk
     # needs from the previous iterate are taken before its rows are replaced,
-    # and later nodes only read later rows
-    prev = np.empty((M + 1, layout.size), dtype=np.complex128)
-    prev_h1 = np.empty(M + 1)
+    # and later nodes only read later rows. It starts as the linear part,
+    # whose norms are at most ||u0|| <= thresh (S(t) scales coefficients by
+    # at most 1): the first sweep saturates no G and starts with no crossing
+    prev = np.zeros((M + 1, layout.size), dtype=np.complex128)
+    prev[:, support] = lin
+    prev_h1 = np.full(M + 1, u0_h1)
     rows = np.empty((chunk, layout.size), dtype=np.complex128)
     # a chunk's rows of the linear part; off the support they stay +0
     lin_rows = np.zeros_like(rows)
@@ -412,30 +435,26 @@ def picard_solve(config):
     taken = {}      # chunk -> its G, taken off the queue by this thread
 
     def g_of(ci, scratch):
-        """G of chunk ci of the previous iterate, saturated: a row whose
-        finite H1 norm exceeds thresh is rescaled down to it first, and a row
-        whose norm is not finite gets G = 0. That keeps the iteration inside
-        float range and free of on/off limit cycles, and it only influences
-        nodes at or past the previous crossing, the last node a sweep
-        computes once there is one. It sets the sweep's error state itself,
-        as it also runs on the worker thread."""
+        """G of chunk ci of the previous iterate, saturated: a row whose H1
+        norm exceeds thresh is rescaled down to it first. That keeps the
+        iteration free of on/off limit cycles, and, with ProblemConfig's
+        bound, inside float range; it only influences nodes at or past the
+        previous crossing, the last node a sweep computes once there is
+        one."""
         lo = ci * chunk
         hi = min(lo + chunk, end)
         u = prev[lo:hi]
         out = g_bufs[ci % len(g_bufs)][:hi - lo]
         h1 = prev_h1[lo:hi]
-        big = np.flatnonzero(np.isfinite(h1) & (h1 > thresh))
+        big = np.flatnonzero(h1 > thresh)
         if len(big):
             out[...] = u
             u = out
             for r in big:
                 np.multiply(u[r], thresh / h1[r], out=u[r])
         # b * ((-Lap)^(1/2) u)^2, the square dealiased by the 2/3 rule
-        with np.errstate(over="ignore", invalid="ignore"):
-            np.multiply(abs_xi, u, out=out)
-            np.multiply(dealiased_square(out, layout, scratch), b_hat, out=out)
-        out[~np.isfinite(h1)] = 0.0
-        return out
+        np.multiply(abs_xi, u, out=out)
+        return np.multiply(dealiased_square(out, layout, scratch), b_hat, out=out)
 
     def g_take(ci):
         """G of chunk ci. While the worker has not finished a queued ci,
@@ -455,85 +474,65 @@ def picard_solve(config):
             return queued.pop(ci).result()
         return g_of(ci, scratch)
 
-    # rows at or past a crossing leave float range by design
-    with _worker(pipelined) as pool, np.errstate(over="ignore", invalid="ignore"):
-        # the first pass stops each sweep at the previous sweep's crossing;
-        # a sweep that finds no crossing then sends the run to the second
-        # pass, which starts over with full sweeps
-        for truncate in (True, False):
-            prev[...] = 0.0
-            prev[:, support] = lin
-            # S(t) scales each coefficient by exp(-t |xi|^alpha) <= 1 and
-            # rounding is monotone, so no node of the linear part has an H1
-            # norm above ||u0|| <= thresh: the first sweep saturates no G, and
-            # the pass starts with no crossing. The last sweep rewrites every
-            # norm the run returns
-            prev_h1[...] = u0_h1
-            prev_cross = None
-            residuals = []
-            min_re, max_re = np.inf, -np.inf
-            converged = stale = False
-            for j in range(config.picard_max_iter):
-                iterations = j + 1
-                # rows past the previous crossing may be stale in prev; no
-                # row up to it is (see the module docstring)
-                end = M + 1 if prev_cross is None or not truncate else prev_cross + 1
-                n_chunks = -(-end // chunk)
-                new_cross = None
-                res = 0.0
-                scale = 0.0
-                I[...] = 0.0
-                ahead = 1
-                for ci in range(n_chunks):
-                    while pool is not None and ahead < min(ci + 1 + _LOOKAHEAD, n_chunks):
-                        queued[ahead] = pool.submit(g_of, ahead, worker_scratch)
-                        ahead += 1
-                    g = g_take(ci)
-                    lo = ci * chunk
-                    hi = min(lo + chunk, end)
-                    k = hi - lo
-                    new = rows[:k]
-                    lin_c = lin_rows[:k]
-                    lin_c[:, support] = lin[lo:hi]
-                    for r in range(k):
-                        i = lo + r
-                        if i == 0:
-                            new[0] = lin_c[0]
-                        else:
-                            sweep_step(I, decay, g_last, g[r], half_dt, step_work)
-                            np.add(lin_c[r], I, out=new[r])
-                        g_last = g[r]
-                    new_h1 = _weighted_norm(h1w, new, place=on_lattice)
-                    if new_cross is None:
-                        valid = k
-                        crossing = crossing_of(new_h1)
-                        if crossing is not None:
-                            new_cross = lo + crossing
-                            valid = crossing
-                        if valid:
-                            c = new[:valid]
-                            scale = max(scale, float(new_h1[:valid].max()))
-                            min_re = min(min_re, float(np.min(c.real)), *unstored)
-                            max_re = max(max_re, float(np.max(c.real)), *unstored)
-                            d = np.subtract(c, prev[lo:lo + valid], out=diff[:valid])
-                            d_h1 = _weighted_norm(h1w, d, place=on_lattice)
-                            res = max(res, float(d_h1.max()))
-                    prev[lo:hi] = new
-                    prev_h1[lo:hi] = new_h1
-                # no crossing below end: a full sweep's crossing, if any, lies
-                # in rows this sweep left stale
-                stale = new_cross is None and end <= M
-                if stale:
-                    break
-                residuals.append(res)
+    prev_cross = None
+    residuals = []
+    min_re, max_re = np.inf, -np.inf
+    converged = False
+    with _worker(pipelined) as pool:
+        for j in range(config.picard_max_iter):
+            iterations = j + 1
+            # rows past the previous crossing may be out of date in prev; no
+            # row up to it is (see the module docstring)
+            end = M + 1 if prev_cross is None else prev_cross + 1
+            n_chunks = -(-end // chunk)
+            new_cross = None
+            res = 0.0
+            scale = 0.0
+            I[...] = 0.0
+            ahead = 1
+            for ci in range(n_chunks):
+                while pool is not None and ahead < min(ci + 1 + _LOOKAHEAD, n_chunks):
+                    queued[ahead] = pool.submit(g_of, ahead, worker_scratch)
+                    ahead += 1
+                g = g_take(ci)
+                lo = ci * chunk
+                hi = min(lo + chunk, end)
+                k = hi - lo
+                new = rows[:k]
+                lin_c = lin_rows[:k]
+                lin_c[:, support] = lin[lo:hi]
+                for r in range(k):
+                    i = lo + r
+                    if i == 0:
+                        new[0] = lin_c[0]
+                    else:
+                        sweep_step(I, decay, g_last, g[r], half_dt, step_work)
+                        np.add(lin_c[r], I, out=new[r])
+                    g_last = g[r]
+                new_h1 = _weighted_norm(h1w, new, place=on_lattice)
+                if new_cross is None:
+                    valid = k
+                    crossing = crossing_of(new_h1)
+                    if crossing is not None:
+                        new_cross = lo + crossing
+                        valid = crossing
+                    if valid:
+                        c = new[:valid]
+                        scale = max(scale, float(new_h1[:valid].max()))
+                        min_re = min(min_re, float(np.min(c.real)), *unstored)
+                        max_re = max(max_re, float(np.max(c.real)), *unstored)
+                        d = np.subtract(c, prev[lo:lo + valid], out=diff[:valid])
+                        d_h1 = _weighted_norm(h1w, d, place=on_lattice)
+                        res = max(res, float(d_h1.max()))
+                prev[lo:hi] = new
+                prev_h1[lo:hi] = new_h1
+            residuals.append(res)
 
-                rel = res / scale if scale > 0 else 0.0
-                stable = new_cross == prev_cross
-                prev_cross = new_cross
-                if rel <= config.picard_tol and stable:
-                    converged = True
-                    break
-            if not stale:
+            rel = res / scale if scale > 0 else 0.0
+            stable = new_cross == prev_cross
+            prev_cross = new_cross
+            if rel <= config.picard_tol and stable:
+                converged = True
                 break
 
     if not converged and prev_cross is None:

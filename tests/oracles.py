@@ -203,7 +203,7 @@ class _SweepState:
         return float(np.sqrt((self.h1_weight * (coeffs.real ** 2 + coeffs.imag ** 2)).sum()))
 
 
-def reference_picard_solve(config, complex_g=False):
+def reference_picard_solve(config, complex_g=False, on_sweep=None):
     """Iterate the Duhamel map to its fixed point over [0, T0].
 
     Returns a Trajectory. Convergence means the sup-in-time relative H1 change
@@ -211,7 +211,10 @@ def reference_picard_solve(config, complex_g=False):
     with a stable overflow index. Hitting max_iter with an overflow pending is
     a blow-up diagnostic, not a failure; without overflow it raises
     NonConvergenceError carrying the residual history. complex_g=True squares
-    through complex transforms on every grid (_SweepState).
+    through complex transforms on every grid (_SweepState). on_sweep, when
+    given, is called after each full sweep as on_sweep(new, prev, new_cross):
+    the new and the previous iterate (lists of full-lattice node
+    coefficients) and the new crossing index or None.
     """
     state = _SweepState(config, complex_g)
     M = config.n_steps
@@ -254,6 +257,8 @@ def reference_picard_solve(config, complex_g=False):
             new.append(lin[i] + I)
         new_h1 = [state.h1_of(c) for c in new]
         new_cross = crossing_of(new_h1)
+        if on_sweep is not None:
+            on_sweep(new, prev, new_cross)
 
         res = 0.0
         scale = 0.0

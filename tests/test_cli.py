@@ -137,21 +137,11 @@ class TestExitCodes:
         assert code == 1
         assert "517^3" in capsys.readouterr().err
 
-    def test_blowup_past_float_range_prints_no_warning(self, outdir, capsys):
-        # with the threshold at 1e300 the iterates overflow before they cross
-        # it; the sweep saturates those rows, and numpy must not warn
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            code = run(["solve", "-o", str(outdir), "kind=dirac", "C=2048",
-                        "gamma=0.9", "u0=omega", "u0_amplitude=128", "T0=1e-6",
-                        "dt=5e-9", "N=512", "overflow_threshold=1e300",
-                        "picard_max_iter=20"])
-        assert code == 0
-        assert capsys.readouterr().err == ""
-
     # a grid that does not resolve the kernel's spectrum (xi_max = 4 leaves
-    # 6.8e-4 at N=64) or does not hold the omega datum's bump, and a datum
-    # above the overflow threshold or past float range
+    # 6.8e-4 at N=64) or does not hold the omega datum's bump, a datum
+    # above the overflow threshold or past float range, and a threshold or
+    # coefficient that would let a sweep leave float range (at 1e100 the
+    # bound's square is past float range)
     @pytest.mark.parametrize("args, key", [
         (("kernel-check", "L=1e50", "N=512"), "s = 0.5 at t = 0.5"),
         (("kernel-check", "N=64"), "is 6.812e-04 at xi_max = 4,"),
@@ -161,7 +151,10 @@ class TestExitCodes:
         (("solve", "N=16", "T0=0.125", "u0=random", "u0_amplitude=1e13"),
          "overflow_threshold = 1000000000000.0"),
         (("solve", "N=16", "T0=0.125", "u0=random", "u0_amplitude=1e300"),
-         "||u0||_H1 = inf")])
+         "||u0||_H1 = inf"),
+        (("solve", "overflow_threshold=1e300"), "overflow_threshold = 1e+300, C = 1.0"),
+        (("solve", "overflow_threshold=1e100"), "overflow_threshold = 1e+100, C = 1.0"),
+        (("solve", "C=1e300"), "overflow_threshold = 1000000000000.0, C = 1e+300")])
     def test_unresolved_grid_or_datum_is_domain_error(self, outdir, capsys, args, key):
         code = run([args[0], "-o", str(outdir), *args[1:]])
         err = capsys.readouterr().err

@@ -344,8 +344,6 @@ ORACLE_CASES = {
         coeff=bessel_coeff(C=1.0), gamma=0.0, T0=0.25, dt=1.0 / 256.0,
         picard_tol=1e-14, u0=random_nonneg_initial_field(grid1(), 0.02, seed=3)),
     "blowup-threshold-1e6": _blowup_config,
-    # iterates overflow to inf past the crossing: the G = 0 rows
-    "nonfinite-rows": lambda: _blowup_config(1e300, max_iter=40),
     "grid-2d-N32": _config_2d,
     "grid-3d-N16": _config_3d,
     "nodes-below-chunk": lambda: _config_nodes(_CHUNK_512 // 2),
@@ -362,8 +360,6 @@ class TestChunkedSweepOracle:
     reproduce the per-node reference loop bit for bit. Fields are compared
     by their bytes, so signed zeros and NaN payloads count."""
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                                "ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
     def test_bitwise_equal_to_per_node_loop(self, case):
         cfg = ORACLE_CASES[case]()
@@ -380,8 +376,6 @@ class TestChunkedSweepOracle:
         assert got.converged == ref.converged
         assert got.overflow_at == ref.overflow_at
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                                "ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
     def test_pipelined_sweep_bitwise_equal(self, case, monkeypatch):
         # a one-byte budget puts one node in every chunk, which computes G of
@@ -389,8 +383,6 @@ class TestChunkedSweepOracle:
         monkeypatch.setattr(solver, "_CHUNK_BYTES", 1)
         self.test_bitwise_equal_to_per_node_loop(case)
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                                "ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
     @pytest.mark.parametrize("worker_runs", [False, True],
                              ids=["forced-steal", "worker-runs-all"])
@@ -419,11 +411,14 @@ class TestChunkedSweepOracle:
         else:
             assert all(f.cancelled() for f in futures)
 
-    def test_sweep_owns_its_error_state(self, monkeypatch):
-        # rows past the crossing overflow by design: the sweep, inline and on
-        # the worker thread, neither raises under the caller's np.errstate
-        # nor warns, and gives the bits of a plain run
-        cfg = ORACLE_CASES["nonfinite-rows"]()
+    def test_sweeps_stay_in_float_range_at_the_edge(self, monkeypatch):
+        # ProblemConfig admits a threshold of 5e75 for this config but not
+        # 5e76 (its edge is 9.4e75). The crossing rows reach an H1 of 6e146,
+        # yet no sweep overflows, inline or on the worker thread, under the
+        # strictest error state, and the run keeps a plain run's bits
+        with pytest.raises(DomainError, match="fails <= float max / 16"):
+            _blowup_config(5e76, max_iter=40)
+        cfg = _blowup_config(5e75, max_iter=40)
         for chunk_bytes in (solver._CHUNK_BYTES, 1):
             monkeypatch.setattr(solver, "_CHUNK_BYTES", chunk_bytes)
             plain = picard_solve(cfg)
@@ -433,15 +428,14 @@ class TestChunkedSweepOracle:
             assert plain.overflow_at is not None
             assert np.array_equal(strict.h1_norms, plain.h1_norms)
             for f, p in zip(strict.fields, plain.fields, strict=True):
-                assert np.array_equal(f.coeffs, p.coeffs, equal_nan=True)
+                assert f.coeffs.tobytes() == p.coeffs.tobytes()
             assert strict.picard_residuals == plain.picard_residuals
             assert strict.iterate_extrema == plain.iterate_extrema
             assert strict.overflow_at == plain.overflow_at
 
     def test_sweeps_stop_at_previous_crossing(self, monkeypatch):
-        # a full sweep makes M recurrence steps. Sweeps stopped at the previous
-        # crossing make fewer; nonfinite-rows loses its crossing at one sweep,
-        # so the run restarts with full sweeps and makes more
+        # a full sweep makes M recurrence steps; sweeps stopped at the
+        # previous crossing make fewer
         calls = []
         step = solver.sweep_step
 
@@ -452,12 +446,10 @@ class TestChunkedSweepOracle:
         monkeypatch.setattr(solver, "sweep_step", counted)
         for chunk_bytes in (solver._CHUNK_BYTES, 1):
             monkeypatch.setattr(solver, "_CHUNK_BYTES", chunk_bytes)
-            for case, fewer in (("blowup-threshold-1e6", True), ("nonfinite-rows", False)):
-                cfg = ORACLE_CASES[case]()
-                calls.clear()
-                traj = picard_solve(cfg)
-                full = traj.iterations * cfg.n_steps
-                assert (len(calls) < full) if fewer else (len(calls) > full)
+            cfg = ORACLE_CASES["blowup-threshold-1e6"]()
+            calls.clear()
+            traj = picard_solve(cfg)
+            assert len(calls) < traj.iterations * cfg.n_steps
 
     def test_concurrent_pipelined_solves(self, monkeypatch):
         # four solves, each with its own worker, under a tiny switch interval:
@@ -520,8 +512,7 @@ def test_real_transforms_reach_the_complex_fixed_point(case):
 
 # every converging ORACLE_CASES entry, and the blow-up proxy of perfbench
 # and acceptance criterion 11
-BACKWARD_CASES = {name: make for name, make in ORACLE_CASES.items()
-                  if name != "nonfinite-rows"}
+BACKWARD_CASES = dict(ORACLE_CASES)
 BACKWARD_CASES.update({f"blowup-proxy-N{N}": (
     lambda N=N: _blowup_config(1e12, max_iter=150, N=N)) for N in (512, 1024)})
 
@@ -555,6 +546,38 @@ def test_backward_error_within_picard_tol(case):
     traj = picard_solve(cfg)
     assert traj.converged
     assert _sweep_backward_error(cfg, traj) <= cfg.picard_tol
+
+
+# every ORACLE_CASES entry with nonnegative data (white-noise-1d samples
+# signed noise), and the blow-up proxy at N=512
+MONOTONE_CASES = {name: make for name, make in ORACLE_CASES.items()
+                  if name != "white-noise-1d"}
+MONOTONE_CASES["blowup-proxy-N512"] = BACKWARD_CASES["blowup-proxy-N512"]
+
+
+@pytest.mark.parametrize("case", sorted(MONOTONE_CASES))
+def test_picard_rises_and_its_crossing_never_moves_later(case):
+    # ROADMAP item 19: on nonnegative data, Picard from the linear part rises
+    # coefficientwise toward the least fixed point. Before its crossing each
+    # sweep's step is nonnegative up to rounding (-8.8e-16 of the row's
+    # largest coefficient at worst), and a crossing, once found, never moves
+    # later or vanishes; so a sweep stopped at the previous crossing finds a
+    # crossing again. Checked on the full sweeps of the reference loop
+    cfg = MONOTONE_CASES[case]()
+    c = cfg.u0.coeffs
+    assert np.all(c.real >= 0) and np.all(c.imag == 0)
+    crossings = []
+
+    def on_sweep(new, prev, new_cross):
+        for i in range(len(new) if new_cross is None else new_cross):
+            step = (new[i] - prev[i]).real
+            assert step.min() >= -1e-12 * np.abs(new[i]).max()
+        if crossings and crossings[-1] is not None:
+            assert new_cross is not None and new_cross <= crossings[-1]
+        crossings.append(new_cross)
+
+    traj = reference_picard_solve(cfg, on_sweep=on_sweep)
+    assert len(crossings) == traj.iterations
 
 
 def _traced_peak(cfg):
