@@ -51,15 +51,16 @@ the band; each band entry whose last nonzero mode is negative is then the
 conjugate of its mirror. That does about half the transform work of the
 complex square (0.83 against 1.89 ms at 256^2 on a 2-CPU x86 host).
 The recurrence steps node by node on stored vectors, in place in
-preallocated buffers. The H1 norms and the residual weight the stored
-entries and place the terms on lattice rows that are +0 elsewhere, so
-numpy's pairwise sums see the same full-shape rows as before; the
-coefficient extrema are those of the stored real parts and the +0 entries.
-Each stored entry goes through the same IEEE operations as on a
-full-lattice node, and batched transforms, elementwise ops and per-row sums
-apply the same arithmetic to each node as a call on that node alone, so
-every result is bitwise identical to a per-node sweep on full-lattice nodes
-(tests/oracles.py keeps that loop as the reference).
+preallocated buffers. The H1 norms and the residual sum the weighted
+stored entries in stored order (the band in lattice order, then the
+out-of-band entries), leaving out only +0 terms; the coefficient extrema
+are those of the stored real parts and the +0 entries. Each stored entry
+goes through the same IEEE operations as on a full-lattice node, and
+batched transforms, elementwise ops and per-row sums apply the same
+arithmetic to each node as a call on that node alone, so every result is
+bitwise identical to a per-node sweep on full-lattice nodes whose norms sum
+the same terms in the same order (tests/oracles.py keeps that loop as the
+reference).
 
 The returned Trajectory keeps the stored stack; its fields are a read-only
 sequence that builds each full-lattice SpectralField when it is read, so
@@ -87,7 +88,7 @@ exponentially in the sweep index, so the sweep rescales the input of G at a
 node whose discrete H1 exceeds overflow_threshold down to the threshold
 (saturated forcing; continuous in the iterate, unlike an on/off cutoff,
 which orbits a limit cycle). That bounds G, and every sweep, by config
-values alone; ProblemConfig rejects a config whose bound exceeds float max
+values alone; picard_solve rejects a config whose bound exceeds float max
 / 16, so no sweep leaves float range, and numpy's error state is the
 caller's. Saturation only affects nodes at or past the crossing; the
 returned trajectory ends at the first crossing, whose field is kept as the
@@ -207,23 +208,6 @@ class ProblemConfig:
                 f"picard_max_iter = {self.picard_max_iter} fails picard_max_iter >= 1")
         if self.u0.grid != self.grid:
             raise DomainError("initial datum lives on a different grid")
-        # no sweep leaves float range: every row fed to G has H1 <= th
-        # (saturation; picard_solve checks u0), so by Cauchy-Schwarz its
-        # sum |xi| |c| is at most A, A^2 = (N/L)^n th^2; G's transforms hold at
-        # most N^n A^2, |G| <= C A^2, every |c| a sweep computes is below
-        # c_max = th / L^(n/2) + T0 C A^2, and a step's below 2 c_max, which
-        # bounds the H1 sums. Float products: ** raises on overflow
-        g, th, C = self.grid, self.overflow_threshold, self.coefficient.C
-        Nn, Ln = g.N ** g.n, g.L ** g.n
-        A2 = Nn / Ln * th * th
-        c_max = th / math.sqrt(Ln) + self.T0 * C * A2
-        reach = max(Nn * A2, Nn * Ln * (1.0 + g.n * g.xi_max ** 2) * 4.0 * c_max * c_max)
-        limit = np.finfo(float).max / 16
-        if not reach <= limit:
-            raise DomainError(
-                f"overflow_threshold = {th!r}, C = {C!r} and T0 = {self.T0!r} give "
-                f"max(N^n A^2, N^n max(h1 weight) 4 c_max^2) = {reach:.4g}, which "
-                f"fails <= float max / 16 = {limit:.4g}")
         # real u0: c(-m) = conj(c(m)), where -m is index (N - i) mod N per
         # axis. The CLI data meet it exactly, transformed real noise to 3e-16
         c = self.u0.coeffs
@@ -353,9 +337,11 @@ def picard_solve(config):
     with a stable overflow index. Hitting max_iter with an overflow pending is
     a blow-up diagnostic, not a failure; without overflow it raises
     NonConvergenceError carrying the residual history.
-    Every value a sweep computes stays in float range. Each sweep stops at
-    the previous crossing, with the bits of full sweeps whenever the crossing
-    never moves later; one that loses it leaves the next sweep full length.
+    DomainError when a sweep could leave float range or ||u0||_H1 exceeds
+    overflow_threshold; otherwise every value a sweep computes stays in
+    float range. Each sweep stops at the previous crossing, with the bits
+    of full sweeps whenever the crossing never moves later; one that loses
+    it leaves the next sweep full length.
     """
     grid = config.grid
     u0c = config.u0.coeffs
@@ -374,22 +360,33 @@ def picard_solve(config):
     # square as +0, stay +0, as the masked lattice entries did
     b_hat = _stored(layout, config.coefficient.symbol_on(grid.xi_norm_sq))
     chunk = max(1, _CHUNK_BYTES // (u0c.size * itemsize))
-    # every norm of the sweep is _weighted_norm(h1w, rows, place=on_lattice),
-    # h1_norm's routine on stored rows. The terms go onto lattice rows that
-    # stay +0 off the stored positions, where scatter never writes
+    # every norm of the sweep is h1_norm's routine summed over the stored
+    # entries, in stored order: the entries off them are +0
     h1w = _stored(layout, h1_weight(grid))
-    norm_rows = np.zeros((chunk,) + grid.shape)
-
-    def on_lattice(terms):
-        return layout.scatter(terms, norm_rows[:len(terms)])
-
     # the lattice entries off the stored positions are +0 in every iterate,
     # and they count in its extrema
     unstored = (0.0,) if layout.size < u0c.size else ()
     times = config.times
     thresh = config.overflow_threshold
     half_dt = 0.5 * config.dt
-    u0_h1 = _weighted_norm(h1w, _stored(layout, u0c)[None], place=on_lattice)[0]
+    # no sweep leaves float range: every row fed to G has H1 <= thresh
+    # (saturation, and the check on u0 below), so by Cauchy-Schwarz its sum
+    # |xi| |c| is at most A, A^2 = (N/L)^n thresh^2; G's transforms hold at
+    # most N^n A^2, |G| <= C A^2, every |c| a sweep computes is below c_max
+    # = thresh / L^(n/2) + T0 C A^2, and a step's below 2 c_max, which
+    # bounds the H1 sums. Float products: ** raises on overflow
+    C = config.coefficient.C
+    Nn, Ln = grid.N ** grid.n, grid.L ** grid.n
+    A2 = Nn / Ln * thresh * thresh
+    c_max = thresh / math.sqrt(Ln) + config.T0 * C * A2
+    reach = max(Nn * A2, Nn * Ln * (1.0 + grid.n * grid.xi_max ** 2) * 4.0 * c_max * c_max)
+    limit = np.finfo(float).max / 16
+    if not reach <= limit:
+        raise DomainError(
+            f"overflow_threshold = {thresh!r}, C = {C!r} and T0 = {config.T0!r} give "
+            f"max(N^n A^2, N^n max(h1 weight) 4 c_max^2) = {reach:.4g}, which "
+            f"fails <= float max / 16 = {limit:.4g}")
+    u0_h1 = _weighted_norm(h1w, _stored(layout, u0c)[None])[0]
     if not u0_h1 <= thresh:
         raise DomainError(f"initial datum has ||u0||_H1 = {float(u0_h1)!r}, which "
                           f"fails ||u0||_H1 <= overflow_threshold = {thresh!r}")
@@ -437,8 +434,8 @@ def picard_solve(config):
     def g_of(ci, scratch):
         """G of chunk ci of the previous iterate, saturated: a row whose H1
         norm exceeds thresh is rescaled down to it first. That keeps the
-        iteration free of on/off limit cycles, and, with ProblemConfig's
-        bound, inside float range; it only influences nodes at or past the
+        iteration free of on/off limit cycles, and, with the float-range
+        check, inside float range; it only influences nodes at or past the
         previous crossing, the last node a sweep computes once there is
         one."""
         lo = ci * chunk
@@ -509,7 +506,7 @@ def picard_solve(config):
                         sweep_step(I, decay, g_last, g[r], half_dt, step_work)
                         np.add(lin_c[r], I, out=new[r])
                     g_last = g[r]
-                new_h1 = _weighted_norm(h1w, new, place=on_lattice)
+                new_h1 = _weighted_norm(h1w, new)
                 if new_cross is None:
                     valid = k
                     crossing = crossing_of(new_h1)
@@ -522,7 +519,7 @@ def picard_solve(config):
                         min_re = min(min_re, float(np.min(c.real)), *unstored)
                         max_re = max(max_re, float(np.max(c.real)), *unstored)
                         d = np.subtract(c, prev[lo:lo + valid], out=diff[:valid])
-                        d_h1 = _weighted_norm(h1w, d, place=on_lattice)
+                        d_h1 = _weighted_norm(h1w, d)
                         res = max(res, float(d_h1.max()))
                 prev[lo:hi] = new
                 prev_h1[lo:hi] = new_h1

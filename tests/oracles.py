@@ -138,7 +138,8 @@ def bessel_symbol_l2(rho, order=0.0):
 # Its G squares a real field: for n >= 2 through full-lattice irfftn and
 # rfftn, as the solver's pruned half-spectrum passes do; in 1-D, and for any
 # n with complex_g=True, through the complex ifftn and fftn of the design
-# before them.
+# before them. As in the solver, G divides by N^n as floats, and each norm
+# sums a node's terms in the solver's stored order.
 
 
 def sweep_step(I, decay, g_prev, g_new, half_dt):
@@ -160,6 +161,11 @@ class _SweepState:
         self.decay_dt = semigroup_symbol(grid, config.dt, config.alpha)
         self.alpha = config.alpha
         self.h1_weight = grid.L ** grid.n * (1.0 + xi2)
+        # the solver's stored order, which its norms sum in: the 2/3 band in
+        # lattice order, then the out-of-band entries where u0 is not +0
+        u0c = config.u0.coeffs
+        nonzero = (u0c != 0) | np.signbit(u0c.real) | np.signbit(u0c.imag)
+        self.ext = np.flatnonzero(~self.mask & nonzero)
         self.b_sym = config.coefficient.symbol_on(xi2)
         # entries whose last nonzero mode is positive, and the zero mode: a
         # real field's Hermitian completion keeps them and sets every other
@@ -186,21 +192,27 @@ class _SweepState:
         mirror = w
         for ax in axes:
             mirror = np.roll(np.flip(mirror, axis=ax), 1, axis=ax)
-        w = np.where(self.own, w, np.conj(mirror)) / self.Nn
+        w = self.divide(np.where(self.own, w, np.conj(mirror)))
         w = np.where(self.mask, w, 0.0)
         return w * self.b_sym
 
     def complex_nonlinearity(self, coeffs):
         """G(u) through complex transforms of the whole lattice."""
         v = np.fft.ifftn(self.abs_xi * coeffs) * self.Nn
-        w = np.fft.fftn(v * v) / self.Nn
+        w = self.divide(np.fft.fftn(v * v))
         w = np.where(self.mask, w, 0.0)
         return w * self.b_sym
+
+    def divide(self, w):
+        """w / N^n, dividing the real and imaginary parts as floats."""
+        return (w.view(np.float64) / self.Nn).view(np.complex128)
 
     def h1_of(self, coeffs):
         if not np.all(np.isfinite(coeffs)):
             return float("inf")
-        return float(np.sqrt((self.h1_weight * (coeffs.real ** 2 + coeffs.imag ** 2)).sum()))
+        terms = self.h1_weight * (coeffs.real ** 2 + coeffs.imag ** 2)
+        stored = np.concatenate([terms[self.mask], terms.reshape(-1)[self.ext]])
+        return float(np.sqrt(stored.sum()))
 
 
 def reference_picard_solve(config, complex_g=False, on_sweep=None):

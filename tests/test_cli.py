@@ -162,6 +162,16 @@ class TestExitCodes:
         assert "domain error" in err and key in err and "Traceback" not in err
         assert list(outdir.iterdir()) == []
 
+    def test_budget_skips_the_sweep_float_range_check(self, outdir, capsys):
+        # the sweep's float-range check belongs to solve: budget takes a
+        # threshold past it, and reports a coefficient past float range
+        assert run(["budget", "-o", str(outdir), "overflow_threshold=1e300"]) == 0
+        assert "contraction needs < 1" in capsys.readouterr().out
+        assert run(["budget", "-o", str(outdir), "C=1e300"]) == 0
+        out = capsys.readouterr().out
+        assert "||b|| (order -gamma) = inf" in out
+        assert "(contraction needs < 1: FAIL)" in out
+
     def test_only_the_omega_datum_needs_the_bump(self, outdir, capsys):
         # N=16 at L = 16 pi holds no lattice point of the bump
         args = ["solve", "-o", str(outdir), "N=16", "T0=0.125"]

@@ -286,6 +286,17 @@ def _config_signed_zeros():
                        dt=1.0 / 256.0, picard_tol=1e-14, u0=SpectralField(g, c))
 
 
+def _config_omega_2d():
+    # 40^2 is not a power of two, so G's division by N^n rounds. The omega
+    # datum has 42 coefficients outside the 2/3-rule band (|m| = 14 or 15 >
+    # 13 on an axis), 21 of them on the half spectrum, so every norm sums
+    # out-of-band stored entries and the square scatters some of them
+    g = GridSpec(2, 16 * np.pi, 40)
+    return make_config(g=g, coeff=bessel_coeff(C=5.0), gamma=0.0, T0=0.125,
+                       dt=1.0 / 128.0, u0=omega_initial_field(g, 0.5),
+                       picard_tol=1e-12)
+
+
 class _StubFuture(Future):
     def __init__(self, pool):
         super().__init__()
@@ -352,6 +363,7 @@ ORACLE_CASES = {
     "nodes-not-multiple": lambda: _config_nodes(2 * _CHUNK_512 + 1),
     "white-noise-1d": _config_white_noise,
     "signed-zeros-1d": _config_signed_zeros,
+    "omega-2d-N40": _config_omega_2d,
 }
 
 
@@ -412,12 +424,12 @@ class TestChunkedSweepOracle:
             assert all(f.cancelled() for f in futures)
 
     def test_sweeps_stay_in_float_range_at_the_edge(self, monkeypatch):
-        # ProblemConfig admits a threshold of 5e75 for this config but not
+        # picard_solve admits a threshold of 5e75 for this config but not
         # 5e76 (its edge is 9.4e75). The crossing rows reach an H1 of 6e146,
         # yet no sweep overflows, inline or on the worker thread, under the
         # strictest error state, and the run keeps a plain run's bits
         with pytest.raises(DomainError, match="fails <= float max / 16"):
-            _blowup_config(5e76, max_iter=40)
+            picard_solve(_blowup_config(5e76, max_iter=40))
         cfg = _blowup_config(5e75, max_iter=40)
         for chunk_bytes in (solver._CHUNK_BYTES, 1):
             monkeypatch.setattr(solver, "_CHUNK_BYTES", chunk_bytes)
@@ -706,14 +718,6 @@ def test_h1_routines_agree_bitwise(n, kind):
     rows = _weighted_norm(h1_weight(g), f.coeffs[None])
     assert rows.shape == (1,)
     assert h1_norm(f) == rows[0]
-    # the form picard_solve takes every norm in: stored entries only, the
-    # terms placed on a lattice row that is +0 elsewhere
-    layout = BandLayout(g, f.coeffs != 0)
-    stored = layout.gather(f.coeffs[None], np.empty((1, layout.size), dtype=complex))
-    weight = layout.gather(h1_weight(g)[None], np.empty((1, layout.size)))[0]
-    placed = _weighted_norm(weight, stored, place=lambda terms: layout.scatter(
-        terms, np.zeros((1,) + g.shape)))
-    assert placed.tobytes() == rows.tobytes()
 
 
 def test_trajectory_csv_text(tmp_path):
