@@ -24,47 +24,63 @@ Node storage. G is dealiased by the 2/3 rule, so it is exactly zero outside
 the band |m| <= N//3 per axis (b_hat is finite, so 0 * b_hat is 0).
 There the recurrence adds exact zeros to the decayed data: every iterate
 equals S(t) u0 = exp(-t (-Lap)^(alpha/2)) u0 + 0 outside the band, and is
-exactly +0 wherever u0 is. So a node is stored as a vector of its band
-coefficients ((2 (N//3) + 1)^n of N^n: 45% at 256^2, 30% at 128^3) followed
-by the k out-of-band coefficients where u0 is not +0 (spectral.BandLayout).
-k is 0 for the CLI data (omega, random, zero); sampled noise fills it. The
-iterate is one (M+1, that length) stack, updated in place, and the only one
-a run holds. The linear part S(t) u0 is +0 wherever u0 is +0, so it is kept
-as an (M+1, |S|) table over u0's support S (14 of 341 stored entries for
-the omega datum at N=512, 90 of 29,241 at 256^2), and each chunk writes its
+exactly +0 wherever u0 is. So a 1-D node is stored as a vector of its band
+coefficients followed by the k out-of-band coefficients where u0 is not +0
+(spectral.BandLayout). For n >= 2 a node is a real field, so it is stored
+as its half band, the band entries with last-axis mode 0..N//3, followed by
+the out-of-band coefficients where u0 is not +0 with last-axis index
+0..N//2 (rfftn's half spectrum); the rest of the lattice are the conjugates
+of their mirrors. That is 171 x 86 of 256^2 and 85^2 x 43 of 128^3
+coefficients. k is 0 for the CLI data (omega, random, zero); sampled noise
+fills it. picard_solve picks the stack's dtype once, from u0: for n >= 2 it
+is float64 when every stored coefficient of u0 has imaginary part +0.0 (the
+CLI data, which are even fields), since the semigroup, |xi|, the square and
+b_hat keep coefficients real; otherwise, and on 1-D grids, complex128. So a
+256^2 node takes a quarter of the bytes of its complex band. The iterate is
+one (M+1, that length) stack, updated in place, and the only one a run
+holds. The linear part S(t) u0 is +0 wherever u0 is +0, so it is kept as an
+(M+1, |S|) table over u0's support S (14 of 341 stored entries for the
+omega datum at N=512, 45 of 14,706 at 256^2), and each chunk writes its
 rows into a zeroed row buffer before the recurrence adds them. The
 out-of-band entries go through the same recurrence as the band, where G is
-zero, so there is one path for both.
+zero, so there is one path for both, and one for both dtypes.
 
 A sweep walks the node axis in chunks of as many nodes as fit a 256 KiB
-budget of full-lattice rows (dozens per chunk on 1-D grids, one on a 256^2
-or 128^3 grid). Only G's transforms need the full lattice. G saturates the
-previous iterate's stored rows, multiplies them by |xi| and squares them
-with spectral.dealiased_square, which scatters them into zeroed scratch,
-transforms there, gathers the stored entries back, divides them by N^n and
-zeroes the out-of-band ones; then it multiplies by b_hat. On 1-D grids the
-square is one batched complex inverse and one forward FFT of the lattice.
-For n >= 2 the iterate is real, so the square runs real-field transforms
-over the half spectrum (last-axis modes 0..N/2) in irfftn's and rfftn's
-order, whose passes over the other axes skip the last-axis columns beyond
-the band; each band entry whose last nonzero mode is negative is then the
-conjugate of its mirror. That does about half the transform work of the
-complex square (0.83 against 1.89 ms at 256^2 on a 2-CPU x86 host).
+budget of complex full-lattice rows (dozens per chunk on 1-D grids, one on
+a 256^2 or 128^3 grid). Only G's transforms need the full lattice. G
+saturates the previous iterate's stored rows, multiplies them by |xi| and
+squares them with spectral.dealiased_square, which scatters them into
+zeroed scratch, transforms there, gathers the stored entries back, divides
+them by N^n and zeroes the out-of-band ones; then it multiplies by b_hat.
+On 1-D grids the square is one batched complex inverse and one forward FFT
+of the lattice. For n >= 2 the square runs real-field transforms over the
+half spectrum (last-axis modes 0..N/2) in irfftn's and rfftn's order, whose
+passes over the other axes skip the last-axis columns beyond the band; it
+gathers the half band back, real parts for float rows, and each entry at
+last-axis mode 0 whose last nonzero mode is negative is the conjugate of
+its mirror. That does about half the transform work of the complex square
+(0.83 against 1.89 ms at 256^2 on a 2-CPU x86 host).
 The recurrence steps node by node on stored vectors, in place in
 preallocated buffers. The H1 norms and the residual sum the weighted
 stored entries in stored order (the band in lattice order, then the
-out-of-band entries), leaving out only +0 terms; the coefficient extrema
-are those of the stored real parts and the +0 entries. Each stored entry
-goes through the same IEEE operations as on a full-lattice node, and
-batched transforms, elementwise ops and per-row sums apply the same
-arithmetic to each node as a call on that node alone, so every result is
-bitwise identical to a per-node sweep on full-lattice nodes whose norms sum
-the same terms in the same order (tests/oracles.py keeps that loop as the
-reference).
+out-of-band entries), leaving out only +0 terms. For n >= 2 the weight is
+doubled on last-axis columns 1..N/2-1, where a stored entry stands for
+itself and its mirror; columns 0 and N/2 hold both members of each mirror
+pair, so they count once. The coefficient extrema are those of the stored
+real parts (a mirror has the same real part) and the +0 entries. Each
+stored entry goes through the same IEEE operations as on a per-node loop
+over the same storage, and batched transforms, elementwise ops and per-row
+sums apply the same arithmetic to each node as a call on that node alone,
+so every result is bitwise identical to a per-node sweep whose nodes are
+the full lattice in 1-D and the half spectrum for n >= 2, and whose norms
+sum the same terms in the same order (tests/oracles.py keeps that loop as
+the reference).
 
 The returned Trajectory keeps the stored stack; its fields are a read-only
-sequence that builds each full-lattice SpectralField when it is read, so
-the h1_dot norms and Trajectory.to_csv hold one full field at a time.
+sequence that builds each full-lattice SpectralField when it is read (for
+n >= 2 by Hermitian completion of the half spectrum, with imaginary parts
++0 for a float stack), so the h1_dot norms and Trajectory.to_csv hold one
+full field at a time.
 
 G at a node depends only on the previous iterate, so when one node fills a
 chunk (256^2 and 128^3 grids) the sweep queues G of the next _LOOKAHEAD
@@ -352,20 +368,28 @@ def picard_solve(config):
     # the stored positions where u0 is not +0: the only ones where the
     # linear part S(t) u0 is not +0
     support = np.flatnonzero(_stored(layout, nonzero))
+    u0s = _stored(layout, u0c)
+    # for n >= 2 real stored coefficients keep every iterate real: the
+    # stack is float64
+    real = grid.n > 1 and not np.any((u0s.imag != 0) | np.signbit(u0s.imag))
+    dtype = np.float64 if real else np.complex128
+    if real:
+        u0s = u0s.real
     M = config.n_steps
-    itemsize = np.dtype(np.complex128).itemsize
-    _require_stack_fits(M + 1, (layout.size + len(support)) * itemsize)
+    _require_stack_fits(M + 1, (layout.size + len(support)) * np.dtype(dtype).itemsize)
     abs_xi = _stored(layout, np.sqrt(grid.xi_norm_sq))
     # b_hat >= 0 (C >= 0), so the out-of-band entries, which come out of the
     # square as +0, stay +0, as the masked lattice entries did
     b_hat = _stored(layout, config.coefficient.symbol_on(grid.xi_norm_sq))
-    chunk = max(1, _CHUNK_BYTES // (u0c.size * itemsize))
+    # the chunk budget counts G's complex full-lattice rows
+    chunk = max(1, _CHUNK_BYTES // (u0c.size * np.dtype(np.complex128).itemsize))
     # every norm of the sweep is h1_norm's routine summed over the stored
-    # entries, in stored order: the entries off them are +0
-    h1w = _stored(layout, h1_weight(grid))
-    # the lattice entries off the stored positions are +0 in every iterate,
-    # and they count in its extrema
-    unstored = (0.0,) if layout.size < u0c.size else ()
+    # entries, in stored order: the entries off them are +0 or mirrors of
+    # stored ones, which the weight counts by doubling
+    h1w = _stored(layout, h1_weight(grid)) * layout.multiplicity
+    # the entries a row holds off the stored positions are +0 in every
+    # iterate, and they count in its extrema
+    unstored = (0.0,) if layout.size < layout.spectrum_size else ()
     times = config.times
     thresh = config.overflow_threshold
     half_dt = 0.5 * config.dt
@@ -386,16 +410,15 @@ def picard_solve(config):
             f"overflow_threshold = {thresh!r}, C = {C!r} and T0 = {config.T0!r} give "
             f"max(N^n A^2, N^n max(h1 weight) 4 c_max^2) = {reach:.4g}, which "
             f"fails <= float max / 16 = {limit:.4g}")
-    u0_h1 = _weighted_norm(h1w, _stored(layout, u0c)[None])[0]
+    u0_h1 = _weighted_norm(h1w, u0s[None])[0]
     if not u0_h1 <= thresh:
         raise DomainError(f"initial datum has ||u0||_H1 = {float(u0_h1)!r}, which "
                           f"fails ||u0||_H1 <= overflow_threshold = {thresh!r}")
     # the linear part S(t) u0 on u0's support only: it is +0 elsewhere
-    lin = np.empty((M + 1, len(support)), dtype=np.complex128)
-    stored = np.empty((1, layout.size), dtype=np.complex128)
+    lin = np.empty((M + 1, len(support)), dtype=dtype)
     for i, t in enumerate(times):
-        layout.gather((semigroup_symbol(grid, t, config.alpha) * u0c)[None], stored)
-        lin[i] = stored[0, support]
+        s = _stored(layout, semigroup_symbol(grid, t, config.alpha) * u0c)[support]
+        lin[i] = s.real if real else s
     decay = _stored(layout, semigroup_symbol(grid, config.dt, config.alpha))
 
     def crossing_of(h1):
@@ -407,14 +430,14 @@ def picard_solve(config):
     # and later nodes only read later rows. It starts as the linear part,
     # whose norms are at most ||u0|| <= thresh (S(t) scales coefficients by
     # at most 1): the first sweep saturates no G and starts with no crossing
-    prev = np.zeros((M + 1, layout.size), dtype=np.complex128)
+    prev = np.zeros((M + 1, layout.size), dtype=dtype)
     prev[:, support] = lin
     prev_h1 = np.full(M + 1, u0_h1)
-    rows = np.empty((chunk, layout.size), dtype=np.complex128)
+    rows = np.empty((chunk, layout.size), dtype=dtype)
     # a chunk's rows of the linear part; off the support they stay +0
     lin_rows = np.zeros_like(rows)
     diff = np.empty_like(rows)
-    I = np.empty(layout.size, dtype=np.complex128)
+    I = np.empty(layout.size, dtype=dtype)
     step_work = np.empty_like(I)
     # one node fills a chunk (256^2 and 128^3 grids): a worker thread computes
     # G of the next _LOOKAHEAD chunks while this thread runs chunk ci, and

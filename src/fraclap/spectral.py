@@ -156,11 +156,15 @@ def inverse_transform(fld):
 def _weighted_norm(weight, coeffs, scale=1.0):
     """sqrt(scale * sum(weight * (re^2 + im^2))) of coeffs over the trailing
     weight.ndim axes: one number for a field, one per row for a stack of
-    fields. +inf where a summed coefficient is not finite. The scalar scale
-    multiplies the sum once instead of every term.
+    fields; float coeffs have no im term. +inf where a summed coefficient is
+    not finite. The scalar scale multiplies the sum once instead of every
+    term.
     """
     with np.errstate(invalid="ignore", over="ignore"):
-        terms = weight * (coeffs.real ** 2 + coeffs.imag ** 2)
+        if np.iscomplexobj(coeffs):
+            terms = weight * (coeffs.real ** 2 + coeffs.imag ** 2)
+        else:
+            terms = weight * coeffs ** 2
         lead = coeffs.ndim - weight.ndim
         h = np.sqrt(scale * terms.sum(axis=tuple(range(lead, terms.ndim))))
     return np.where(np.isfinite(h), h, np.inf)
@@ -186,28 +190,49 @@ class BandLayout:
     """Which coefficients of lattice rows are stored, and where they sit on
     the lattice.
 
-    A stored row is one vector: the 2/3-rule band (|m| <= lim per axis, lim
-    = grid.dealias_limit, B = 2 lim + 1 modes, so 2^n blocks of the FFT
-    layout) as a (B,)*n array in C order, then the values at ext, the flat
-    lattice indices outside the band where keep (a boolean lattice) is True.
-    A row stands for the lattice row that holds its values at those places
-    and +0 everywhere else.
+    The 2/3-rule band is |m| <= lim per axis (lim = grid.dealias_limit, B =
+    2 lim + 1 modes, two blocks of the FFT layout per axis). On 1-D grids a
+    stored row is one vector: the band as a (B,) array, then the values at
+    ext, the flat lattice indices outside the band where keep (a boolean
+    lattice) is True; the row stands for the lattice row that holds its
+    values at those places and +0 everywhere else.
+
+    For n >= 2 a row stores the half band, the band entries with last-axis
+    mode 0..lim, as a (B,)*(n-1) + (lim+1,) array in C order (2^(n-1)
+    blocks), then the values at ext, which here holds only the out-of-band
+    entries where keep is True with last-axis index 0..N//2. Those are
+    places of the half spectrum, rfftn's output, and the row stands for the
+    real field whose half spectrum holds its values there and +0 elsewhere;
+    every other lattice entry is the conjugate of its mirror, c(-m) =
+    conj(c(m)). Rows of float64 stand for fields with real coefficients.
     """
 
     def __init__(self, grid, keep):
         self.grid = grid
+        N, n = grid.N, grid.n
         lim = grid.dealias_limit
         width = 2 * lim + 1
         halves = ((slice(0, lim + 1), slice(0, lim + 1)),
-                  (slice(lim + 1, width), slice(grid.N - lim, grid.N)))
+                  (slice(lim + 1, width), slice(N - lim, N)))
+        # for n >= 2 the last axis keeps its nonnegative block only
+        axes = (halves,) * (n - 1) + ((halves if n == 1 else halves[:1]),)
         # (stored slices, lattice slices) per block, with the row axis first
         self.blocks = [tuple((slice(None),) + s for s in zip(*combo))
-                       for combo in itertools.product(halves, repeat=grid.n)]
-        self.band_shape = (width,) * grid.n
-        self.band_size = width ** grid.n
-        self.ext = np.flatnonzero(~grid.dealias_mask & keep)
+                       for combo in itertools.product(*axes)]
+        self.band_shape = (width,) * (n - 1) + ((width if n == 1 else lim + 1),)
+        self.band_size = int(np.prod(self.band_shape))
+        out = ~grid.dealias_mask & keep
+        if n > 1:
+            out[..., N // 2 + 1:] = False
+        self.ext = np.flatnonzero(out)
         self.size = self.band_size + len(self.ext)
-        if grid.n > 1:
+        # the lattice entries a row holds directly
+        self.spectrum_size = N ** (n - 1) * (N if n == 1 else N // 2 + 1)
+        # lattice entries each stored entry stands for: for n >= 2, itself
+        # and its mirror at last-axis index 1..N/2-1 (columns 0 and N/2 hold
+        # both members of each mirror pair)
+        self.multiplicity = np.ones(self.size)
+        if n > 1:
             self._init_half(lim, width)
 
     def _init_half(self, lim, width):
@@ -215,25 +240,24 @@ class BandLayout:
         with last-axis index 0..N//2, which hold a real field's
         coefficients (rfftn's output, irfftn's input)."""
         N = self.grid.N
-        # the blocks whose last-axis modes are 0..lim
-        self.half_blocks = [b for b in self.blocks if b[0][-1].start == 0]
         last = self.ext % N
-        on_half = np.flatnonzero(last <= N // 2)
-        self.half_ext = self.band_size + on_half
-        self.half_ext_at = self.ext[on_half] // N * (N // 2 + 1) + last[on_half]
+        self.ext_half = self.ext // N * (N // 2 + 1) + last
         # last-axis columns that an input row can make nonzero
-        self.half_cols = 1 + int(last[on_half].max(initial=lim))
+        self.half_cols = 1 + int(last.max(initial=lim))
+        cols = np.concatenate(
+            [np.broadcast_to(np.arange(lim + 1), self.band_shape).ravel(), last])
+        self.multiplicity[(cols > 0) & (cols < N // 2)] = 2.0
         # In band coordinates the mirror -m of stored index s on an axis is
-        # (width - s) % width. (dst, src) pairs that set each band entry
-        # whose last nonzero mode is negative to the conjugate of its
-        # mirror, reading only entries whose last nonzero mode is positive:
-        # first every entry with last-axis mode < 0, then, with the last
-        # axis at mode 0, every entry with mode < 0 on the axis before, and
-        # so on
+        # (width - s) % width. (dst, src) pairs that set each band entry at
+        # last-axis mode 0 whose last nonzero mode is negative to the
+        # conjugate of its mirror, reading only entries whose last nonzero
+        # mode is positive: first every entry with mode < 0 on the axis
+        # before the last, then, with that axis at mode 0 too, every entry
+        # with mode < 0 on the axis before it, and so on
         pieces = ((slice(0, 1), slice(0, 1)), (slice(1, width), slice(width - 1, 0, -1)))
         n = self.grid.n
         self.mirrors = []
-        for d in range(n, 0, -1):
+        for d in range(n - 1, 0, -1):
             tail = (0,) * (n - d)
             for combo in itertools.product(pieces, repeat=d - 1):
                 dst = tuple(p[0] for p in combo) + (slice(lim + 1, width),) + tail
@@ -246,16 +270,28 @@ class BandLayout:
 
     def scatter(self, rows, full):
         """Write stored rows (k, size) to their places in the lattice rows
-        full (k, *grid.shape), leaving every other entry as it is."""
+        full (k, *grid.shape), leaving every other entry as it is; for n >=
+        2 then set each entry with last-axis index past N//2 to its mirror,
+        conjugated for complex rows (Hermitian completion; float rows stand
+        for real coefficients, whose imaginary parts stay as they are)."""
         band = self._band(rows)
         for stored, lattice in self.blocks:
             full[lattice] = band[stored]
         if len(self.ext):
             full.reshape(len(full), -1)[:, self.ext] = rows[:, self.band_size:]
+        if self.grid.n > 1:
+            N = self.grid.N
+            mirror = full[..., 1:N // 2]
+            for ax in range(1, self.grid.n):
+                mirror = np.roll(np.flip(mirror, axis=ax), 1, axis=ax)
+            rest = full[..., N // 2 + 1:]
+            rest[...] = mirror[..., ::-1]
+            if np.iscomplexobj(rows):
+                np.negative(rest.imag, out=rest.imag)
         return full
 
     def gather(self, full, rows):
-        """Inverse of scatter: copy the stored entries of full into rows."""
+        """The stored entries of the lattice rows full, copied into rows."""
         band = self._band(rows)
         for stored, lattice in self.blocks:
             band[stored] = full[lattice]
@@ -264,25 +300,26 @@ class BandLayout:
         return rows
 
     def scatter_half(self, rows, half):
-        """Write the entries of stored rows (k, size) that lie in the half
-        spectrum to their places in half (k, *grid.shape[:-1], N//2 + 1),
-        leaving every other entry as it is."""
+        """Write stored rows (k, size) to their places in half (k,
+        *grid.shape[:-1], N//2 + 1), leaving every other entry as it is."""
         band = self._band(rows)
-        for stored, lattice in self.half_blocks:
+        for stored, lattice in self.blocks:
             half[lattice] = band[stored]
-        if len(self.half_ext):
-            half.reshape(len(half), -1)[:, self.half_ext_at] = rows[:, self.half_ext]
+        if len(self.ext):
+            half.reshape(len(half), -1)[:, self.ext_half] = rows[:, self.band_size:]
         return half
 
     def gather_half(self, half, rows):
-        """The band part of rows from the half spectrum half of real fields:
-        entries with last-axis mode >= 0 are copied, and every entry whose
-        last nonzero mode is negative is the conjugate of its mirror, so the
-        band comes out exactly Hermitian. The out-of-band part is left as it
-        is."""
+        """The band part of rows from the half spectrum half of real fields,
+        their real parts for float rows: the entries are copied, and then
+        each one at last-axis mode 0 whose last nonzero mode is negative is
+        the conjugate of its mirror, so that column, which holds both
+        members of each mirror pair, is exactly Hermitian. The out-of-band
+        part is left as it is."""
         band = self._band(rows)
-        for stored, lattice in self.half_blocks:
-            band[stored] = half[lattice]
+        real = not np.iscomplexobj(rows)
+        for stored, lattice in self.blocks:
+            band[stored] = half[lattice].real if real else half[lattice]
         for dst, src in self.mirrors:
             np.conjugate(band[src], out=band[dst])
         return rows
@@ -311,17 +348,17 @@ def dealiased_square(rows, layout, scratch):
     retained modes (the 2/3 rule removes exactly the aliased band); the
     out-of-band entries come out +0.
 
-    For n >= 2 the fields are real, so the transforms run on the half
-    spectrum, in the order and with the bits of irfftn and rfftn on the
-    full lattice: the inverse passes over all but the last axis, the last
-    axis's irfft into the real lattice, the square in reals, its rfft, and
-    the forward passes in reverse axis order. The last-axis columns past
-    the stored entries are zero on input and past the band unread on
-    output, so the passes over the other axes skip them, and each
-    transformed line is the one the full-lattice transform takes. The
-    entries whose last nonzero mode is negative are then the conjugates of
-    their mirrors (BandLayout.gather_half), so the square is exactly
-    Hermitian.
+    For n >= 2 the rows hold half spectra, so the transforms run there, in
+    the order and with the bits of irfftn and rfftn on the full lattice:
+    the inverse passes over all but the last axis, the last axis's irfft
+    into the real lattice, the square in reals, its rfft, and the forward
+    passes in reverse axis order. The last-axis columns past the stored
+    entries are zero on input and past the band unread on output, so the
+    passes over the other axes skip them, and each transformed line is the
+    one the full-lattice transform takes. Only the half band is gathered
+    back, its real parts for float rows, and each entry at last-axis mode 0
+    whose last nonzero mode is negative is the conjugate of its mirror
+    (BandLayout.gather_half).
 
     1-D grids keep the complex ifft and fft of the whole lattice and their
     bits: the blow-up proxy's recorded trajectories (perfbench/reference.json)

@@ -131,15 +131,18 @@ def bessel_symbol_l2(rho, order=0.0):
 
 # ---------------------------------------------------------------------------
 # Reference Picard loop: the per-node sweep that picard_solve ran before its
-# sweep was batched over node stacks, kept verbatim (one G evaluation, one
-# recurrence step and one norm per node, every node on the full lattice).
-# The chunked, band-stored solver must reproduce it bit for bit. It reuses the
-# library's semigroup symbol and result types, which neither change touched.
-# Its G squares a real field: for n >= 2 through full-lattice irfftn and
-# rfftn, as the solver's pruned half-spectrum passes do; in 1-D, and for any
-# n with complex_g=True, through the complex ifftn and fftn of the design
-# before them. As in the solver, G divides by N^n as floats, and each norm
-# sums a node's terms in the solver's stored order.
+# sweep was batched over node stacks (one G evaluation, one recurrence step
+# and one norm per node). The chunked, band-stored solver must reproduce it
+# bit for bit. It reuses the library's semigroup symbol and result types,
+# which neither change touched. In 1-D, and for any n with complex_g=True,
+# it is kept verbatim: every node is the full lattice, and G squares through
+# the complex ifftn and fftn. For n >= 2 it holds each node as the solver
+# does, as its half spectrum (last-axis index 0..N//2), in float64 when
+# every coefficient of u0 there has imaginary part +0.0; G squares through
+# irfftn and rfftn, as the solver's pruned half-spectrum passes do, and
+# keeps the real parts of float nodes. As in the solver, G divides by N^n as
+# floats, and each norm sums a node's terms in the solver's stored order,
+# counting an entry at last-axis index 1..N/2-1 twice for its mirror.
 
 
 def sweep_step(I, decay, g_prev, g_new, half_dt):
@@ -148,51 +151,80 @@ def sweep_step(I, decay, g_prev, g_new, half_dt):
 
 
 class _SweepState:
-    """Per-run precomputed multipliers and the nonlinearity evaluator."""
+    """Per-run precomputed multipliers and the nonlinearity evaluator, on
+    the nodes the reference loop holds."""
 
     def __init__(self, config, complex_g=False):
         grid = config.grid
         self.grid = grid
         self.complex_g = complex_g or grid.n == 1
+        N = grid.N
+        # a node's entries of a full-lattice array
+        self.cut = (Ellipsis,) if self.complex_g else (Ellipsis, slice(0, N // 2 + 1))
         self.Nn = grid.N ** grid.n
-        xi2 = grid.xi_norm_sq
-        self.abs_xi = np.sqrt(xi2)
-        self.mask = grid.dealias_mask
-        self.decay_dt = semigroup_symbol(grid, config.dt, config.alpha)
         self.alpha = config.alpha
-        self.h1_weight = grid.L ** grid.n * (1.0 + xi2)
+        xi2 = grid.xi_norm_sq
+        self.abs_xi = np.sqrt(xi2)[self.cut]
+        self.mask = grid.dealias_mask[self.cut]
+        self.decay_dt = self.symbol(config.dt)
+        weight = grid.L ** grid.n * (1.0 + xi2)
+        if not self.complex_g:
+            weight[..., 1:N // 2] *= 2.0
+        self.h1_weight = weight[self.cut]
         # the solver's stored order, which its norms sum in: the 2/3 band in
         # lattice order, then the out-of-band entries where u0 is not +0
-        u0c = config.u0.coeffs
+        u0c = config.u0.coeffs[self.cut]
         nonzero = (u0c != 0) | np.signbit(u0c.real) | np.signbit(u0c.imag)
         self.ext = np.flatnonzero(~self.mask & nonzero)
-        self.b_sym = config.coefficient.symbol_on(xi2)
-        # entries whose last nonzero mode is positive, and the zero mode: a
-        # real field's Hermitian completion keeps them and sets every other
-        # entry to the conjugate of its mirror
-        sign = np.zeros(grid.shape, dtype=int)
-        for m in np.meshgrid(*((grid.modes,) * grid.n), indexing="ij"):
+        self.real = not (self.complex_g or np.any((u0c.imag != 0) | np.signbit(u0c.imag)))
+        self.b_sym = config.coefficient.symbol_on(xi2)[self.cut]
+        # entries of last-axis column 0 whose last nonzero mode is positive,
+        # and the zero mode: G keeps them and sets every other entry of that
+        # column to the conjugate of its mirror
+        sign = np.zeros(grid.shape[:-1], dtype=int)
+        for m in np.meshgrid(*((grid.modes,) * (grid.n - 1)), indexing="ij"):
             sign = np.where(m != 0, np.sign(m), sign)
         self.own = sign >= 0
 
+    def symbol(self, t):
+        """The semigroup symbol at lag t on a node's entries."""
+        return semigroup_symbol(self.grid, t, self.alpha)[self.cut]
+
+    def node(self, coeffs):
+        """The node that holds full-lattice coefficients coeffs."""
+        node = coeffs[self.cut]
+        return node.real if self.real else node
+
+    def full(self, node):
+        """The full-lattice coefficients of a node, completed from the half
+        spectrum by c(-m) = conj(c(m)) in the node's dtype."""
+        if self.complex_g:
+            return node
+        N = self.grid.N
+        full = np.zeros(self.grid.shape, dtype=node.dtype)
+        full[..., :N // 2 + 1] = node
+        mirror = full[..., 1:N // 2]
+        for ax in range(self.grid.n - 1):
+            mirror = np.roll(np.flip(mirror, axis=ax), 1, axis=ax)
+        full[..., N // 2 + 1:] = np.conj(mirror[..., ::-1])
+        return full.astype(np.complex128)
+
     def linear_part(self, u0_coeffs, t):
-        return semigroup_symbol(self.grid, t, self.alpha) * u0_coeffs
+        return self.node(semigroup_symbol(self.grid, t, self.alpha) * u0_coeffs)
 
     def nonlinearity(self, coeffs):
         """G(u): coefficients of b * ((-Lap)^(1/2) u)^2, the square
         dealiased by the 2/3 rule."""
         if self.complex_g:
             return self.complex_nonlinearity(coeffs)
-        N = self.grid.N
         axes = tuple(range(self.grid.n))
-        half = (self.abs_xi * coeffs)[..., :N // 2 + 1]
-        v = np.fft.irfftn(half, s=self.grid.shape, axes=axes) * self.Nn
-        w = np.zeros_like(coeffs)
-        w[..., :N // 2 + 1] = np.fft.rfftn(v * v, axes=axes)
-        mirror = w
-        for ax in axes:
+        v = np.fft.irfftn(self.abs_xi * coeffs, s=self.grid.shape, axes=axes) * self.Nn
+        w = np.fft.rfftn(v * v, axes=axes)
+        mirror = w[..., 0]
+        for ax in range(self.grid.n - 1):
             mirror = np.roll(np.flip(mirror, axis=ax), 1, axis=ax)
-        w = self.divide(np.where(self.own, w, np.conj(mirror)))
+        w[..., 0] = np.where(self.own, w[..., 0], np.conj(mirror))
+        w = self.divide(w.real if self.real else w)
         w = np.where(self.mask, w, 0.0)
         return w * self.b_sym
 
@@ -205,6 +237,8 @@ class _SweepState:
 
     def divide(self, w):
         """w / N^n, dividing the real and imaginary parts as floats."""
+        if not np.iscomplexobj(w):
+            return w / self.Nn
         return (w.view(np.float64) / self.Nn).view(np.complex128)
 
     def h1_of(self, coeffs):
@@ -222,11 +256,11 @@ def reference_picard_solve(config, complex_g=False, on_sweep=None):
     between sweeps dropped below picard_tol on the valid (pre-overflow) range
     with a stable overflow index. Hitting max_iter with an overflow pending is
     a blow-up diagnostic, not a failure; without overflow it raises
-    NonConvergenceError carrying the residual history. complex_g=True squares
-    through complex transforms on every grid (_SweepState). on_sweep, when
-    given, is called after each full sweep as on_sweep(new, prev, new_cross):
-    the new and the previous iterate (lists of full-lattice node
-    coefficients) and the new crossing index or None.
+    NonConvergenceError carrying the residual history. complex_g=True holds
+    full-lattice nodes and squares through complex transforms on every grid
+    (_SweepState). on_sweep, when given, is called after each full sweep as
+    on_sweep(new, prev, new_cross): the new and the previous iterate (lists
+    of nodes) and the new crossing index or None.
     """
     state = _SweepState(config, complex_g)
     M = config.n_steps
@@ -260,7 +294,7 @@ def reference_picard_solve(config, complex_g=False, on_sweep=None):
         # iterate's crossing; once the crossing is stable, the result keeps
         # only the crossing node of those, as its last)
         new = [lin[0].copy()]
-        I = np.zeros_like(u0c)
+        I = np.zeros_like(lin[0])
         g_last = _saturated_nonlinearity(state, prev, prev_h1, 0, thresh)
         for i in range(1, M + 1):
             g_cur = _saturated_nonlinearity(state, prev, prev_h1, i, thresh)
@@ -299,7 +333,7 @@ def reference_picard_solve(config, complex_g=False, on_sweep=None):
             "shrink T0 or the initial datum per the contraction budget", residuals)
 
     keep = M + 1 if prev_cross is None else prev_cross + 1
-    fields = [SpectralField(config.grid, prev[i]) for i in range(keep)]
+    fields = [SpectralField(config.grid, state.full(prev[i])) for i in range(keep)]
     h1d = np.array([h1_dot_norm(f) for f in fields])
     return Trajectory(
         times=times[:keep],
@@ -327,7 +361,7 @@ def direct_duhamel(fields, i, config):
     """The Duhamel map at node i of the dt lattice, summed directly: a
     SpectralField with coefficients S(t_i) u0 + sum_j w_j S(t_i - t_j) G(u_j)
     over j = 0..i, where u_j is fields[j].coeffs (read by index), G is the
-    reference loop's unsaturated nonlinearity on the full lattice and the
+    reference loop's unsaturated nonlinearity on its nodes and the
     trapezoid weights are w_j = dt/2 at both ends and dt between. O(i)
     transforms per node where the solver's recurrence takes O(1)."""
     state = _SweepState(config)
@@ -336,6 +370,6 @@ def direct_duhamel(fields, i, config):
     # no terms at i = 0: the integral over [0, 0]
     for j in range(i + 1 if i else 0):
         w = config.dt if 0 < j < i else 0.5 * config.dt
-        g = state.nonlinearity(fields[j].coeffs)
-        acc = acc + w * semigroup_symbol(config.grid, times[i - j], config.alpha) * g
-    return SpectralField(config.grid, acc)
+        g = state.nonlinearity(state.node(fields[j].coeffs))
+        acc = acc + w * state.symbol(times[i - j]) * g
+    return SpectralField(config.grid, state.full(acc))

@@ -286,6 +286,17 @@ def _config_signed_zeros():
                        dt=1.0 / 256.0, picard_tol=1e-14, u0=SpectralField(g, c))
 
 
+def _config_white_noise_2d():
+    # the first n >= 2 datum with complex stored coefficients. Sampled noise
+    # is nonzero at every mode: out of the 2/3-rule band (|m| > 5) on and
+    # off the half spectrum, and on the Nyquist column (last-axis index 8),
+    # whose entries hold both members of each mirror pair
+    g = GridSpec(2, 8 * np.pi, 16)
+    noise = 0.01 * np.random.default_rng(8).standard_normal(g.shape)
+    return make_config(g=g, coeff=bessel_coeff(C=5.0), gamma=0.0, T0=0.25,
+                       dt=1.0 / 256.0, picard_tol=1e-14, u0=forward_transform(noise, g))
+
+
 def _config_omega_2d():
     # 40^2 is not a power of two, so G's division by N^n rounds. The omega
     # datum has 42 coefficients outside the 2/3-rule band (|m| = 14 or 15 >
@@ -362,6 +373,7 @@ ORACLE_CASES = {
     "nodes-two-chunks": lambda: _config_nodes(2 * _CHUNK_512),
     "nodes-not-multiple": lambda: _config_nodes(2 * _CHUNK_512 + 1),
     "white-noise-1d": _config_white_noise,
+    "white-noise-2d": _config_white_noise_2d,
     "signed-zeros-1d": _config_signed_zeros,
     "omega-2d-N40": _config_omega_2d,
 }
@@ -508,10 +520,13 @@ class TestChunkedSweepOracle:
         assert np.array_equal(got.value.residuals, ref.value.residuals)
 
 
-@pytest.mark.parametrize("case", ["grid-2d-N32", "grid-3d-N16"])
+@pytest.mark.parametrize("case", sorted(name for name, make in ORACLE_CASES.items()
+                                         if make().grid.n >= 2))
 def test_real_transforms_reach_the_complex_fixed_point(case):
-    # for n >= 2 G squares on the half spectrum; the design before it, with
-    # complex transforms of the whole lattice, has the same fixed point
+    # for n >= 2 a node is stored as its half spectrum, in float64 for real
+    # coefficients, and G squares there; the design before it, with
+    # full-lattice complex nodes and complex transforms, has the same fixed
+    # point
     cfg = ORACLE_CASES[case]()
     got = picard_solve(cfg)
     old = reference_picard_solve(cfg, complex_g=True)
@@ -536,17 +551,17 @@ def _sweep_backward_error(cfg, traj):
     ref = oracles._SweepState(cfg)
     u0c = cfg.u0.coeffs
     half_dt = 0.5 * cfg.dt
-    I = np.zeros_like(u0c)
+    I = 0.0
     res = scale = 0.0
     for i in range(len(traj.fields) - (traj.overflow_at is not None)):
-        u = traj.fields[i].coeffs
+        u = ref.node(traj.fields[i].coeffs)
         g = ref.nonlinearity(u)
         if i:
             I = oracles.sweep_step(I, ref.decay_dt, g_last, g, half_dt)
         g_last = g
         new = ref.linear_part(u0c, cfg.times[i]) + I
-        res = max(res, h1_norm(SpectralField(cfg.grid, new - u)))
-        scale = max(scale, h1_norm(SpectralField(cfg.grid, new)))
+        res = max(res, ref.h1_of(new - u))
+        scale = max(scale, ref.h1_of(new))
     return res / scale
 
 
@@ -560,10 +575,10 @@ def test_backward_error_within_picard_tol(case):
     assert _sweep_backward_error(cfg, traj) <= cfg.picard_tol
 
 
-# every ORACLE_CASES entry with nonnegative data (white-noise-1d samples
-# signed noise), and the blow-up proxy at N=512
+# every ORACLE_CASES entry with nonnegative data (the white-noise entries
+# sample signed noise), and the blow-up proxy at N=512
 MONOTONE_CASES = {name: make for name, make in ORACLE_CASES.items()
-                  if name != "white-noise-1d"}
+                  if not name.startswith("white-noise")}
 MONOTONE_CASES["blowup-proxy-N512"] = BACKWARD_CASES["blowup-proxy-N512"]
 
 
@@ -602,18 +617,21 @@ def _traced_peak(cfg):
 
 
 def test_node_stacks_hold_the_band_only():
-    # a 128^2 node is 256 KiB, one node per sweep chunk: the run's node stack
-    # holds 85^2 of each node's 128^2 coefficients, the linear part only
-    # u0's support (43^2 of them), and the full-lattice rows it works in
-    # stay a bounded few
+    # a 128^2 node is 256 KiB, one node per sweep chunk. The datum is real,
+    # so the run's node stack holds each node as the float64 half band,
+    # 85 x 43 of its 128^2 coefficients, and the linear part only u0's
+    # support there (43 x 22 of them); the full-lattice rows it works in
+    # stay a bounded few. The peak reads 8.9-9.3 full nodes against a bound
+    # of 10.4; 16-byte entries would add 2.4 full nodes to a stack of half
+    # bands and 7 to one of full bands (complex full bands read 19.8)
     g = GridSpec(2, 16 * np.pi, 128)
     cfg = make_config(g=g, coeff=bessel_coeff(C=5.0), gamma=0.0, T0=0.125,
                       dt=1.0 / 128.0, u0=random_nonneg_initial_field(g, 0.3, seed=4))
     full_node = 16 * g.N ** 2
-    band_node = 16 * (2 * (g.N // 3) + 1) ** 2
-    support_node = 16 * (2 * (g.N // 6) + 1) ** 2
+    band_node = 8 * (2 * (g.N // 3) + 1) * (g.N // 3 + 1)
+    support_node = 8 * (2 * (g.N // 6) + 1) * (g.N // 6 + 1)
     peak = _traced_peak(cfg)
-    assert peak < (cfg.n_steps + 1) * (band_node + support_node) + 16 * full_node
+    assert peak < (cfg.n_steps + 1) * (band_node + support_node) + 8 * full_node
 
 
 def test_run_holds_one_node_stack():
