@@ -17,7 +17,8 @@ import sys
 
 from . import certificate as cert
 from .coefficient import CoefficientSpec, c1_threshold
-from .errors import DomainError, FraclapError, UsageError, require_finite
+from .errors import (DomainError, FraclapError, UsageError, require_finite,
+                     require_memory)
 from .operators import kernel_l1_report
 from .solver import (ProblemConfig, existence_budget, picard_solve,
                      random_nonneg_initial_field)
@@ -149,6 +150,8 @@ _SOLVER_KEYS = ("picard_tol", "picard_max_iter", "overflow_threshold", "C_abs")
 
 def build_problem(values):
     grid = _grid(values, _get(values, "n"), _default_grid)
+    require_memory(16 * grid.N ** grid.n,
+                   f"a complex field of N^n = {grid.N}^{grid.n} coefficients", "lower N")
     return ProblemConfig(
         grid=grid,
         alpha=_get(values, "alpha"),

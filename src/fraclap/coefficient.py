@@ -64,15 +64,8 @@ class CoefficientSpec:
         """Symbol values over an array of |xi|^2."""
         xi_sq = np.asarray(xi_sq, dtype=float)
         if self.kind == "dirac":
-            values = np.full_like(xi_sq, self.C)
-        else:
-            values = self.C * (1.0 + xi_sq) ** (-self.rho / 2.0)
-        # a copy, which changes where glibc's malloc puts the solver's later
-        # arrays. On a 2-CPU x86 host (numpy 2.4), in-process `solve n=2`
-        # ran slower without it in 7 of 8 alternating pairs (medians 9.1 s
-        # against 8.6 s), with about 10.2K minor page faults either way.
-        # Why is not established
-        return values.copy()
+            return np.full_like(xi_sq, self.C)
+        return self.C * (1.0 + xi_sq) ** (-self.rho / 2.0)
 
 
 def gamma_case(alpha, gamma, for_blowup=False):

@@ -6,6 +6,7 @@ unreadable config) are raised as UsageError (exit code 2).
 """
 
 import math
+import os
 
 
 class FraclapError(Exception):
@@ -38,3 +39,12 @@ def require_finite(**values):
     for name, value in values.items():
         if not math.isfinite(value):
             raise DomainError(f"{name} = {value} fails -inf < {name} < inf")
+
+
+def require_memory(need, what, remedy):
+    """Raise DomainError unless need bytes, which what takes, fit in physical
+    memory; remedy says how to take fewer."""
+    have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if need > have:
+        raise DomainError(f"{what} takes {need:.4g} bytes, which fails "
+                          f"bytes <= physical memory = {have:.4g}; {remedy}")

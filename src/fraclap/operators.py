@@ -233,13 +233,13 @@ def kernel_l1_report(s, alpha, t_values, grid=None):
             raise GridResolutionError(
                 f"sizing the grid for smoothing order s = {s} at alpha = {alpha} "
                 "overflows float range; lower s") from None
-        if N > _N_CAP:
-            raise GridResolutionError(
-                f"auto-sized grid needs N = {N} > {_N_CAP} modes; "
-                "shrink the time range or the smoothing order")
         grid = GridSpec(1, L, N)
     elif grid.n != 1:
         raise DomainError("kernel reports are one-dimensional")
+    if grid.N > _N_CAP:
+        raise GridResolutionError(
+            f"the grid has N = {grid.N} modes, which fails N <= {_N_CAP}; lower N, "
+            "or, on an auto-sized grid, shrink the time range or the smoothing order")
     _check_adequacy(grid, alpha, s, t_values)
 
     l1_riesz = [_weighted_kernel_l1(t, alpha, grid, s, bessel=False) for t in t_values]

@@ -8,12 +8,12 @@ The unknown is advanced through the integral equation
 with the semigroup at lag t-s, every multiplier applied exactly in Fourier
 space, and trapezoid quadrature in s. One Picard sweep evaluates the right
 side over the whole time lattice using the previous iterate (the fixed-point
-map itself, not time marching); the quadrature is accumulated with the exact
-recurrence
+map itself, not time marching). S(t + dt) = S(dt) S(t) exactly, so one
+exact recurrence carries both the decayed datum and the quadrature:
 
-    I(t_{i+1}) = exp(-dt (-Lap)^(alpha/2)) [ I(t_i) + dt/2 G(t_i) ] + dt/2 G(t_{i+1})
+    u(t_{i+1}) = exp(-dt (-Lap)^(alpha/2)) [ u(t_i) + dt/2 G(t_i) ] + dt/2 G(t_{i+1})
 
-so a sweep costs O(M) transform work instead of O(M^2).
+from u(t_0) = u0, and a sweep costs O(M) transform work instead of O(M^2).
 
 u is real-valued. ProblemConfig checks that the initial datum's
 coefficients are Hermitian, c(-m) = conj(c(m)), to 1e-12 of the largest;
@@ -21,29 +21,27 @@ the semigroup, the square and the symbol b keep that symmetry, so every
 iterate is a real field too.
 
 Node storage. G is dealiased by the 2/3 rule, so it is exactly zero outside
-the band |m| <= N//3 per axis (b_hat is finite, so 0 * b_hat is 0).
-There the recurrence adds exact zeros to the decayed data: every iterate
-equals S(t) u0 = exp(-t (-Lap)^(alpha/2)) u0 + 0 outside the band, and is
+the band |m| <= N//3 per axis (b_hat is finite, so 0 * b_hat is 0). There
+the recurrence adds exact zeros to the decayed data: outside the band every
+iterate is the recurrence's decayed u0 (decay^i u0 at node i), which is
 exactly +0 wherever u0 is. So a 1-D node is stored as a vector of its band
 coefficients followed by the k out-of-band coefficients where u0 is not +0
-(spectral.BandLayout). For n >= 2 a node is a real field, so it is stored
-as its half band, the band entries with last-axis mode 0..N//3, followed by
-the out-of-band coefficients where u0 is not +0 with last-axis index
-0..N//2 (rfftn's half spectrum); the rest of the lattice are the conjugates
-of their mirrors. That is 171 x 86 of 256^2 and 85^2 x 43 of 128^3
-coefficients. k is 0 for the CLI data (omega, random, zero); sampled noise
-fills it. picard_solve picks the stack's dtype once, from u0: for n >= 2 it
-is float64 when every stored coefficient of u0 has imaginary part +0.0 (the
-CLI data, which are even fields), since the semigroup, |xi|, the square and
-b_hat keep coefficients real; otherwise, and on 1-D grids, complex128. So a
-256^2 node takes a quarter of the bytes of its complex band. The iterate is
-one (M+1, that length) stack, updated in place, and the only one a run
-holds. The linear part S(t) u0 is +0 wherever u0 is +0, so it is kept as an
-(M+1, |S|) table over u0's support S (14 of 341 stored entries for the
-omega datum at N=512, 45 of 14,706 at 256^2), and each chunk writes its
-rows into a zeroed row buffer before the recurrence adds them. The
-out-of-band entries go through the same recurrence as the band, where G is
-zero, so there is one path for both, and one for both dtypes.
+(spectral.BandLayout). For n >= 2 a node is a real field, so it is stored as
+its half band, the band entries with last-axis mode 0..N//3, followed by the
+out-of-band coefficients where u0 is not +0 with last-axis index 0..N//2
+(rfftn's half spectrum); the rest of the lattice are the conjugates of their
+mirrors. That is 171 x 86 of 256^2 and 85^2 x 43 of 128^3 coefficients. k is
+0 for the CLI data (omega, random, zero); sampled noise fills it.
+picard_solve picks the stack's dtype once, from u0: for n >= 2 it is float64
+when every stored coefficient of u0 has imaginary part +0.0 (the CLI data,
+which are even fields), since the semigroup, |xi|, the square and b_hat keep
+coefficients real; otherwise, and on 1-D grids, complex128. So a 256^2 node
+takes a quarter of the bytes of its complex band. The iterate is one (M+1,
+that length) stack, updated in place, and the only one a run holds: no table
+of S(t) u0 is kept, since each sweep starts its recurrence at u0, and the
+first iterate is the recurrence with G = 0. The out-of-band entries go
+through the same recurrence as the band, where G is zero, so there is one
+path for both, and one for both dtypes.
 
 A sweep walks the node axis in chunks of as many nodes as fit a 256 KiB
 budget of complex full-lattice rows (dozens per chunk on 1-D grids, one on
@@ -79,8 +77,9 @@ the reference).
 The returned Trajectory keeps the stored stack; its fields are a read-only
 sequence that builds each full-lattice SpectralField when it is read (for
 n >= 2 by Hermitian completion of the half spectrum, with imaginary parts
-+0 for a float stack), so the h1_dot norms and Trajectory.to_csv hold one
-full field at a time.
++0 for a float stack), so the h1_dot norms hold one full field at a time.
+Its max |coefficient| per node is read off the stored rows: a mirror has
+its entry's modulus, and the rest of the lattice is +0.
 
 G at a node depends only on the previous iterate, so when one node fills a
 chunk (256^2 and 128^3 grids) the sweep queues G of the next _LOOKAHEAD
@@ -125,7 +124,6 @@ full length from the iterate as it stands.
 
 import contextlib
 import math
-import os
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import List, Optional
@@ -133,7 +131,7 @@ from typing import List, Optional
 import numpy as np
 
 from .coefficient import CoefficientSpec, gamma_case, sobolev_norm_of_b
-from .errors import DomainError, NonConvergenceError, require_finite
+from .errors import DomainError, NonConvergenceError, require_finite, require_memory
 from .operators import require_alpha, semigroup_symbol
 from .spectral import (BandLayout, GridSpec, SpectralField, _weighted_norm,
                        dealiased_square, h1_dot_norm, h1_norm, h1_weight,
@@ -257,6 +255,8 @@ class Trajectory:
     fields: Sequence[SpectralField]
     h1_norms: np.ndarray
     h1_dot_norms: np.ndarray
+    # max |coefficient| of each field
+    max_abs_coeffs: np.ndarray
     overflow_at: Optional[float]
     picard_residuals: List[float]
     iterations: int
@@ -265,9 +265,6 @@ class Trajectory:
     # (min real part, max real part), for positivity audits
     iterate_extrema: tuple
 
-    def max_abs_coeff(self):
-        return np.array([np.abs(f.coeffs).max() for f in self.fields])
-
     def to_csv(self, path):
         write_csv(path,
                   ["trajectory: t (time units), discrete H1 and homogeneous H1 "
@@ -275,7 +272,7 @@ class Trajectory:
                    f"overflow_at={self.overflow_at!r} iterations={self.iterations} "
                    f"converged={int(self.converged)}"],
                   "t,h1,h1_dot,max_abs_coeff",
-                  [self.times, self.h1_norms, self.h1_dot_norms, self.max_abs_coeff()])
+                  [self.times, self.h1_norms, self.h1_dot_norms, self.max_abs_coeffs])
 
 
 def sweep_step(I, decay, g_prev, g_new, half_dt, work):
@@ -336,13 +333,10 @@ def _worker(needed):
 
 def _require_stack_fits(nodes, node_bytes):
     """DomainError unless a run's node stack, node_bytes per time node (the
-    iterate and the linear part on u0's support), fits in physical memory."""
-    need = nodes * node_bytes
-    have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    if need > have:
-        raise DomainError(
-            f"{nodes:.4g} time nodes need {need:.4g} bytes of node stack, which "
-            f"fails bytes <= physical memory = {have:.4g}; raise dt or lower T0")
+    iterate's stored entries; off them each iterate is the recurrence's
+    decayed u0, +0 wherever u0 is +0), fits in physical memory."""
+    require_memory(nodes * node_bytes, f"a node stack of {nodes:.4g} time nodes",
+                   "raise dt or lower T0")
 
 
 def picard_solve(config):
@@ -365,9 +359,6 @@ def picard_solve(config):
     # full lattice
     nonzero = (u0c != 0) | np.signbit(u0c.real) | np.signbit(u0c.imag)
     layout = BandLayout(grid, nonzero)
-    # the stored positions where u0 is not +0: the only ones where the
-    # linear part S(t) u0 is not +0
-    support = np.flatnonzero(_stored(layout, nonzero))
     u0s = _stored(layout, u0c)
     # for n >= 2 real stored coefficients keep every iterate real: the
     # stack is float64
@@ -376,7 +367,7 @@ def picard_solve(config):
     if real:
         u0s = u0s.real
     M = config.n_steps
-    _require_stack_fits(M + 1, (layout.size + len(support)) * np.dtype(dtype).itemsize)
+    _require_stack_fits(M + 1, layout.size * np.dtype(dtype).itemsize)
     abs_xi = _stored(layout, np.sqrt(grid.xi_norm_sq))
     # b_hat >= 0 (C >= 0), so the out-of-band entries, which come out of the
     # square as +0, stay +0, as the masked lattice entries did
@@ -390,7 +381,6 @@ def picard_solve(config):
     # the entries a row holds off the stored positions are +0 in every
     # iterate, and they count in its extrema
     unstored = (0.0,) if layout.size < layout.spectrum_size else ()
-    times = config.times
     thresh = config.overflow_threshold
     half_dt = 0.5 * config.dt
     # no sweep leaves float range: every row fed to G has H1 <= thresh
@@ -414,11 +404,6 @@ def picard_solve(config):
     if not u0_h1 <= thresh:
         raise DomainError(f"initial datum has ||u0||_H1 = {float(u0_h1)!r}, which "
                           f"fails ||u0||_H1 <= overflow_threshold = {thresh!r}")
-    # the linear part S(t) u0 on u0's support only: it is +0 elsewhere
-    lin = np.empty((M + 1, len(support)), dtype=dtype)
-    for i, t in enumerate(times):
-        s = _stored(layout, semigroup_symbol(grid, t, config.alpha) * u0c)[support]
-        lin[i] = s.real if real else s
     decay = _stored(layout, semigroup_symbol(grid, config.dt, config.alpha))
 
     def crossing_of(h1):
@@ -427,15 +412,16 @@ def picard_solve(config):
 
     # the iterate is updated in place, chunk by chunk: the G values a chunk
     # needs from the previous iterate are taken before its rows are replaced,
-    # and later nodes only read later rows. It starts as the linear part,
-    # whose norms are at most ||u0|| <= thresh (S(t) scales coefficients by
-    # at most 1): the first sweep saturates no G and starts with no crossing
-    prev = np.zeros((M + 1, layout.size), dtype=dtype)
-    prev[:, support] = lin
+    # and later nodes only read later rows. It starts as the recurrence's
+    # decayed u0, whose norms are at most ||u0|| <= thresh (decay scales
+    # coefficients by at most 1): the first sweep saturates no G and starts
+    # with no crossing
+    prev = np.empty((M + 1, layout.size), dtype=dtype)
+    prev[0] = u0s
+    for i in range(1, M + 1):
+        np.multiply(decay, prev[i - 1], out=prev[i])
     prev_h1 = np.full(M + 1, u0_h1)
     rows = np.empty((chunk, layout.size), dtype=dtype)
-    # a chunk's rows of the linear part; off the support they stay +0
-    lin_rows = np.zeros_like(rows)
     diff = np.empty_like(rows)
     I = np.empty(layout.size, dtype=dtype)
     step_work = np.empty_like(I)
@@ -508,7 +494,7 @@ def picard_solve(config):
             new_cross = None
             res = 0.0
             scale = 0.0
-            I[...] = 0.0
+            I[...] = u0s
             ahead = 1
             for ci in range(n_chunks):
                 while pool is not None and ahead < min(ci + 1 + _LOOKAHEAD, n_chunks):
@@ -519,15 +505,10 @@ def picard_solve(config):
                 hi = min(lo + chunk, end)
                 k = hi - lo
                 new = rows[:k]
-                lin_c = lin_rows[:k]
-                lin_c[:, support] = lin[lo:hi]
                 for r in range(k):
-                    i = lo + r
-                    if i == 0:
-                        new[0] = lin_c[0]
-                    else:
+                    if lo + r:
                         sweep_step(I, decay, g_last, g[r], half_dt, step_work)
-                        np.add(lin_c[r], I, out=new[r])
+                    new[r] = I
                     g_last = g[r]
                 new_h1 = _weighted_norm(h1w, new)
                 if new_cross is None:
@@ -563,11 +544,14 @@ def picard_solve(config):
 
     keep = M + 1 if prev_cross is None else prev_cross + 1
     fields = _NodeFields(grid, layout, prev, keep)
+    times = config.times
     return Trajectory(
         times=times[:keep],
         fields=fields,
         h1_norms=prev_h1[:keep].copy(),
         h1_dot_norms=np.array([h1_dot_norm(f) for f in fields]),
+        # a mirror has its entry's modulus, and the rest of the lattice is +0
+        max_abs_coeffs=np.array([np.abs(row).max() for row in prev[:keep]]),
         overflow_at=None if prev_cross is None else float(times[prev_cross]),
         picard_residuals=residuals,
         iterations=iterations,

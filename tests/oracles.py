@@ -265,8 +265,7 @@ def reference_picard_solve(config, complex_g=False, on_sweep=None):
     state = _SweepState(config, complex_g)
     M = config.n_steps
     times = config.times
-    u0c = config.u0.coeffs
-    lin = [state.linear_part(u0c, t) for t in times]
+    u0 = state.node(config.u0.coeffs)
     thresh = config.overflow_threshold
     half_dt = 0.5 * config.dt
 
@@ -276,7 +275,10 @@ def reference_picard_solve(config, complex_g=False, on_sweep=None):
                 return i
         return None
 
-    prev = [c.copy() for c in lin]
+    # the recurrence's decayed u0, as the solver starts
+    prev = [u0]
+    for _ in range(M):
+        prev.append(state.decay_dt * prev[-1])
     prev_h1 = [state.h1_of(c) for c in prev]
     prev_cross = crossing_of(prev_h1)
 
@@ -293,14 +295,14 @@ def reference_picard_solve(config, complex_g=False, on_sweep=None):
         # saturation only ever influences times at or past the previous
         # iterate's crossing; once the crossing is stable, the result keeps
         # only the crossing node of those, as its last)
-        new = [lin[0].copy()]
-        I = np.zeros_like(lin[0])
+        new = [u0.copy()]
+        I = u0
         g_last = _saturated_nonlinearity(state, prev, prev_h1, 0, thresh)
         for i in range(1, M + 1):
             g_cur = _saturated_nonlinearity(state, prev, prev_h1, i, thresh)
             I = sweep_step(I, state.decay_dt, g_last, g_cur, half_dt)
             g_last = g_cur
-            new.append(lin[i] + I)
+            new.append(I)
         new_h1 = [state.h1_of(c) for c in new]
         new_cross = crossing_of(new_h1)
         if on_sweep is not None:
@@ -340,6 +342,7 @@ def reference_picard_solve(config, complex_g=False, on_sweep=None):
         fields=fields,
         h1_norms=np.array(prev_h1[:keep]),
         h1_dot_norms=h1d,
+        max_abs_coeffs=np.array([np.abs(f.coeffs).max() for f in fields]),
         overflow_at=None if prev_cross is None else float(times[prev_cross]),
         picard_residuals=residuals,
         iterations=iterations,

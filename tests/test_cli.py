@@ -94,7 +94,8 @@ class TestExitCodes:
         ("budget", "C_abs=-1"), ("certify", "n=-1", "alpha=1.5"),
         ("certify", "n=-3", "rho=1"), ("kernel-check", "L=1e50", "N=512", "s=171"),
         ("kernel-check", "N=512", "t_values=1e-300", "s=171"),
-        ("solve", "n=2", "L=1e300", "N=16")])
+        ("solve", "n=2", "L=1e300", "N=16"), ("solve", "n=2", "N=1048576"),
+        ("budget", "n=3", "N=1048576"), ("kernel-check", "N=1099511627776")])
     def test_nonfinite_or_empty_input_is_domain_error(self, outdir, capsys, args):
         code = run([args[0], "-o", str(outdir), *args[1:]])
         err = capsys.readouterr().err
