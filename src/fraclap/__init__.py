@@ -16,7 +16,7 @@ from .operators import (KernelEstimateReport, kernel_field, kernel_l1_report,
                         kernel_samples, semigroup_apply, semigroup_symbol)
 from .solver import (ExistenceBudget, ProblemConfig, Trajectory,
                      existence_budget, picard_solve, random_nonneg_initial_field)
-from .spectral import (GridSpec, SpectralField, forward_transform, h1_dot_norm,
-                       h1_norm, inverse_transform)
+from .spectral import (GridSpec, SpectralField, forward_transform, h1_norm,
+                       inverse_transform)
 
 __version__ = "0.1.0"

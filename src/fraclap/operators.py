@@ -231,8 +231,9 @@ def kernel_l1_report(s, alpha, t_values, grid=None):
             N = _auto_modes(alpha, s, min(t_values), L)
         except OverflowError:
             raise GridResolutionError(
-                f"sizing the grid for smoothing order s = {s} at alpha = {alpha} "
-                "overflows float range; lower s") from None
+                f"sizing the grid for smoothing order s = {s}, alpha = {alpha} and "
+                f"t_values from {min(t_values)!r} to {max(t_values)!r} overflows float "
+                "range; lower s, raise alpha or shrink the time range") from None
         grid = GridSpec(1, L, N)
     elif grid.n != 1:
         raise DomainError("kernel reports are one-dimensional")

@@ -24,14 +24,16 @@ Node storage. G is dealiased by the 2/3 rule, so it is exactly zero outside
 the band |m| <= N//3 per axis (b_hat is finite, so 0 * b_hat is 0). There
 the recurrence adds exact zeros to the decayed data: outside the band every
 iterate is the recurrence's decayed u0 (decay^i u0 at node i), which is
-exactly +0 wherever u0 is. So a 1-D node is stored as a vector of its band
-coefficients followed by the k out-of-band coefficients where u0 is not +0
-(spectral.BandLayout). For n >= 2 a node is a real field, so it is stored as
-its half band, the band entries with last-axis mode 0..N//3, followed by the
-out-of-band coefficients where u0 is not +0 with last-axis index 0..N//2
-(rfftn's half spectrum); the rest of the lattice are the conjugates of their
-mirrors. That is 171 x 86 of 256^2 and 85^2 x 43 of 128^3 coefficients. k is
-0 for the CLI data (omega, random, zero); sampled noise fills it.
+exactly +0 wherever u0 is. A node is a real field, so its coefficients are
+held in its spectrum (spectral.BandLayout), the entries a real field's
+transform holds directly: the whole lattice in 1-D, and rfftn's half
+spectrum (last-axis index 0..N//2) for n >= 2, where the rest of the
+lattice are the conjugates of their mirrors. A node is stored as the band's
+spectrum entries followed by the k out-of-band spectrum entries where u0 is
+not +0: that is 171 of 256, 171 x 86 of 256^2 and 85^2 x 43 of 128^3
+coefficients, plus k. k is 0 for the CLI data (omega, random, zero);
+sampled noise fills it. picard_solve reads every per-run multiplier off the
+lattice with BandLayout.stored and never handles a spectrum itself.
 picard_solve picks the stack's dtype once, from u0: for n >= 2 it is float64
 when every stored coefficient of u0 has imaginary part +0.0 (the CLI data,
 which are even fields), since the semigroup, |xi|, the square and b_hat keep
@@ -45,19 +47,19 @@ path for both, and one for both dtypes.
 
 A sweep walks the node axis in chunks of as many nodes as fit a 256 KiB
 budget of complex full-lattice rows (dozens per chunk on 1-D grids, one on
-a 256^2 or 128^3 grid). Only G's transforms need the full lattice. G
-saturates the previous iterate's stored rows, multiplies them by |xi| and
-squares them with spectral.dealiased_square, which scatters them into
-zeroed scratch, transforms there, gathers the stored entries back, divides
-them by N^n and zeroes the out-of-band ones; then it multiplies by b_hat.
-On 1-D grids the square is one batched complex inverse and one forward FFT
-of the lattice. For n >= 2 the square runs real-field transforms over the
-half spectrum (last-axis modes 0..N/2) in irfftn's and rfftn's order, whose
-passes over the other axes skip the last-axis columns beyond the band; it
-gathers the half band back, real parts for float rows, and each entry at
-last-axis mode 0 whose last nonzero mode is negative is the conjugate of
-its mirror. That does about half the transform work of the complex square
-(0.83 against 1.89 ms at 256^2 on a 2-CPU x86 host).
+a 256^2 or 128^3 grid). Only G's transforms need more than the stored
+entries. G saturates the previous iterate's stored rows, multiplies them by
+|xi| and squares them with spectral.dealiased_square, which scatters them
+into a zeroed spectrum, transforms there, gathers the stored entries back
+(real parts for float rows), divides them by N^n and zeroes the out-of-band
+ones; then it multiplies by b_hat. On 1-D grids the square is one batched
+complex inverse and one forward FFT of the lattice. For n >= 2 the square
+runs real-field transforms over the half spectrum in irfftn's and rfftn's
+order, whose passes over the other axes skip the last-axis columns beyond
+the band, and each entry at last-axis mode 0 whose last nonzero mode is
+negative is then set to the conjugate of its mirror. That does about half
+the transform work of the complex square (0.83 against 1.89 ms at 256^2 on
+a 2-CPU x86 host).
 The recurrence steps node by node on stored vectors, in place in
 preallocated buffers. The H1 norms and the residual sum the weighted
 stored entries in stored order (the band in lattice order, then the
@@ -74,12 +76,14 @@ the full lattice in 1-D and the half spectrum for n >= 2, and whose norms
 sum the same terms in the same order (tests/oracles.py keeps that loop as
 the reference).
 
-The returned Trajectory keeps the stored stack; its fields are a read-only
-sequence that builds each full-lattice SpectralField when it is read (for
-n >= 2 by Hermitian completion of the half spectrum, with imaginary parts
-+0 for a float stack), so the h1_dot norms hold one full field at a time.
-Its max |coefficient| per node is read off the stored rows: a mirror has
-its entry's modulus, and the rest of the lattice is +0.
+The returned Trajectory keeps the stored stack, and its norms and its max
+|coefficient| per node are read off the stored rows: h1_dot sums the
+stored entries with the weight |xi|^2, doubled as for H1, one row at a
+time; a mirror has its entry's modulus, and the rest of the lattice is +0.
+No run builds a full-lattice field. The fields are a read-only sequence
+that builds each full-lattice SpectralField when it is read
+(BandLayout.fields: for n >= 2 by Hermitian completion of the half
+spectrum, with imaginary parts +0 for a float stack).
 
 G at a node depends only on the previous iterate, so when one node fills a
 chunk (256^2 and 128^3 grids) the sweep queues G of the next _LOOKAHEAD
@@ -134,8 +138,8 @@ from .coefficient import CoefficientSpec, gamma_case, sobolev_norm_of_b
 from .errors import DomainError, NonConvergenceError, require_finite, require_memory
 from .operators import require_alpha, semigroup_symbol
 from .spectral import (BandLayout, GridSpec, SpectralField, _weighted_norm,
-                       dealiased_square, h1_dot_norm, h1_norm, h1_weight,
-                       square_scratch, write_csv)
+                       dealiased_square, h1_norm, h1_weight, square_scratch,
+                       write_csv)
 
 
 def random_nonneg_initial_field(grid, h1_amplitude, seed):
@@ -300,8 +304,7 @@ class _NodeFields(Sequence):
     SpectralField, so a caller that walks the nodes holds one full field at
     a time."""
 
-    def __init__(self, grid, layout, stack, length):
-        self.grid = grid
+    def __init__(self, layout, stack, length):
         self.layout = layout
         self.stack = stack
         self.length = length
@@ -311,14 +314,7 @@ class _NodeFields(Sequence):
 
     def __getitem__(self, i):
         i = range(self.length)[i]
-        full = np.zeros((1,) + self.grid.shape, dtype=np.complex128)
-        self.layout.scatter(self.stack[i:i + 1], full)
-        return SpectralField(self.grid, full[0])
-
-
-def _stored(layout, values):
-    """The stored entries of one full-lattice array."""
-    return layout.gather(values[None], np.empty((1, layout.size), values.dtype))[0]
+        return SpectralField(self.layout.grid, self.layout.fields(self.stack[i:i + 1])[0])
 
 
 def _worker(needed):
@@ -359,7 +355,7 @@ def picard_solve(config):
     # full lattice
     nonzero = (u0c != 0) | np.signbit(u0c.real) | np.signbit(u0c.imag)
     layout = BandLayout(grid, nonzero)
-    u0s = _stored(layout, u0c)
+    u0s = layout.stored(u0c)
     # for n >= 2 real stored coefficients keep every iterate real: the
     # stack is float64
     real = grid.n > 1 and not np.any((u0s.imag != 0) | np.signbit(u0s.imag))
@@ -368,16 +364,16 @@ def picard_solve(config):
         u0s = u0s.real
     M = config.n_steps
     _require_stack_fits(M + 1, layout.size * np.dtype(dtype).itemsize)
-    abs_xi = _stored(layout, np.sqrt(grid.xi_norm_sq))
+    abs_xi = layout.stored(np.sqrt(grid.xi_norm_sq))
     # b_hat >= 0 (C >= 0), so the out-of-band entries, which come out of the
     # square as +0, stay +0, as the masked lattice entries did
-    b_hat = _stored(layout, config.coefficient.symbol_on(grid.xi_norm_sq))
+    b_hat = layout.stored(config.coefficient.symbol_on(grid.xi_norm_sq))
     # the chunk budget counts G's complex full-lattice rows
     chunk = max(1, _CHUNK_BYTES // (u0c.size * np.dtype(np.complex128).itemsize))
-    # every norm of the sweep is h1_norm's routine summed over the stored
-    # entries, in stored order: the entries off them are +0 or mirrors of
-    # stored ones, which the weight counts by doubling
-    h1w = _stored(layout, h1_weight(grid)) * layout.multiplicity
+    # every norm of the sweep, and the returned h1_dot, is h1_norm's routine
+    # summed over the stored entries, in stored order: the entries off them
+    # are +0 or mirrors of stored ones, which the weight counts by doubling
+    h1w = layout.stored(h1_weight(grid)) * layout.multiplicity
     # the entries a row holds off the stored positions are +0 in every
     # iterate, and they count in its extrema
     unstored = (0.0,) if layout.size < layout.spectrum_size else ()
@@ -404,7 +400,7 @@ def picard_solve(config):
     if not u0_h1 <= thresh:
         raise DomainError(f"initial datum has ||u0||_H1 = {float(u0_h1)!r}, which "
                           f"fails ||u0||_H1 <= overflow_threshold = {thresh!r}")
-    decay = _stored(layout, semigroup_symbol(grid, config.dt, config.alpha))
+    decay = layout.stored(semigroup_symbol(grid, config.dt, config.alpha))
 
     def crossing_of(h1):
         over = np.flatnonzero(~np.isfinite(h1) | (h1 > thresh))
@@ -543,13 +539,15 @@ def picard_solve(config):
             "shrink T0 or the initial datum per the contraction budget", residuals)
 
     keep = M + 1 if prev_cross is None else prev_cross + 1
-    fields = _NodeFields(grid, layout, prev, keep)
     times = config.times
+    # one row at a time: a call over the stack would hold stack-sized terms
+    dot_w = layout.stored(grid.xi_norm_sq) * layout.multiplicity
     return Trajectory(
         times=times[:keep],
-        fields=fields,
+        fields=_NodeFields(layout, prev, keep),
         h1_norms=prev_h1[:keep].copy(),
-        h1_dot_norms=np.array([h1_dot_norm(f) for f in fields]),
+        h1_dot_norms=np.array([float(_weighted_norm(dot_w, row, scale=Ln))
+                               for row in prev[:keep]]),
         # a mirror has its entry's modulus, and the rest of the lattice is +0
         max_abs_coeffs=np.array([np.abs(row).max() for row in prev[:keep]]),
         overflow_at=None if prev_cross is None else float(times[prev_cross]),

@@ -9,9 +9,10 @@ Conventions (fixed once, used everywhere):
 * Discrete norms are Parseval-weighted so that for band-limited fields they
   converge to the continuum integrals: ``l2^2 = L^n * sum |c_m|^2``
   (= ``sum |f(x_j)|^2 * (L/N)^n`` exactly, by the discrete Parseval identity).
-  The solver's norms, ``h1_norm`` and ``h1_dot_norm``, weight ``|c_m|^2`` by
-  ``1 + |xi|^2`` and ``|xi|^2``; every weighted sum goes through
-  ``_weighted_norm``.
+  The solver's norms, the H1 norm (``h1_norm``) and the homogeneous H1
+  norm, weight ``|c_m|^2`` by ``1 + |xi|^2`` and ``|xi|^2``; every weighted
+  sum goes through ``_weighted_norm``, and the solver's run over the
+  entries of its stored rows (``BandLayout``).
 * Fourier-side ("hat") values are ``(L/(2*pi))^n * c``, the normalization
   in which a pointwise product in physical space becomes a plain lattice
   convolution with weight ``dxi^n`` and no stray ``2*pi`` factors; the
@@ -180,31 +181,25 @@ def h1_norm(fld):
     return float(_weighted_norm(h1_weight(fld.grid), fld.coeffs))
 
 
-def h1_dot_norm(fld):
-    """Homogeneous H1 norm; +inf for a non-finite field."""
-    grid = fld.grid
-    return float(_weighted_norm(grid.xi_norm_sq, fld.coeffs, scale=grid.L ** grid.n))
-
-
 class BandLayout:
-    """Which coefficients of lattice rows are stored, and where they sit on
-    the lattice.
+    """Which coefficients of lattice rows are stored, and where they sit in
+    the spectrum.
+
+    The spectrum is the set of lattice entries that a row holds directly:
+    the whole lattice on 1-D grids, and for n >= 2 the entries with
+    last-axis index 0..N//2 (spectrum_cols columns), which hold a real
+    field's coefficients (rfftn's output, irfftn's input); every other
+    lattice entry is the conjugate of its mirror, c(-m) = conj(c(m)).
 
     The 2/3-rule band is |m| <= lim per axis (lim = grid.dealias_limit, B =
-    2 lim + 1 modes, two blocks of the FFT layout per axis). On 1-D grids a
-    stored row is one vector: the band as a (B,) array, then the values at
-    ext, the flat lattice indices outside the band where keep (a boolean
-    lattice) is True; the row stands for the lattice row that holds its
-    values at those places and +0 everywhere else.
-
-    For n >= 2 a row stores the half band, the band entries with last-axis
-    mode 0..lim, as a (B,)*(n-1) + (lim+1,) array in C order (2^(n-1)
-    blocks), then the values at ext, which here holds only the out-of-band
-    entries where keep is True with last-axis index 0..N//2. Those are
-    places of the half spectrum, rfftn's output, and the row stands for the
-    real field whose half spectrum holds its values there and +0 elsewhere;
-    every other lattice entry is the conjugate of its mirror, c(-m) =
-    conj(c(m)). Rows of float64 stand for fields with real coefficients.
+    2 lim + 1 modes, two blocks of the FFT layout per axis). A stored row
+    is the band's spectrum entries, as a (B,) array on 1-D grids and for n
+    >= 2 as the half band, the band entries with last-axis mode 0..lim, a
+    (B,)*(n-1) + (lim+1,) array in C order (2^(n-1) blocks); then the values
+    at ext, the spectrum indices (one index array per axis) outside the
+    band where keep (a boolean lattice) is True. The row stands for the real
+    field whose spectrum holds its values at those places and +0 elsewhere.
+    Rows of float64 stand for fields with real coefficients.
     """
 
     def __init__(self, grid, keep):
@@ -216,18 +211,15 @@ class BandLayout:
                   (slice(lim + 1, width), slice(N - lim, N)))
         # for n >= 2 the last axis keeps its nonnegative block only
         axes = (halves,) * (n - 1) + ((halves if n == 1 else halves[:1]),)
-        # (stored slices, lattice slices) per block, with the row axis first
+        # (stored slices, spectrum slices) per block, with the row axis first
         self.blocks = [tuple((slice(None),) + s for s in zip(*combo))
                        for combo in itertools.product(*axes)]
         self.band_shape = (width,) * (n - 1) + ((width if n == 1 else lim + 1),)
         self.band_size = int(np.prod(self.band_shape))
-        out = ~grid.dealias_mask & keep
-        if n > 1:
-            out[..., N // 2 + 1:] = False
-        self.ext = np.flatnonzero(out)
-        self.size = self.band_size + len(self.ext)
-        # the lattice entries a row holds directly
-        self.spectrum_size = N ** (n - 1) * (N if n == 1 else N // 2 + 1)
+        self.spectrum_cols = N if n == 1 else N // 2 + 1
+        self.spectrum_size = N ** (n - 1) * self.spectrum_cols
+        self.ext = np.nonzero((~grid.dealias_mask & keep)[..., :self.spectrum_cols])
+        self.size = self.band_size + len(self.ext[0])
         # lattice entries each stored entry stands for: for n >= 2, itself
         # and its mirror at last-axis index 1..N/2-1 (columns 0 and N/2 hold
         # both members of each mirror pair)
@@ -236,12 +228,9 @@ class BandLayout:
             self._init_half(lim, width)
 
     def _init_half(self, lim, width):
-        """Where stored rows sit in the half spectrum: the lattice entries
-        with last-axis index 0..N//2, which hold a real field's
-        coefficients (rfftn's output, irfftn's input)."""
+        """The last-axis columns and the mirror pairs of a half spectrum."""
         N = self.grid.N
-        last = self.ext % N
-        self.ext_half = self.ext // N * (N // 2 + 1) + last
+        last = self.ext[-1]
         # last-axis columns that an input row can make nonzero
         self.half_cols = 1 + int(last.max(initial=lim))
         cols = np.concatenate(
@@ -268,17 +257,42 @@ class BandLayout:
         # a view: a row's band part is contiguous
         return rows[:, :self.band_size].reshape((len(rows),) + self.band_shape)
 
-    def scatter(self, rows, full):
-        """Write stored rows (k, size) to their places in the lattice rows
-        full (k, *grid.shape), leaving every other entry as it is; for n >=
-        2 then set each entry with last-axis index past N//2 to its mirror,
-        conjugated for complex rows (Hermitian completion; float rows stand
-        for real coefficients, whose imaginary parts stay as they are)."""
+    def scatter(self, rows, spec):
+        """Write stored rows (k, size) to their places in the spectra spec
+        (k, *grid.shape[:-1], spectrum_cols), leaving every other entry as
+        it is."""
         band = self._band(rows)
         for stored, lattice in self.blocks:
-            full[lattice] = band[stored]
-        if len(self.ext):
-            full.reshape(len(full), -1)[:, self.ext] = rows[:, self.band_size:]
+            spec[lattice] = band[stored]
+        if self.size > self.band_size:
+            spec[(slice(None),) + self.ext] = rows[:, self.band_size:]
+        return spec
+
+    def gather(self, spec, rows):
+        """The stored entries of the spectra spec, copied into rows; their
+        real parts for float rows."""
+        band = self._band(rows)
+        real = not np.iscomplexobj(rows)
+        for stored, lattice in self.blocks:
+            band[stored] = spec[lattice].real if real else spec[lattice]
+        if self.size > self.band_size:
+            out = spec[(slice(None),) + self.ext]
+            rows[:, self.band_size:] = out.real if real else out
+        return rows
+
+    def stored(self, values):
+        """The stored entries of one full-lattice array, in its dtype."""
+        spec = values[None, ..., :self.spectrum_cols]
+        return self.gather(spec, np.empty((1, self.size), values.dtype))[0]
+
+    def fields(self, rows):
+        """The complex full-lattice coefficients (k, *grid.shape) of the
+        fields that stored rows (k, size) stand for. For n >= 2 each entry
+        with last-axis index past N//2 is set to its mirror, conjugated for
+        complex rows (Hermitian completion; float rows stand for real
+        coefficients, whose imaginary parts stay +0)."""
+        full = np.zeros((len(rows),) + self.grid.shape, dtype=np.complex128)
+        self.scatter(rows, full[..., :self.spectrum_cols])
         if self.grid.n > 1:
             N = self.grid.N
             mirror = full[..., 1:N // 2]
@@ -290,46 +304,12 @@ class BandLayout:
                 np.negative(rest.imag, out=rest.imag)
         return full
 
-    def gather(self, full, rows):
-        """The stored entries of the lattice rows full, copied into rows."""
-        band = self._band(rows)
-        for stored, lattice in self.blocks:
-            band[stored] = full[lattice]
-        if len(self.ext):
-            rows[:, self.band_size:] = full.reshape(len(full), -1)[:, self.ext]
-        return rows
-
-    def scatter_half(self, rows, half):
-        """Write stored rows (k, size) to their places in half (k,
-        *grid.shape[:-1], N//2 + 1), leaving every other entry as it is."""
-        band = self._band(rows)
-        for stored, lattice in self.blocks:
-            half[lattice] = band[stored]
-        if len(self.ext):
-            half.reshape(len(half), -1)[:, self.ext_half] = rows[:, self.band_size:]
-        return half
-
-    def gather_half(self, half, rows):
-        """The band part of rows from the half spectrum half of real fields,
-        their real parts for float rows: the entries are copied, and then
-        each one at last-axis mode 0 whose last nonzero mode is negative is
-        the conjugate of its mirror, so that column, which holds both
-        members of each mirror pair, is exactly Hermitian. The out-of-band
-        part is left as it is."""
-        band = self._band(rows)
-        real = not np.iscomplexobj(rows)
-        for stored, lattice in self.blocks:
-            band[stored] = half[lattice].real if real else half[lattice]
-        for dst, src in self.mirrors:
-            np.conjugate(band[src], out=band[dst])
-        return rows
-
 
 def square_scratch(grid, k):
-    """dealiased_square's scratch for up to k rows of fields on grid: the
-    complex lattice (k, N) for n = 1; for n >= 2 the pair of a complex half
-    spectrum (k, *grid.shape[:-1], N//2 + 1) and a real lattice (k,
-    *grid.shape)."""
+    """dealiased_square's scratch for up to k rows of fields on grid: for n
+    = 1 the complex spectrum, which is the lattice (k, N); for n >= 2 the
+    pair of a complex half spectrum (k, *grid.shape[:-1], N//2 + 1) and a
+    real lattice (k, *grid.shape)."""
     if grid.n == 1:
         return np.empty((k,) + grid.shape, dtype=np.complex128)
     half = np.empty((k,) + grid.shape[:-1] + (grid.N // 2 + 1,), dtype=np.complex128)
@@ -348,51 +328,54 @@ def dealiased_square(rows, layout, scratch):
     retained modes (the 2/3 rule removes exactly the aliased band); the
     out-of-band entries come out +0.
 
-    For n >= 2 the rows hold half spectra, so the transforms run there, in
-    the order and with the bits of irfftn and rfftn on the full lattice:
-    the inverse passes over all but the last axis, the last axis's irfft
-    into the real lattice, the square in reals, its rfft, and the forward
-    passes in reverse axis order. The last-axis columns past the stored
-    entries are zero on input and past the band unread on output, so the
-    passes over the other axes skip them, and each transformed line is the
-    one the full-lattice transform takes. Only the half band is gathered
-    back, its real parts for float rows, and each entry at last-axis mode 0
-    whose last nonzero mode is negative is the conjugate of its mirror
-    (BandLayout.gather_half).
+    The transforms run in the rows' spectrum (BandLayout): scatter the rows
+    there, transform, gather the stored entries back. 1-D grids take the
+    complex ifft and fft of the whole lattice. For n >= 2 the spectrum is
+    the half spectrum, and the transforms run there in the order and with
+    the bits of irfftn and rfftn on the full lattice: the inverse passes
+    over all but the last axis, the last axis's irfft into the real
+    lattice, the square in reals, its rfft, and the forward passes in
+    reverse axis order. The last-axis columns past the stored entries are
+    zero on input and past the band unread on output, so the passes over
+    the other axes skip them, and each transformed line is the one the
+    full-lattice transform takes. The gather takes real parts for float
+    rows, and then each entry at last-axis mode 0 whose last nonzero mode
+    is negative is set to the conjugate of its mirror, so that column,
+    which holds both members of each mirror pair, is exactly Hermitian.
 
-    1-D grids keep the complex ifft and fft of the whole lattice and their
-    bits: the blow-up proxy's recorded trajectories (perfbench/reference.json)
-    pin h1 to picard_tol = 1e-8 sup-relative, and real transforms moved the
-    N=1024 run's h1 by 1.8e-8. That branch goes once the solver is judged by
-    its fixed-point contract instead (ROADMAP item 1).
+    1-D grids keep the complex transforms and their bits: the blow-up
+    proxy's recorded trajectories (perfbench/reference.json) pin h1 to
+    picard_tol = 1e-8 sup-relative, and real transforms moved the N=1024
+    run's h1 by 1.8e-8. That branch goes once the solver is judged by its
+    fixed-point contract instead (ROADMAP item 1).
     """
     grid = layout.grid
     Nn = grid.N ** grid.n
     k = len(rows)
+    spec = (scratch if grid.n == 1 else scratch[0])[:k]
+    spec[...] = 0.0
+    layout.scatter(rows, spec)
     if grid.n == 1:
-        v = scratch[:k]
-        v[...] = 0.0
-        layout.scatter(rows, v)
-        np.fft.ifftn(v, axes=(1,), out=v)
-        np.multiply(v, Nn, out=v)
-        np.multiply(v, v, out=v)
-        np.fft.fftn(v, axes=(1,), out=v)
-        layout.gather(v, rows)
+        np.fft.ifftn(spec, axes=(1,), out=spec)
+        np.multiply(spec, Nn, out=spec)
+        np.multiply(spec, spec, out=spec)
+        np.fft.fftn(spec, axes=(1,), out=spec)
+        layout.gather(spec, rows)
     else:
-        half, real = scratch[0][:k], scratch[1][:k]
-        half[...] = 0.0
-        layout.scatter_half(rows, half)
+        real = scratch[1][:k]
         cols = (Ellipsis, slice(0, layout.half_cols))
         for ax in range(1, grid.n):
-            np.fft.ifft(half[cols], axis=ax, out=half[cols])
-        np.fft.irfft(half, n=grid.N, axis=-1, out=real)
+            np.fft.ifft(spec[cols], axis=ax, out=spec[cols])
+        np.fft.irfft(spec, n=grid.N, axis=-1, out=real)
         np.multiply(real, Nn, out=real)
         np.multiply(real, real, out=real)
-        np.fft.rfft(real, axis=-1, out=half)
+        np.fft.rfft(real, axis=-1, out=spec)
         band = (Ellipsis, slice(0, grid.dealias_limit + 1))
         for ax in range(grid.n - 1, 0, -1):
-            np.fft.fft(half[band], axis=ax, out=half[band])
-        layout.gather_half(half, rows)
+            np.fft.fft(spec[band], axis=ax, out=spec[band])
+        stored = layout._band(layout.gather(spec, rows))
+        for dst, src in layout.mirrors:
+            np.conjugate(stored[src], out=stored[dst])
     # divide the float view: numpy would divide complex rows by Nn as a
     # complex division, twice the time
     flat = rows.view(np.float64)

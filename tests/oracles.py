@@ -9,7 +9,7 @@ library pieces that the paths they check leave unchanged.
 import numpy as np
 
 from fraclap import (NonConvergenceError, SpectralField, Trajectory,
-                     convolve_lattice, h1_dot_norm, semigroup_symbol)
+                     convolve_lattice, semigroup_symbol)
 
 
 def brute_mode_autoconv(coeffs, modes):
@@ -167,10 +167,14 @@ class _SweepState:
         self.abs_xi = np.sqrt(xi2)[self.cut]
         self.mask = grid.dealias_mask[self.cut]
         self.decay_dt = self.symbol(config.dt)
-        weight = grid.L ** grid.n * (1.0 + xi2)
+        self.Ln = grid.L ** grid.n
+        weight = self.Ln * (1.0 + xi2)
+        dot_weight = xi2.copy()
         if not self.complex_g:
             weight[..., 1:N // 2] *= 2.0
+            dot_weight[..., 1:N // 2] *= 2.0
         self.h1_weight = weight[self.cut]
+        self.h1_dot_weight = dot_weight[self.cut]
         # the solver's stored order, which its norms sum in: the 2/3 band in
         # lattice order, then the out-of-band entries where u0 is not +0
         u0c = config.u0.coeffs[self.cut]
@@ -242,11 +246,17 @@ class _SweepState:
         return (w.view(np.float64) / self.Nn).view(np.complex128)
 
     def h1_of(self, coeffs):
+        return self.stored_norm(self.h1_weight, coeffs)
+
+    def h1_dot_of(self, coeffs):
+        return self.stored_norm(self.h1_dot_weight, coeffs, self.Ln)
+
+    def stored_norm(self, weight, coeffs, scale=1.0):
         if not np.all(np.isfinite(coeffs)):
             return float("inf")
-        terms = self.h1_weight * (coeffs.real ** 2 + coeffs.imag ** 2)
+        terms = weight * (coeffs.real ** 2 + coeffs.imag ** 2)
         stored = np.concatenate([terms[self.mask], terms.reshape(-1)[self.ext]])
-        return float(np.sqrt(stored.sum()))
+        return float(np.sqrt(scale * stored.sum()))
 
 
 def reference_picard_solve(config, complex_g=False, on_sweep=None):
@@ -336,12 +346,11 @@ def reference_picard_solve(config, complex_g=False, on_sweep=None):
 
     keep = M + 1 if prev_cross is None else prev_cross + 1
     fields = [SpectralField(config.grid, state.full(prev[i])) for i in range(keep)]
-    h1d = np.array([h1_dot_norm(f) for f in fields])
     return Trajectory(
         times=times[:keep],
         fields=fields,
         h1_norms=np.array(prev_h1[:keep]),
-        h1_dot_norms=h1d,
+        h1_dot_norms=np.array([state.h1_dot_of(prev[i]) for i in range(keep)]),
         max_abs_coeffs=np.array([np.abs(f.coeffs).max() for f in fields]),
         overflow_at=None if prev_cross is None else float(times[prev_cross]),
         picard_residuals=residuals,

@@ -105,13 +105,17 @@ class TestExitCodes:
 
     # rho=2000 overflows a power of two in the amplitude floor, rho=1000 the
     # product of finite factors; on an explicit grid, s=400 overflows the
-    # kernel's smoothing weight
+    # kernel's smoothing weight. Sizing a grid overflows in gamma(1 + 1/alpha)
+    # at alpha=1e-300 and in the box at t=1e308, where lowering s helps neither
     @pytest.mark.parametrize("args, key", [
         (("kernel-check", "s=171"), "s = "), (("certify", "rho=2000"), "rho = "),
         (("certify", "rho=1000"), "rho = "),
-        (("kernel-check", "s=400", "L=2000", "N=4096"), "s = ")],
+        (("kernel-check", "s=400", "L=2000", "N=4096"), "s = "),
+        (("kernel-check", "alpha=1e-300"), "alpha = "),
+        (("kernel-check", "t_values=1e308"), "t_values from ")],
         ids=["kernel-check-s=171", "certify-rho=2000", "certify-rho=1000",
-             "kernel-check-s=400-L=2000-N=4096"])
+             "kernel-check-s=400-L=2000-N=4096", "kernel-check-alpha=1e-300",
+             "kernel-check-t_values=1e308"])
     def test_float_range_overflow_names_the_key(self, outdir, capsys, args, key):
         code = run([args[0], "-o", str(outdir), *args[1:]])
         err = capsys.readouterr().err

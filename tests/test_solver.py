@@ -14,7 +14,7 @@ from fraclap import solver
 from fraclap import (CoefficientSpec, DomainError, GridSpec,
                      NonConvergenceError, ProblemConfig, SpectralField,
                      Trajectory, existence_budget,
-                     forward_transform, h1_dot_norm, h1_norm, omega_initial_field,
+                     forward_transform, h1_norm, omega_initial_field,
                      picard_solve, random_nonneg_initial_field, semigroup_apply)
 from fraclap.coefficient import gamma_case
 from fraclap.spectral import BandLayout, _weighted_norm, h1_weight
@@ -297,6 +297,16 @@ def _config_white_noise_2d():
                        dt=1.0 / 256.0, picard_tol=1e-14, u0=forward_transform(noise, g))
 
 
+def _config_white_noise_3d():
+    # the first 3-D datum with complex stored coefficients and out-of-band
+    # entries (|m| = 3 or 4 > 2 on an axis): they sit in the spectrum by one
+    # index array per axis, and the square's mirror fill runs over two axes
+    g = GridSpec(3, 8 * np.pi, 8)
+    noise = 0.01 * np.random.default_rng(9).standard_normal(g.shape)
+    return make_config(g=g, coeff=bessel_coeff(C=5.0), gamma=0.0, T0=0.125,
+                       dt=1.0 / 128.0, picard_tol=1e-14, u0=forward_transform(noise, g))
+
+
 def _config_omega_2d():
     # 40^2 is not a power of two, so G's division by N^n rounds. The omega
     # datum has 42 coefficients outside the 2/3-rule band (|m| = 14 or 15 >
@@ -374,6 +384,7 @@ ORACLE_CASES = {
     "nodes-not-multiple": lambda: _config_nodes(2 * _CHUNK_512 + 1),
     "white-noise-1d": _config_white_noise,
     "white-noise-2d": _config_white_noise_2d,
+    "white-noise-3d": _config_white_noise_3d,
     "signed-zeros-1d": _config_signed_zeros,
     "omega-2d-N40": _config_omega_2d,
 }
@@ -738,6 +749,20 @@ def test_h1_routines_agree_bitwise(n, kind):
     rows = _weighted_norm(h1_weight(g), f.coeffs[None])
     assert rows.shape == (1,)
     assert h1_norm(f) == rows[0]
+
+
+def test_h1_dot_is_the_homogeneous_norm_of_the_fields():
+    # picard_solve sums h1_dot over the stored entries, counting one that
+    # stands for its mirror too twice; the full-lattice sum over each
+    # field agrees to rounding, and the homogeneous norm is at most H1
+    for case in ("white-noise-1d", "omega-2d-N40", "white-noise-2d", "white-noise-3d"):
+        cfg = ORACLE_CASES[case]()
+        g = cfg.grid
+        traj = picard_solve(cfg)
+        full = [_weighted_norm(g.xi_norm_sq, f.coeffs, scale=g.L ** g.n)
+                for f in traj.fields]
+        assert np.allclose(traj.h1_dot_norms, full, rtol=1e-14, atol=0)
+        assert np.all(traj.h1_dot_norms <= traj.h1_norms)
 
 
 def test_trajectory_csv_text(tmp_path):

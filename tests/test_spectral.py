@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fraclap import (DomainError, GridSpec, SpectralField, forward_transform,
-                     h1_dot_norm, h1_norm, inverse_transform)
+                     h1_norm, inverse_transform)
 from fraclap import spectral
 from oracles import brute_mode_autoconv
 
@@ -99,7 +99,7 @@ class TestTransforms:
 class TestNorms:
     def test_zero_field(self):
         f = SpectralField.zero(grid1())
-        assert h1_norm(f) == 0 and h1_dot_norm(f) == 0
+        assert h1_norm(f) == 0
 
     def test_single_mode_ratios(self):
         g = grid1()
@@ -108,16 +108,10 @@ class TestNorms:
         c[m] = 1.0
         f = SpectralField(g, c)
         l2 = np.sqrt(g.L ** g.n)      # L^n * sum |c|^2 with one unit coefficient
-        assert h1_dot_norm(f) / l2 == pytest.approx(2.0, rel=1e-12)
         assert h1_norm(f) / l2 == pytest.approx(np.sqrt(5.0), rel=1e-12)
 
-    def test_hs_dot_below_hs_and_monotone(self):
-        rng = np.random.default_rng(2)
-        f = forward_transform(rng.standard_normal(grid1().shape), grid1())
-        assert h1_dot_norm(f) <= h1_norm(f)
-
     def test_band_limited_refinement_stability(self):
-        # extending the mode range leaves a band-limited field's norms fixed
+        # extending the mode range leaves a band-limited field's norm fixed
         g = grid1(32)
         rng = np.random.default_rng(12)
         c = np.zeros(g.shape, dtype=complex)
@@ -128,22 +122,21 @@ class TestNorms:
         a = SpectralField(g, c)
         b = SpectralField(big, c2)
         assert h1_norm(b) == pytest.approx(h1_norm(a), rel=1e-12)
-        assert h1_dot_norm(b) == pytest.approx(h1_dot_norm(a), rel=1e-12)
 
     def test_overflow_sentinel(self):
         # a non-finite field has norm +inf
         g = grid1()
         f = SpectralField(g, np.full(g.shape, np.nan, dtype=complex))
-        assert h1_norm(f) == np.inf and h1_dot_norm(f) == np.inf
+        assert h1_norm(f) == np.inf
 
 
 def _square(c, g):
     """The dealiased square of the field with coefficients c, through a
-    layout that stores every lattice entry."""
+    layout that stores every spectrum entry."""
     layout = spectral.BandLayout(g, np.ones(g.shape, dtype=bool))
-    rows = layout.gather(c[None], np.empty((1, layout.size), dtype=complex))
+    rows = layout.stored(c)[None]
     sq = spectral.dealiased_square(rows, layout, spectral.square_scratch(g, 1))
-    return layout.scatter(sq, np.empty((1,) + g.shape, dtype=complex))[0]
+    return layout.fields(sq)[0]
 
 
 class TestPointwiseSquare:
