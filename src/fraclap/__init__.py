@@ -4,7 +4,7 @@ against a singular coefficient."""
 
 from .certificate import (BumpLevel, CertificateParams, CertificateReport, FreqWindow,
                           InductionRecord, OmegaLevel, blowup_constants,
-                          build_omega_sequence, bump_weight_log, certify,
+                          build_omega_sequence, certify,
                           convolve_lattice, default_certificate_grid,
                           default_k_max, divergence_partial_sums,
                           omega_initial_field, series_prefactor_log, series_term_log,

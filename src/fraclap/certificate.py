@@ -19,26 +19,28 @@ derives every per-level fact from two exact properties of the hierarchy:
 - Conv bound. On the support of w_{k-1}, |xi| > sqrt(n) 2^(k-1), so
   pointwise (|xi| w_{k-1}) * (|xi| w_{k-1}) >= n 4^(k-1) w_k >= 4^(k-1) w_k:
   the bound holds with the factor n to spare (conv_bound_ok).
-- Bessel bound. For rho > 0, the sup of (1 + |xi|^2)^(rho/2) over the
-  closed cube [2^k, 2^(k+1)]^n is (1 + n 4^(k+1))^(rho/2), which is below
-  2^(rho/2) n^(rho/2) 2^((k+1) rho) and so below the closed bound
-  max(1, 2^(rho/2-1)) n^(rho/2) 2^((k+1) rho + 1). For rho <= 0 the check
-  compares the sup bound 1 with the closed bound, which fails at k >= 1
-  once rho is negative enough (bessel_bound_ok).
+- Bessel bound. For rho >= 0, the sup of (1 + |xi|^2)^(rho/2) over the
+  closed cube [2^k, 2^(k+1)]^n is (1 + n 4^(k+1))^(rho/2), which is at
+  most 2^(rho/2) n^(rho/2) 2^((k+1) rho) and so at most the closed bound
+  max(1, 2^(rho/2-1)) n^(rho/2) 2^((k+1) rho + 1). For rho < 0 the sup is
+  at most 1, which the closed bound n^(rho/2) 2^((k+1) rho + 1) passes only
+  while (rho/2) log2 n + (k+1) rho + 1 >= 0 (bessel_bound_ok).
 - L1. Summing an autoconvolution over the lattice squares its input's sum,
   so level k has lattice mass (count h^n)^(2^k), with count the seed's
   lattice points, against the continuum mass (v_n / 2^n)^(2^k). With
   q = count h^n / (v_n / 2^n) = 1 - eps0 the relative error is
   |1 - q^(2^k)|, which never divides by a target that underflows.
 
-So the per-level flags hold on every grid that resolves the level-k_max
-corona, and the verdict rests on the parameter constraints and the series
-ratio. tests/test_certificate.py checks the derived values against the FFT
-hierarchy and its measured convolutions.
+The scalar checks follow in closed form from the parameters
+(verify_induction_chain, blowup_constants). So the per-level flags hold on
+every grid that resolves the level-k_max corona, and the verdict is the
+parameter constraints, each decided exactly in floats (violations).
+tests/test_certificate.py checks the derived values against the FFT
+hierarchy, its measured convolutions and the assembled chain of
+tests/oracles.py.
 
-Everything multiplicative (A^(2^k), the 2^(-5(2^k-1)) weights, the series
-terms) is handled in log domain: the quantities underflow/overflow floats
-from k around 5 onward.
+Everything multiplicative (A^(2^k), the series terms) is handled in log
+domain: the quantities underflow/overflow floats from k around 5 onward.
 
 ``omega`` (``build_omega_sequence``) builds the hierarchy itself. Only the
 support window of each bump is stored; discrete linear convolution of
@@ -77,7 +79,7 @@ _SLAB = 8                    # half-spectrum columns per slab of convolve_lattic
 # largest bump window a run allocates: 256 MB of float64, about 8 times the
 # default omega n=3 level 2 (145^3 points)
 _MAX_WINDOW_POINTS = 1 << 25
-# the level weights take 2^(k + alpha) with alpha <= 2, which must stay a float
+# the corona bound sqrt(n) 2^(k_max+1) with n <= 3 must stay a float
 _MAX_K = 1021
 
 
@@ -376,7 +378,9 @@ class CertificateParams:
     """All scalar inputs of the blow-up argument.
 
     t_star = ln(2)/2^alpha and A_min = 2^(6+n) (the closed form of the printed
-    amplitude floor e^{ln 2} * 2^(5+n)) are derived, not free.
+    amplitude floor e^{ln 2} * 2^(5+n)) are derived, not free. c1_floor is a
+    float >= the exact C1 floor (c1_threshold), so C1 >= c1_floor decides
+    the inequality.
     """
 
     n: int
@@ -416,39 +420,30 @@ class CertificateParams:
         _, message = gamma_case(self.alpha, self.gamma, for_blowup=True)
         if message:
             out.append(message)
-        if not self.A >= self.A_min * (1.0 - 1e-12):
+        if not self.A >= self.A_min:
             out.append(f"amplitude A = {self.A} fails A >= 2^(6+n) = {self.A_min}")
-        if not self.C1 >= self.c1_floor * (1.0 - 1e-12):
+        if not self.C1 >= self.c1_floor:
             out.append(
                 f"C1 = {self.C1} fails max(1, 2^(rho/2-1)) * n^((rho+alpha)/2) "
                 f"* 2^(10n-1+rho+alpha) = {self.c1_floor} <= C1")
-        if not self.rho + self.alpha <= 5.0 * self.n + 2.0 + 1e-12:
+        # a correctly rounded sum keeps the sign of the exact one
+        if not math.fsum((self.rho, self.alpha, -(5.0 * self.n + 2.0))) <= 0.0:
             out.append(
                 f"rho + alpha = {self.rho + self.alpha} fails "
                 f"rho + alpha <= 5n + 2 = {5 * self.n + 2}")
         return out
 
 
-def bump_weight_log(k, t, alpha, n):
-    """ln of the level-k exponential weight
-    exp(-t 2^(k+alpha)) * 2^(-5(2^k - 1)) * 2^(5nk)."""
-    if k < 0 or t < 0:
-        raise DomainError("bump weight needs k >= 0 and t >= 0")
-    return -t * 2.0 ** (k + alpha) + LN2 * (-5.0 * (2.0 ** k - 1.0) + 5.0 * n * k)
-
-
 @dataclass
 class InductionRecord:
-    """Per-level outcome of the four lower-bound checks.
+    """Per-level outcome of the four lower-bound checks at t_star.
 
-    conv: discrete (|xi| w_{k-1}) * (|xi| w_{k-1}) >= 2^(2(k-1)) w_k pointwise,
-    which holds when w_{k-1} lies in its cube;
-    bessel: sup of (1+|xi|^2)^(rho/2) over supp w_k <= its closed bound
-    max(1, 2^(rho/2-1)) n^(rho/2) 2^((k+1) rho + 1), with the sup taken over
-    the cube of w_k;
-    time_integral: 1 - exp(-t n^(alpha/2) 2^(alpha(k+1))) >= 1/2;
-    induction: the assembled prefactor chain dominates the level-k weight
-    (log2 margin reported). Levels k = 0 carry only the checks that apply.
+    conv: (|xi| w_{k-1}) * (|xi| w_{k-1}) >= 2^(2(k-1)) w_k pointwise;
+    bessel: sup of (1+|xi|^2)^(rho/2) over the cube of w_k <= its closed bound
+    max(1, 2^(rho/2-1)) n^(rho/2) 2^((k+1) rho + 1);
+    time_integral: 1 - exp(-t_star n^(alpha/2) 2^(alpha(k+1))) >= 1/2;
+    induction: the assembled prefactor chain dominates the level-k weight by
+    the log2 margin. Levels k = 0 carry only the checks that apply.
     """
 
     k: int
@@ -465,81 +460,63 @@ class InductionRecord:
                 and self.time_integral_ok and self.induction_ok)
 
 
-def _time_integral_value(k, t, alpha, n):
-    return 1.0 - math.exp(-t * n ** (alpha / 2.0) * 2.0 ** (alpha * (k + 1)))
-
-
-def _induction_margin_log2(k, t, params):
-    """log2(assembled chain prefactor) - log2(level-k weight), A-power cancelled.
-
-    Chain: C1 * 2^(2(k-1)) * n^(-rho/2) 2^(-(k+1)rho - 1) / max(1, 2^(rho/2-1))
-           * [squared level-(k-1) weight]
-           * n^(-alpha/2) 2^(-alpha(k+1)) * 2^(-1)
-    Target: the level-k weight.
-    The two time exponentials are identical (2t 2^(k-1+alpha) = t 2^(k+alpha),
-    exact in floats), so the margin is t-independent; both are kept anyway.
-    """
-    n, alpha, rho, C1 = params.n, params.alpha, params.rho, params.C1
-    lhs = (math.log2(C1)
-           - (rho / 2.0) * math.log2(n)
-           - max(0.0, rho / 2.0 - 1.0)
-           + 2.0 * (k - 1)
-           - (k + 1) * rho - 1.0
-           + 2.0 * bump_weight_log(k - 1, t, alpha, n) / LN2
-           - (alpha / 2.0) * math.log2(n)
-           - alpha * (k + 1) - 1.0)
-    return lhs - bump_weight_log(k, t, alpha, n) / LN2
-
-
 def verify_induction_chain(levels, params):
     """Check every inequality of the induction step at the critical time
-    params.t_star, from each level's hypercube_ok (see the module docstring).
+    params.t_star, in closed form from each level's hypercube_ok and the
+    parameters. At each level k >= 1:
+
+    - conv_bound_ok = levels[k-1].hypercube_ok (see the module docstring).
+    - time_integral_ok = True: at t_star = ln 2 / 2^alpha the integral is
+      1 - 2^(-n^(alpha/2) 2^(alpha k)), and n^(alpha/2) 2^(alpha k) >= 1.
+    - bessel_bound_ok = hypercube_ok and (rho >= 0 or
+      (rho/2) log2 n + (k+1) rho + 1 >= 0). In log2, for rho >= 0 the cube's
+      sup exceeds the bound's (rho/2) log2 n + (k+1) rho by
+      (rho/2) log2(1 + 4^(-k-1)/n) < 1 + max(0, rho/2 - 1), the rest of the
+      bound; for rho < 0 the sup is at most 1.
+    - induction_margin_log2 = log2 C1 - log2 c1_floor + k (5n + 2 - rho - alpha):
+      the chain's time factor exp(-2t 2^(k-1+alpha)) cancels the level-k
+      weight's exp(-t 2^(k+alpha)), and its powers of 2 and n sum to this.
+      Both terms are >= 0 in floats when C1 >= c1_floor and
+      rho + alpha <= 5n + 2; induction_ok = margin >= 0.
 
     Levels (BumpLevel or OmegaLevel) must be consecutive from k = 0.
     Failures are recorded, not raised.
     """
     if [lev.k for lev in levels] != list(range(len(levels))):
         raise DomainError("levels are not consecutive from k = 0")
-    n, alpha, rho, t = params.n, params.alpha, params.rho, params.t_star
-    bessel_cap_log2 = (max(0.0, rho / 2.0 - 1.0) + (rho / 2.0) * math.log2(n))
+    n, rho = params.n, params.rho
+    c1_log2 = math.log2(params.C1) - math.log2(params.c1_floor)
+    # 5n + 2 - rho - alpha, correctly rounded, so its sign is exact
+    slope = math.fsum((5.0 * n + 2.0, -rho, -params.alpha))
     records = []
     for lev in levels:
         k = lev.k
-        time_ok = _time_integral_value(k, t, alpha, n) >= 0.5 - 1e-12
         if k == 0:
             records.append(InductionRecord(
                 k=0, support_ok=lev.support_ok, conv_bound_ok=True,
-                bessel_bound_ok=True, time_integral_ok=time_ok, induction_ok=True,
+                bessel_bound_ok=True, time_integral_ok=True, induction_ok=True,
                 induction_margin_log2=float("nan")))
             continue
-        conv_ok = levels[k - 1].hypercube_ok
-
-        # log2(1 + n 4^(k+1)), the sup of 1 + |xi|^2 over the level-k cube
-        sup_log2 = 2.0 * (k + 1) + math.log2(n + 4.0 ** -(k + 1))
-        bessel_max_log2 = (rho / 2.0) * sup_log2 if rho > 0 else 0.0
-        bound_log2 = bessel_cap_log2 + (k + 1) * rho + 1.0
-        bessel_ok = lev.hypercube_ok and bessel_max_log2 <= bound_log2 + 1e-12
-
-        ind_margin = _induction_margin_log2(k, t, params)
-        ind_ok = ind_margin >= -1e-9
-
+        bessel_ok = lev.hypercube_ok and (
+            rho >= 0 or (rho / 2.0) * math.log2(n) + (k + 1) * rho + 1.0 >= 0)
+        margin = c1_log2 + k * slope
         records.append(InductionRecord(
-            k=k, support_ok=lev.support_ok, conv_bound_ok=conv_ok,
-            bessel_bound_ok=bessel_ok, time_integral_ok=time_ok, induction_ok=ind_ok,
-            induction_margin_log2=ind_margin))
+            k=k, support_ok=lev.support_ok, conv_bound_ok=levels[k - 1].hypercube_ok,
+            bessel_bound_ok=bessel_ok, time_integral_ok=True, induction_ok=margin >= 0,
+            induction_margin_log2=margin))
     return records
 
 
 def _log2_ratio(params):
-    return (2.0 * math.log2(params.A)
-            - params.t_star * 2.0 ** (params.alpha + 1.0) / LN2
-            - (10.0 + 2.0 * params.n))
+    # t_star 2^(alpha+1) = 2 ln 2, so the e-power is exactly 2^2
+    return 2.0 * math.log2(params.A) - (12.0 + 2.0 * params.n)
 
 
 def blowup_constants(params):
-    """ratio = A^2 / (e^{t_star 2^(alpha+1)} 2^(10+2n)), the quantity whose
-    >= 1 makes the series terms non-vanishing. Computed in log domain;
-    exactly 1 at A = A_min, inf past float range."""
+    """ratio = A^2 / (e^{t_star 2^(alpha+1)} 2^(10+2n)) = A^2 / 2^(12+2n),
+    the quantity whose >= 1 makes the series terms non-vanishing, so it is
+    >= 1 exactly when A >= A_min. Computed in log domain; exactly 1 at
+    A = A_min, inf past float range."""
     log2_ratio = _log2_ratio(params)
     return 2.0 ** log2_ratio if log2_ratio < 1024 else math.inf
 
@@ -677,7 +654,7 @@ def certify(params, grid, k_max, series_terms):
     levels = _derived_levels(k_max, grid)
     records = verify_induction_chain(levels, params)
     ratio = blowup_constants(params)
-    ratio_ok = ratio >= 1.0 - 1e-12
+    ratio_ok = params.A >= params.A_min
     log_sums = divergence_partial_sums(params, series_terms)
     messages = []
     all_flags = all(r.all_ok for r in records) and all(l.hypercube_ok for l in levels)

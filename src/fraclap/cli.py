@@ -169,7 +169,8 @@ def build_certificate_params(values):
     n = _get(values, "n")
     rho = _get(values, "rho")
     alpha = _get(values, "alpha")
-    # C1 and A default to their floors and gamma to a point of its blow-up
+    # C1 and A default to their floors (C1's rounded up to a float, so it
+    # passes C1 >= floor with no slack) and gamma to a point of its blow-up
     # range (0.9 at alpha = 2), so a bare `certify` run at any alpha is the
     # minimal certified configuration
     gamma = 0.9 * (alpha - 1.0) if alpha > 1 else 1.0 - alpha / 2.0

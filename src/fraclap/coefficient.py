@@ -21,20 +21,41 @@ KINDS = ("dirac", "bessel_symbol")
 
 
 def c1_threshold(n, alpha, rho):
-    """Smallest admissible blow-up amplitude:
-    max(1, 2^(rho/2-1)) * n^((rho+alpha)/2) * 2^(10n-1+rho+alpha)."""
-    try:
-        floor = (max(1.0, 2.0 ** (rho / 2.0 - 1.0))
-                 * n ** ((rho + alpha) / 2.0)
-                 * 2.0 ** (10.0 * n - 1.0 + rho + alpha))
-    except OverflowError:
-        floor = math.inf
-    if floor == math.inf:
+    """Smallest admissible blow-up amplitude
+    max(1, 2^(rho/2-1)) * n^((rho+alpha)/2) * 2^(10n-1+rho+alpha), as a
+    positive float >= the exact floor, so that C1 >= c1_threshold(...) in
+    floats implies the inequality. A floor that is a float (2048, 2^22 and
+    3 * 2^31 at the defaults) is returned exactly.
+
+    The floor is 2^e n^p, evaluated in 60-digit decimal arithmetic. When a
+    step rounds, the value is raised by 1e-50 relative, far above the
+    rounding error of these few steps, and then rounded up to a float."""
+    # imported here, so that a solve run does not load it
+    from decimal import Decimal, Inexact, Overflow, localcontext
+
+    require_finite(alpha=alpha, rho=rho)
+    with localcontext() as ctx:
+        ctx.prec = 60
+        ctx.clear_flags()       # localcontext copies the caller's flags
+        r, a = Decimal(rho), Decimal(alpha)
+        try:
+            e = max(0, r / 2 - 1) + 10 * n - 1 + r + a
+            # 1^p is exact, but decimal flags it as rounded
+            floor = 2 ** e * (Decimal(n) ** ((r + a) / 2) if n > 1 else 1)
+        except Overflow:
+            floor = Decimal("Infinity")
+        if ctx.flags[Inexact]:
+            floor *= 1 + Decimal("1e-50")
+    out = float(floor)
+    # the floor is positive, so a float below it or at 0 steps up once
+    if out == 0.0 or Decimal(out) < floor:
+        out = math.nextafter(out, math.inf)
+    if out == math.inf:
         raise DomainError(
             f"amplitude floor max(1, 2^(rho/2-1)) * n^((rho+alpha)/2) "
             f"* 2^(10n-1+rho+alpha) at n = {n}, alpha = {alpha}, rho = {rho} "
             "fails floor < 2^1024 (float range)")
-    return floor
+    return out
 
 
 @dataclass

@@ -58,7 +58,7 @@ class GridSpec:
             raise DomainError(f"box size must satisfy 0 < L <= 1e100, got L = {self.L}")
         if self.N < 8 or self.N % 2 != 0:
             raise DomainError("modes per axis must satisfy N even, N >= 8")
-        if self.dxi > 0.25 + 1e-12:
+        if not self.dxi <= 0.25:
             raise DomainError(
                 f"frequency resolution 2*pi/L = {self.dxi:.4g} must be <= 1/4")
 

@@ -6,10 +6,12 @@ reference Picard loop and the direct Duhamel sum at the end borrow only
 library pieces that the paths they check leave unchanged.
 """
 
+import math
+
 import numpy as np
 
-from fraclap import (NonConvergenceError, SpectralField, Trajectory,
-                     convolve_lattice, semigroup_symbol)
+from fraclap import (DomainError, InductionRecord, NonConvergenceError,
+                     SpectralField, Trajectory, convolve_lattice, semigroup_symbol)
 
 
 def brute_mode_autoconv(coeffs, modes):
@@ -127,6 +129,81 @@ def bessel_symbol_l2(rho, order=0.0):
     from scipy.integrate import quad
     val, _ = quad(lambda xi: (1.0 + xi * xi) ** (order - rho), -np.inf, np.inf)
     return np.sqrt(val)
+
+
+# ---------------------------------------------------------------------------
+# The assembled induction chain: verify_induction_chain as it computed each
+# per-level check before the checks were put in closed form. The weights,
+# the time integral and the Bessel sup are evaluated term by term, and the
+# flags are decided with the slacks that this rounding needed.
+
+LN2 = math.log(2.0)
+
+
+def bump_weight_log(k, t, alpha, n):
+    """ln of the level-k exponential weight
+    exp(-t 2^(k+alpha)) * 2^(-5(2^k - 1)) * 2^(5nk)."""
+    if k < 0 or t < 0:
+        raise DomainError("bump weight needs k >= 0 and t >= 0")
+    return -t * 2.0 ** (k + alpha) + LN2 * (-5.0 * (2.0 ** k - 1.0) + 5.0 * n * k)
+
+
+def time_integral_value(k, t, alpha, n):
+    return 1.0 - math.exp(-t * n ** (alpha / 2.0) * 2.0 ** (alpha * (k + 1)))
+
+
+def induction_margin_log2(k, t, params):
+    """log2(assembled chain prefactor) - log2(level-k weight), A-power cancelled.
+
+    Chain: C1 * 2^(2(k-1)) * n^(-rho/2) 2^(-(k+1)rho - 1) / max(1, 2^(rho/2-1))
+           * [squared level-(k-1) weight]
+           * n^(-alpha/2) 2^(-alpha(k+1)) * 2^(-1)
+    Target: the level-k weight.
+    The two time exponentials are identical (2t 2^(k-1+alpha) = t 2^(k+alpha),
+    exact in floats), so the margin is t-independent; both are kept anyway.
+    """
+    n, alpha, rho, C1 = params.n, params.alpha, params.rho, params.C1
+    lhs = (math.log2(C1)
+           - (rho / 2.0) * math.log2(n)
+           - max(0.0, rho / 2.0 - 1.0)
+           + 2.0 * (k - 1)
+           - (k + 1) * rho - 1.0
+           + 2.0 * bump_weight_log(k - 1, t, alpha, n) / LN2
+           - (alpha / 2.0) * math.log2(n)
+           - alpha * (k + 1) - 1.0)
+    return lhs - bump_weight_log(k, t, alpha, n) / LN2
+
+
+def assembled_induction_chain(levels, params):
+    """The records of verify_induction_chain, from the assembled chain."""
+    n, alpha, rho, t = params.n, params.alpha, params.rho, params.t_star
+    bessel_cap_log2 = (max(0.0, rho / 2.0 - 1.0) + (rho / 2.0) * math.log2(n))
+    records = []
+    for lev in levels:
+        k = lev.k
+        time_ok = time_integral_value(k, t, alpha, n) >= 0.5 - 1e-12
+        if k == 0:
+            records.append(InductionRecord(
+                k=0, support_ok=lev.support_ok, conv_bound_ok=True,
+                bessel_bound_ok=True, time_integral_ok=time_ok, induction_ok=True,
+                induction_margin_log2=float("nan")))
+            continue
+        conv_ok = levels[k - 1].hypercube_ok
+
+        # log2(1 + n 4^(k+1)), the sup of 1 + |xi|^2 over the level-k cube
+        sup_log2 = 2.0 * (k + 1) + math.log2(n + 4.0 ** -(k + 1))
+        bessel_max_log2 = (rho / 2.0) * sup_log2 if rho > 0 else 0.0
+        bound_log2 = bessel_cap_log2 + (k + 1) * rho + 1.0
+        bessel_ok = lev.hypercube_ok and bessel_max_log2 <= bound_log2 + 1e-12
+
+        ind_margin = induction_margin_log2(k, t, params)
+        ind_ok = ind_margin >= -1e-9
+
+        records.append(InductionRecord(
+            k=k, support_ok=lev.support_ok, conv_bound_ok=conv_ok,
+            bessel_bound_ok=bessel_ok, time_integral_ok=time_ok, induction_ok=ind_ok,
+            induction_margin_log2=ind_margin))
+    return records
 
 
 # ---------------------------------------------------------------------------

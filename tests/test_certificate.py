@@ -5,12 +5,13 @@ import pytest
 
 from fraclap import (CertificateParams, DomainError, FreqWindow,
                      GridResolutionError, GridSpec, blowup_constants, build_omega_sequence,
-                     bump_weight_log, c1_threshold, certify,
+                     c1_threshold, certify,
                      default_certificate_grid, default_k_max, divergence_partial_sums,
                      series_prefactor_log, series_term_log, unit_ball_volume,
                      verify_induction_chain)
-from fraclap.certificate import _time_integral_value
-from oracles import brute_window_conv, measured_bessel_sup, weighted_autoconv
+from fraclap.cli import run
+from oracles import (assembled_induction_chain, brute_window_conv, bump_weight_log,
+                     measured_bessel_sup, time_integral_value, weighted_autoconv)
 
 LN2 = math.log(2.0)
 
@@ -140,7 +141,7 @@ class TestInductionChain:
         p = params1(alpha=1.0, C1=4096.0)
         levels = build_omega_sequence(0, coarse_grid1())
         rec = verify_induction_chain(levels, p)[0]
-        value = _time_integral_value(0, p.t_star, p.alpha, p.n)
+        value = time_integral_value(0, p.t_star, p.alpha, p.n)
         assert value == pytest.approx(0.5, abs=1e-15)
         assert rec.time_integral_ok
 
@@ -176,6 +177,33 @@ class TestInductionChain:
         for rec in recs[1:]:
             assert rec.induction_margin_log2 == pytest.approx(5.0 * rec.k, abs=1e-9)
             assert rec.all_ok
+
+    def test_closed_forms_equal_the_assembled_chain(self):
+        # seeded parameter sets on the default grids, at and around the C1
+        # floor, the amplitude floor and the cap rho + alpha = 5n + 2
+        rng = np.random.default_rng(31)
+        for _ in range(500):
+            n = int(rng.integers(1, 4))
+            alpha = float(rng.choice([2.0, 1.0, rng.uniform(0.05, 2.0)]))
+            cap = 5.0 * n + 2.0 - alpha
+            if math.fsum((cap, alpha, -(5.0 * n + 2.0))) > 0:
+                cap = math.nextafter(cap, -math.inf)    # rho + alpha <= 5n + 2
+            rho = float(rng.choice([0.0, cap, rng.uniform(-6.0, cap + 1.0)]))
+            floor = c1_threshold(n, alpha, rho)
+            C1 = float(rng.choice([floor, floor * 2.0 ** rng.uniform(-2.0, 4.0)]))
+            gamma = 0.9 * (alpha - 1.0) if alpha > 1 else 1.0 - alpha / 2.0
+            p = CertificateParams(n=n, alpha=alpha, gamma=gamma, rho=rho, C1=C1,
+                                  A=2.0 ** (6 + n))
+            report = certify(p, default_certificate_grid(n), default_k_max(n), 1)
+            chain = assembled_induction_chain(report.levels, p)
+            for rec, ref in zip(report.records, chain):
+                assert (rec.support_ok, rec.conv_bound_ok, rec.bessel_bound_ok,
+                        rec.time_integral_ok, rec.induction_ok) == (
+                    ref.support_ok, ref.conv_bound_ok, ref.bessel_bound_ok,
+                    ref.time_integral_ok, ref.induction_ok), (p, rec.k)
+                m, m_ref = rec.induction_margin_log2, ref.induction_margin_log2
+                if rec.k:
+                    assert abs(m - m_ref) <= 1e-12 * max(1.0, abs(m)), (p, rec.k)
 
 
 class TestConstants:
@@ -241,10 +269,21 @@ class TestCertify:
         assert report.ratio_ok and not report.violations
         assert all(r.all_ok for r in report.records)
 
-    def test_below_floor_amplitude_not_certified(self):
-        report = certify(params1(A=1.0), default_certificate_grid(1), 3, 12)
-        assert report.verdict == "not-certified"
-        assert any("A >= 2^(6+n)" in v for v in report.violations)
+    @pytest.mark.parametrize("args", [
+        ("A=1.0",),
+        *((f"n={n}", f"C1={math.nextafter(c1_threshold(n, 2.0, 0.0), 0)!r}")
+          for n in (1, 2, 3)),
+        *((f"n={n}", f"A={math.nextafter(2.0 ** (6 + n), 0)!r}") for n in (1, 2, 3)),
+        ("n=1", "C1=2047.999999999", "A=127.99999999994")], ids=" ".join)
+    def test_below_floor_amplitude_not_certified(self, tmp_path, args):
+        # one float below a floor is below it: no slack at C1 >= floor or
+        # A >= 2^(6+n)
+        assert run(["certify", "-o", str(tmp_path), *args]) == 0
+        text = (tmp_path / "certificate.txt").read_text()
+        assert "verdict: not-certified" in text
+        for key, value in (arg.split("=") for arg in args):
+            if key != "n":
+                assert f"{key} = {value} fails" in text
 
     def test_rho_alpha_cap_enforced(self):
         p = params1(rho=5.5, C1=2.0 ** 40)

@@ -94,6 +94,13 @@ class TestAdmissibility:
         assert p.c1_floor == 2048.0
         assert any("2048" in m for m in p.violations())
 
+    def test_c1_threshold_is_not_below_the_exact_floor(self):
+        # the least floats above the floors 2^(10.1) and 2^(9.75) of the
+        # CLI defaults at alpha = 1.1 and 0.75, from 300-bit arithmetic
+        assert c1_threshold(1, 1.1, 0.0) >= 1097.4960256371644
+        assert c1_threshold(1, 0.75, 0.0) >= 861.0779292198038
+        assert c1_threshold(3, 2.0, 0.0) == 3 * 2.0 ** 31
+
     def test_gamma_out_of_case_range(self):
         case, message = gamma_case(2.0, 1.5)
         assert case == 1 and "alpha - 1" in message

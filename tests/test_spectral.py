@@ -30,9 +30,12 @@ class TestGridSpec:
             GridSpec(1, -1.0, 64)
         with pytest.raises(DomainError):
             GridSpec(4, L1D, 64)
-        # resolution bound: 2*pi/L <= 1/4
+        # resolution bound: 2*pi/L <= 1/4, with no slack
         with pytest.raises(DomainError):
             GridSpec(1, 4 * np.pi, 64)
+        with pytest.raises(DomainError):
+            GridSpec(1, np.nextafter(8 * np.pi, 0), 64)   # spacing 0.25000000000000006
+        assert GridSpec(1, 8 * np.pi, 64).dxi == 0.25
 
     def test_lattice(self):
         g = grid1(16)
