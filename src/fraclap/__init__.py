@@ -3,7 +3,7 @@ fractional-diffusion equation with a squared-gradient nonlinearity convolved
 against a singular coefficient."""
 
 from .certificate import (BumpLevel, CertificateParams, CertificateReport, FreqWindow,
-                          InductionRecord, OmegaLevel, blowup_constants,
+                          InductionRecord, blowup_constants,
                           build_omega_sequence, certify,
                           convolve_lattice, default_certificate_grid,
                           default_k_max, divergence_partial_sums,

@@ -45,7 +45,10 @@ domain: the quantities underflow/overflow floats from k around 5 onward.
 ``omega`` (``build_omega_sequence``) builds the hierarchy itself. Only the
 support window of each bump is stored; discrete linear convolution of
 compactly supported arrays is exactly supported in the Minkowski sum of the
-supports, so window arithmetic equals full-lattice arithmetic.
+supports, so window arithmetic equals full-lattice arithmetic. Each level
+is measured on its window into the BumpLevel that certify derives
+(_level_from_window), and build_omega_sequence returns each window next to
+its level.
 
 The autoconvolutions stream over slabs of the last axis's half spectrum:
 each slab takes the padded forward passes, the square and the cropped
@@ -74,7 +77,7 @@ XI0_COMPONENT = 1.5
 BUMP_RADIUS = 0.5
 
 _SUPPORT_MARGIN = 2          # zero-padding cells kept around each window
-_CORONA_MASS_TOL = 1e-10     # omega: out-of-corona mass, relative to the total
+_CUBE_MASS_TOL = 1e-10       # omega: out-of-cube mass, relative to the total
 _SLAB = 8                    # half-spectrum columns per slab of convolve_lattice
 # largest bump window a run allocates: 256 MB of float64, about 8 times the
 # default omega n=3 level 2 (145^3 points)
@@ -107,16 +110,6 @@ class FreqWindow:
         return tuple((self.start[a] + np.arange(self.values.shape[a])) * self.h
                      for a in range(self.n))
 
-    def radius_grid(self):
-        grids = np.meshgrid(*self.axes(), indexing="ij", sparse=True)
-        return np.sqrt(sum(g * g for g in grids))
-
-    def l1(self):
-        return float(self.values.sum() * self.h ** self.n)
-
-    def mass_where(self, mask):
-        return float(np.abs(self.values[mask]).sum() * self.h ** self.n)
-
     def to_csv(self, path):
         xi = np.meshgrid(*self.axes(), indexing="ij")
         write_csv(path,
@@ -127,24 +120,28 @@ class FreqWindow:
 
 
 @dataclass
-class OmegaLevel:
-    """Level-k bump of the FFT hierarchy with its measured invariants."""
+class BumpLevel:
+    """Level-k facts of the bump hierarchy: the lattice L1 mass, its
+    continuum target, their relative error, and in_cube, whether the level
+    lies in the open cube (2^k, 2^(k+1))^n, and so in the corona. certify
+    derives them from the seed's lattice count (_derived_levels); omega
+    measures them on the FFT window (_level_from_window), where in_cube
+    allows the window's roundoff outside the cube up to _CUBE_MASS_TOL of its
+    mass. On both, in_cube is the support fact every per-level check reads."""
 
     k: int
-    window: FreqWindow
     l1: float
     l1_target: float
     l1_error: float
-    out_corona_mass_rel: float
-    out_cube_mass_rel: float
+    in_cube: bool
 
     @property
     def support_ok(self):
-        return self.out_corona_mass_rel <= _CORONA_MASS_TOL
+        return self.in_cube
 
     @property
     def hypercube_ok(self):
-        return self.out_cube_mass_rel <= _CORONA_MASS_TOL
+        return self.in_cube
 
 
 def default_certificate_grid(n):
@@ -225,27 +222,19 @@ def omega_initial_field(grid, amplitude):
     return SpectralField.from_hat_values(grid, amplitude * hat)
 
 
-def _level_from_window(k, win, n):
-    vn = unit_ball_volume(n)
-    target = (vn / 2.0 ** n) ** (2 ** k)
-    l1 = win.l1()
-    corona = (math.sqrt(n) * 2.0 ** k, math.sqrt(n) * 2.0 ** (k + 1))
-    r = win.radius_grid()
-    out_corona = win.mass_where((r <= corona[0]) | (r >= corona[1]))
+def _level_from_window(k, win):
+    """The level-k facts measured on its window: the lattice mass, and
+    in_cube when the mass outside the open cube (2^k, 2^(k+1))^n is at most
+    _CUBE_MASS_TOL of the total (the rest is FFT roundoff)."""
+    n = win.n
+    target = (unit_ball_volume(n) / 2.0 ** n) ** (2 ** k)
+    l1 = float(win.values.sum() * win.h ** n)
     inside = [(ax > 2.0 ** k) & (ax < 2.0 ** (k + 1)) for ax in win.axes()]
-    inside_cube = functools.reduce(np.logical_and,
-                                   np.meshgrid(*inside, indexing="ij", sparse=True))
-    out_cube = win.mass_where(~inside_cube)
-    total = float(np.abs(win.values).sum() * win.h ** n)
-    return OmegaLevel(
-        k=k,
-        window=win,
-        l1=l1,
-        l1_target=target,
-        l1_error=abs(l1 - target) / target,
-        out_corona_mass_rel=out_corona / total,
-        out_cube_mass_rel=out_cube / total,
-    )
+    cube = functools.reduce(np.logical_and,
+                            np.meshgrid(*inside, indexing="ij", sparse=True))
+    mass = np.abs(win.values)
+    return BumpLevel(k=k, l1=l1, l1_target=target, l1_error=abs(l1 - target) / target,
+                     in_cube=bool(mass[~cube].sum() <= _CUBE_MASS_TOL * mass.sum()))
 
 
 def convolve_lattice(a, spacing):
@@ -307,44 +296,23 @@ def build_omega_sequence(k_max, grid):
     The grid must resolve the level-k_max corona (xi_max > sqrt(n) 2^(k_max+1))
     and have spacing <= 1/4, and the level-k_max window, 2^k_max (w0 - 1) + 1
     points per axis for a seed window of w0, must fit _MAX_WINDOW_POINTS; both
-    are checked before any convolution. Each level records its discrete
-    invariants; the caller decides what to do with violations.
+    are checked before any convolution. Returns a (BumpLevel, FreqWindow)
+    pair per level: the facts measured on the window, and the window itself.
+    The caller decides what to do with a level that is not in_cube.
     """
     _require_levels(k_max, grid)
     h = grid.dxi
     n = grid.n
     lo, hi = _seed_index_range(h)
     _require_window_size(2 ** k_max * (hi - lo) + 1, n, f"level-{k_max}")
-    levels = []
+    pairs = []
     win = _seed_window(n, h)
     for k in range(k_max + 1):
-        levels.append(_level_from_window(k, win, n))
+        pairs.append((_level_from_window(k, win), win))
         if k < k_max:
             conv = convolve_lattice(win.values, h)
             win = FreqWindow(tuple(2 * s for s in win.start), conv, h)
-    return levels
-
-
-@dataclass
-class BumpLevel:
-    """Level-k facts that certify derives from the seed's lattice count (see
-    the module docstring): the lattice L1 mass, its continuum target, their
-    relative error, and whether the support lies in the open cube
-    (2^k, 2^(k+1))^n, and so in the corona."""
-
-    k: int
-    l1: float
-    l1_target: float
-    l1_error: float
-    in_cube: bool
-
-    @property
-    def support_ok(self):
-        return self.in_cube
-
-    @property
-    def hypercube_ok(self):
-        return self.in_cube
+    return pairs
 
 
 def _derived_levels(k_max, grid):
@@ -479,7 +447,7 @@ def verify_induction_chain(levels, params):
       Both terms are >= 0 in floats when C1 >= c1_floor and
       rho + alpha <= 5n + 2; induction_ok = margin >= 0.
 
-    Levels (BumpLevel or OmegaLevel) must be consecutive from k = 0.
+    Levels must be consecutive from k = 0.
     Failures are recorded, not raised.
     """
     if [lev.k for lev in levels] != list(range(len(levels))):

@@ -248,10 +248,9 @@ def _cmd_omega(values, outdir):
     n = _get(values, "n")
     grid = _grid(values, n, cert.default_certificate_grid)
     k_max = values.get("k_max", cert.default_k_max(n))
-    levels = cert.build_omega_sequence(k_max, grid)
-    for lev in levels:
+    for lev, win in cert.build_omega_sequence(k_max, grid):
         path = os.path.join(outdir, f"omega_k{lev.k}.csv")
-        lev.window.to_csv(path)
+        win.to_csv(path)
         print(f"k={lev.k}: l1={lev.l1!r} target={lev.l1_target!r} "
               f"rel_err={lev.l1_error:.3e} support_ok={lev.support_ok} -> {path}")
     return 0

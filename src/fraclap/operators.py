@@ -124,6 +124,8 @@ _BOUNDARY_LIMIT = 1e-6
 _BOX_SAFETY = 10.0          # auto-sized boxes aim at _BOUNDARY_LIMIT / this
 _TAIL_MASS_LIMIT = 1e-4
 _SYMBOL_TAIL_LIMIT = 1e-13
+# the largest xi an auto-sized grid resolves
+_AUTO_XI_MAX = 1e9
 _N_CAP = 1 << 22
 
 
@@ -171,13 +173,22 @@ def _symbol_tail(alpha, s, t, xi):
 
 
 def _auto_modes(alpha, s, t_min, L):
+    """Modes per axis that resolve xi, the first of 8, 16, ... (capped at
+    _AUTO_XI_MAX) where the smoothed symbol is <= _SYMBOL_TAIL_LIMIT;
+    GridResolutionError when none is. OverflowError where the symbol leaves
+    float range."""
     xi = 8.0
-    while _symbol_tail(alpha, s, t_min, xi) > _SYMBOL_TAIL_LIMIT:
-        xi *= 2.0
-        if xi > 1e9:
-            raise GridResolutionError("symbol decay too slow to resolve")
-    N = 1 << max(8, int(math.ceil(math.log2(xi * L / math.pi))))
-    return N
+    tail = _symbol_tail(alpha, s, t_min, xi)
+    while tail > _SYMBOL_TAIL_LIMIT:
+        if xi == _AUTO_XI_MAX:
+            raise GridResolutionError(
+                f"sizing the grid: the symbol smoothed to order s = {s} with alpha = "
+                f"{alpha} at the smallest t = {t_min!r} is {tail:.3e} at xi = "
+                f"{xi:.4g}, which fails <= {_SYMBOL_TAIL_LIMIT}; raise the smallest t "
+                "or alpha, or lower s")
+        xi = min(2.0 * xi, _AUTO_XI_MAX)
+        tail = _symbol_tail(alpha, s, t_min, xi)
+    return 1 << max(8, int(math.ceil(math.log2(xi * L / math.pi))))
 
 
 def _check_adequacy(grid, alpha, s, t_values):

@@ -14,6 +14,8 @@ exact recurrence carries both the decayed datum and the quadrature:
     u(t_{i+1}) = exp(-dt (-Lap)^(alpha/2)) [ u(t_i) + dt/2 G(t_i) ] + dt/2 G(t_{i+1})
 
 from u(t_0) = u0, and a sweep costs O(M) transform work instead of O(M^2).
+Each node's G is scaled by dt/2 once, when it is computed; the two steps
+that read it add it as it is.
 
 u is real-valued. ProblemConfig checks that the initial datum's
 coefficients are Hermitian, c(-m) = conj(c(m)), to 1e-12 of the largest;
@@ -279,15 +281,13 @@ class Trajectory:
                   [self.times, self.h1_norms, self.h1_dot_norms, self.max_abs_coeffs])
 
 
-def sweep_step(I, decay, g_prev, g_new, half_dt, work):
+def sweep_step(I, decay, hg_prev, hg_new):
     """One trapezoid step of ``int_0^t exp(-(t-s)L) G(s) ds`` with the decay
-    multiplier applied exactly, in place in I (work is scratch shaped like I):
-    I_new = decay * (I + half_dt * g_prev) + half_dt * g_new."""
-    np.multiply(half_dt, g_prev, out=work)
-    np.add(I, work, out=I)
+    multiplier applied exactly, in place in I, on G already scaled by dt/2:
+    I_new = decay * (I + hg_prev) + hg_new, with hg = dt/2 G."""
+    np.add(I, hg_prev, out=I)
     np.multiply(decay, I, out=I)
-    np.multiply(half_dt, g_new, out=work)
-    return np.add(I, work, out=I)
+    return np.add(I, hg_new, out=I)
 
 
 # scratch budget for one chunk of the node stack: a 1-D sweep batches many
@@ -420,7 +420,6 @@ def picard_solve(config):
     rows = np.empty((chunk, layout.size), dtype=dtype)
     diff = np.empty_like(rows)
     I = np.empty(layout.size, dtype=dtype)
-    step_work = np.empty_like(I)
     # one node fills a chunk (256^2 and 128^3 grids): a worker thread computes
     # G of the next _LOOKAHEAD chunks while this thread runs chunk ci, and
     # this thread takes the queued ones the worker has not started when it
@@ -437,12 +436,13 @@ def picard_solve(config):
     taken = {}      # chunk -> its G, taken off the queue by this thread
 
     def g_of(ci, scratch):
-        """G of chunk ci of the previous iterate, saturated: a row whose H1
-        norm exceeds thresh is rescaled down to it first. That keeps the
-        iteration free of on/off limit cycles, and, with the float-range
-        check, inside float range; it only influences nodes at or past the
-        previous crossing, the last node a sweep computes once there is
-        one."""
+        """dt/2 G of chunk ci of the previous iterate (the trapezoid's
+        weight, applied once for the two steps that read each row),
+        saturated: a row whose H1 norm exceeds thresh is rescaled down to
+        it first. That keeps the iteration free of on/off limit cycles,
+        and, with the float-range check, inside float range; it only
+        influences nodes at or past the previous crossing, the last node a
+        sweep computes once there is one."""
         lo = ci * chunk
         hi = min(lo + chunk, end)
         u = prev[lo:hi]
@@ -456,7 +456,8 @@ def picard_solve(config):
                 np.multiply(u[r], thresh / h1[r], out=u[r])
         # b * ((-Lap)^(1/2) u)^2, the square dealiased by the 2/3 rule
         np.multiply(abs_xi, u, out=out)
-        return np.multiply(dealiased_square(out, layout, scratch), b_hat, out=out)
+        np.multiply(dealiased_square(out, layout, scratch), b_hat, out=out)
+        return np.multiply(out, half_dt, out=out)
 
     def g_take(ci):
         """G of chunk ci. While the worker has not finished a queued ci,
@@ -503,7 +504,7 @@ def picard_solve(config):
                 new = rows[:k]
                 for r in range(k):
                     if lo + r:
-                        sweep_step(I, decay, g_last, g[r], half_dt, step_work)
+                        sweep_step(I, decay, g_last, g[r])
                     new[r] = I
                     g_last = g[r]
                 new_h1 = _weighted_norm(h1w, new)

@@ -52,17 +52,44 @@ def brute_window_conv(a, b, h):
     return out * h ** 2
 
 
+def window_radius(window):
+    """|xi| at each sample of a frequency window, broadcast over its axes."""
+    grids = np.meshgrid(*window.axes(), indexing="ij", sparse=True)
+    return np.sqrt(sum(g * g for g in grids))
+
+
+def out_corona_mass_rel(window, k):
+    """The mass of a level-k window outside the open corona
+    sqrt(n) 2^k < |xi| < sqrt(n) 2^(k+1), relative to its whole mass."""
+    r = window_radius(window)
+    root_n = math.sqrt(window.n)
+    mass = np.abs(window.values)
+    outside = (r <= root_n * 2.0 ** k) | (r >= root_n * 2.0 ** (k + 1))
+    return float(mass[outside].sum() / mass.sum())
+
+
+def out_cube_mass_rel(window, k):
+    """The mass of a level-k window outside the open cube
+    (2^k, 2^(k+1))^n, relative to its whole mass."""
+    grids = np.meshgrid(*window.axes(), indexing="ij", sparse=True)
+    inside = np.ones(window.values.shape, dtype=bool)
+    for g in grids:
+        inside &= (g > 2.0 ** k) & (g < 2.0 ** (k + 1))
+    mass = np.abs(window.values)
+    return float(mass[~inside].sum() / mass.sum())
+
+
 def weighted_autoconv(window):
     """(|xi| w) * (|xi| w) of a bump window by FFT: the left side of the
     certificate's conv bound, measured."""
-    return convolve_lattice(window.radius_grid() * window.values, window.h)
+    return convolve_lattice(window_radius(window) * window.values, window.h)
 
 
 def measured_bessel_sup(window, rel_tol=1e-13):
     """sup of 1 + |xi|^2 over a bump window's measured support, the samples
     above rel_tol of the peak (the rest is FFT roundoff)."""
     support = window.values > rel_tol * window.values.max()
-    return float((1.0 + window.radius_grid()[support] ** 2).max())
+    return float((1.0 + window_radius(window)[support] ** 2).max())
 
 
 def two_spectrum_autoconv(a, spacing):
@@ -129,6 +156,55 @@ def bessel_symbol_l2(rho, order=0.0):
     from scipy.integrate import quad
     val, _ = quad(lambda xi: (1.0 + xi * xi) ** (order - rho), -np.inf, np.inf)
     return np.sqrt(val)
+
+
+# ---------------------------------------------------------------------------
+# The two-mode cascade, an exact solution of the nonlinear problem. Take
+# u0 = a (e_k + e_-k) and a coefficient whose symbol is C on the shell
+# |xi| = 2 |xi_k| and 0 elsewhere. The square of (-Lap)^(1/2) u has one
+# pair, (k, k), at mode 2k, and b kills every mode of G but those on the
+# shell: c_k decays linearly, c_k(t) = a e^(-lam_k t), and c_2k solves
+# c_2k' = -lam_2k c_2k + C xi_k^2 c_k^2 from c_2k(0) = 0, with
+# lam = |xi|^alpha. Picard reaches it in two sweeps.
+
+
+class ShellCoefficient:
+    """The cascade's coefficient: symbol C where |xi|^2 is shell_sq (to 1e-9
+    relative) and 0 elsewhere. It has the C and symbol_on that the solver
+    reads off a CoefficientSpec."""
+
+    def __init__(self, C, shell_sq):
+        self.C = C
+        self.shell_sq = shell_sq
+
+    def symbol_on(self, xi_sq):
+        xi_sq = np.asarray(xi_sq, dtype=float)
+        return np.where(np.abs(xi_sq - self.shell_sq) <= 1e-9 * self.shell_sq,
+                        self.C, 0.0)
+
+
+def cascade_exact(t, a, C, xi_k_sq, alpha):
+    """c_2k(t) = C xi_k^2 a^2 (e^(-2 lam_k t) - e^(-lam_2k t)) / (lam_2k - 2 lam_k),
+    the cascade's driven mode in closed form (alpha != 1)."""
+    lam_k = xi_k_sq ** (alpha / 2.0)
+    lam_2k = (4.0 * xi_k_sq) ** (alpha / 2.0)
+    return (C * xi_k_sq * a * a * (np.exp(-2.0 * lam_k * t) - np.exp(-lam_2k * t))
+            / (lam_2k - 2.0 * lam_k))
+
+
+def cascade_recurrence(times, a, C, xi_k_sq, alpha, kept):
+    """c_2k at the nodes of a uniform time lattice from the trapezoid
+    recurrence c_(i+1) = e^(-z) (c_i + dt/2 G_i) + dt/2 G_(i+1), z = dt lam_2k,
+    with the exact forcing G_i = C xi_k^2 (a e^(-lam_k t_i))^2; G is 0 when
+    the 2/3 rule drops mode 2k (kept False)."""
+    dt = times[1] - times[0]
+    lam_k = xi_k_sq ** (alpha / 2.0)
+    decay = math.exp(-dt * (4.0 * xi_k_sq) ** (alpha / 2.0))
+    g = [C * xi_k_sq * (a * math.exp(-lam_k * t)) ** 2 if kept else 0.0 for t in times]
+    c = [0.0]
+    for i in range(1, len(times)):
+        c.append(decay * (c[-1] + 0.5 * dt * g[i - 1]) + 0.5 * dt * g[i])
+    return np.array(c)
 
 
 # ---------------------------------------------------------------------------

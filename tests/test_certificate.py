@@ -9,9 +9,11 @@ from fraclap import (CertificateParams, DomainError, FreqWindow,
                      default_certificate_grid, default_k_max, divergence_partial_sums,
                      series_prefactor_log, series_term_log, unit_ball_volume,
                      verify_induction_chain)
+from fraclap import certificate
 from fraclap.cli import run
 from oracles import (assembled_induction_chain, brute_window_conv, bump_weight_log,
-                     measured_bessel_sup, time_integral_value, weighted_autoconv)
+                     measured_bessel_sup, out_corona_mass_rel, out_cube_mass_rel,
+                     time_integral_value, weighted_autoconv)
 
 LN2 = math.log(2.0)
 
@@ -27,17 +29,21 @@ def coarse_grid1():
     return GridSpec(1, 64 * np.pi, 2048)   # spacing 1/32, xi_max = 32
 
 
+def omega_levels(k_max, grid):
+    """The levels of build_omega_sequence, without their windows."""
+    return [lev for lev, _ in build_omega_sequence(k_max, grid)]
+
+
 class TestOmegaSequence:
     def test_level_zero_mass_one_dimensional(self):
-        levels = build_omega_sequence(0, default_certificate_grid(1))
+        levels = omega_levels(0, default_certificate_grid(1))
         # v_1 / 2 = 1
         assert levels[0].l1 == pytest.approx(1.0, rel=0.01)
         assert levels[0].l1_target == pytest.approx(1.0)
 
     def test_level_one_is_triangle(self):
         g = coarse_grid1()
-        levels = build_omega_sequence(1, g)
-        win = levels[1].window
+        (_, seed), (_, win) = build_omega_sequence(1, g)
         xi = win.axes()[0]
         inside = (xi > 2.0) & (xi < 4.0)
         triangle = np.where(inside, 1.0 - np.abs(xi - 3.0), 0.0)
@@ -45,30 +51,28 @@ class TestOmegaSequence:
         assert np.abs(win.values - triangle).max() <= 2.5 * g.dxi
         assert win.values.max() == pytest.approx(1.0, abs=2.5 * g.dxi)
         # independent brute-force autoconvolution of the seed
-        seed = levels[0].window
         brute = brute_window_conv(seed.values, seed.values, g.dxi)
         assert np.abs(win.values - brute).max() <= 1e-12
 
     def test_level_two_mass_and_support(self):
-        levels = build_omega_sequence(2, default_certificate_grid(1))
-        lev = levels[2]
+        lev, win = build_omega_sequence(2, default_certificate_grid(1))[2]
         assert lev.l1 == pytest.approx(1.0, rel=0.01)       # (v_1/2)^4 = 1
-        assert lev.out_corona_mass_rel <= 1e-10
-        xi = lev.window.axes()[0]
-        nz = lev.window.values > 1e-12 * lev.window.values.max()
+        assert out_corona_mass_rel(win, lev.k) <= 1e-10
+        xi = win.axes()[0]
+        nz = win.values > 1e-12 * win.values.max()
         assert xi[np.argwhere(nz).ravel()].min() > 4.0
         assert xi[np.argwhere(nz).ravel()].max() < 8.0
 
     @pytest.mark.parametrize("n,k_max", [(1, 3), (2, 2)])
     def test_mass_identity_and_refinement(self, n, k_max):
         g = default_certificate_grid(n)
-        levels = build_omega_sequence(k_max, g)
-        fine = build_omega_sequence(k_max, g.refined())
-        for lev, lev2 in zip(levels, fine):
+        pairs = build_omega_sequence(k_max, g)
+        fine = omega_levels(k_max, g.refined())
+        for (lev, win), lev2 in zip(pairs, fine):
             assert lev.l1_error <= 0.01
             assert lev2.l1_error < lev.l1_error
-            assert lev.out_corona_mass_rel <= 1e-10
-            assert lev.out_cube_mass_rel <= 1e-10
+            assert out_corona_mass_rel(win, lev.k) <= 1e-10
+            assert out_cube_mass_rel(win, lev.k) <= 1e-10
 
     @pytest.mark.parametrize("n,worst", [(1, 0.0078), (2, 0.0059), (3, 0.0200)])
     def test_l1_error_is_fixed_by_the_seed(self, n, worst):
@@ -76,7 +80,7 @@ class TestOmegaSequence:
         # the default grids and k range level k's error is 1 - (1 - eps0)^(2^k),
         # with eps0 the seed's signed error; worst is the per-n figure that
         # default_certificate_grid states
-        levels = build_omega_sequence(default_k_max(n), default_certificate_grid(n))
+        levels = omega_levels(default_k_max(n), default_certificate_grid(n))
         eps0 = (levels[0].l1_target - levels[0].l1) / levels[0].l1_target
         for lev in levels:
             expect = abs(1.0 - (1.0 - eps0) ** (2 ** lev.k))
@@ -84,9 +88,25 @@ class TestOmegaSequence:
         assert max(lev.l1_error for lev in levels) <= worst
 
     def test_doubling_identity(self):
-        levels = build_omega_sequence(3, default_certificate_grid(1))
+        levels = omega_levels(3, default_certificate_grid(1))
         for k in range(1, 4):
             assert levels[k].l1 == pytest.approx(levels[k - 1].l1 ** 2, rel=1e-12)
+
+    def test_window_moved_out_of_its_cube_is_not_in_cube(self, monkeypatch):
+        # spacing 1/4.99: the seed's lowest lattice point is 1.002, so level
+        # 1 starts at 2.004; one cell down it starts at 1.804, outside the
+        # cube (2, 4)
+        g = GridSpec(1, 2 * np.pi * 4.99, 64)
+        assert [lev.in_cube for lev in omega_levels(1, g)] == [True, True]
+        convolve = certificate.convolve_lattice
+        monkeypatch.setattr(certificate, "convolve_lattice",
+                            lambda a, spacing: np.roll(convolve(a, spacing), -1, axis=0))
+        pairs = build_omega_sequence(1, g)
+        (lev0, _), (lev1, win1) = pairs
+        assert out_cube_mass_rel(win1, 1) > 1e-10
+        assert lev0.in_cube and not lev1.in_cube
+        records = verify_induction_chain([lev for lev, _ in pairs], params1())
+        assert not records[1].support_ok and not records[1].all_ok
 
     def test_insufficient_resolution_rejected(self):
         with pytest.raises(GridResolutionError):
@@ -139,7 +159,7 @@ class TestInductionChain:
     def test_time_integral_exact_half(self):
         # k=0, n=1, alpha=1 at the critical time: 1 - exp(-ln 2) = 1/2
         p = params1(alpha=1.0, C1=4096.0)
-        levels = build_omega_sequence(0, coarse_grid1())
+        levels = omega_levels(0, coarse_grid1())
         rec = verify_induction_chain(levels, p)[0]
         value = time_integral_value(0, p.t_star, p.alpha, p.n)
         assert value == pytest.approx(0.5, abs=1e-15)
@@ -148,14 +168,14 @@ class TestInductionChain:
     def test_conv_bound_brute_oracle(self):
         # level 1: min over (2,4) of (|xi| w0)*(|xi| w0) - 2^0 w1 >= -tol
         g = coarse_grid1()
-        levels = build_omega_sequence(1, g)
-        seed = levels[0].window
+        pairs = build_omega_sequence(1, g)
+        (_, seed), (_, win1) = pairs
         xi = seed.axes()[0]
         weighted = brute_window_conv(np.abs(xi) * seed.values,
                                      np.abs(xi) * seed.values, g.dxi)
-        bound = 1.0 * levels[1].window.values
+        bound = 1.0 * win1.values
         assert (weighted - bound).min() >= -1e-10 * bound.max()
-        rec = verify_induction_chain(levels, params1())[1]
+        rec = verify_induction_chain([lev for lev, _ in pairs], params1())[1]
         assert rec.conv_bound_ok
         # the FFT convolution agrees with the brute-force one
         assert np.abs(weighted_autoconv(seed) - weighted).max() <= 1e-13 * weighted.max()
@@ -164,15 +184,15 @@ class TestInductionChain:
         # k=1, n=1, rho=2: sup (1+xi^2) over the support of w_1 is about 17
         # (the support is (2,4)), below the bound 32
         p = params1(rho=2.0, C1=2.0 ** 13 * 3.0)
-        levels = build_omega_sequence(1, coarse_grid1())
-        rec = verify_induction_chain(levels, p)[1]
+        pairs = build_omega_sequence(1, coarse_grid1())
+        rec = verify_induction_chain([lev for lev, _ in pairs], p)[1]
         assert rec.bessel_bound_ok
-        assert measured_bessel_sup(levels[1].window) == pytest.approx(17.0, rel=0.05)
+        assert measured_bessel_sup(pairs[1][1]) == pytest.approx(17.0, rel=0.05)
 
     def test_margins_grow_linearly_at_reference_params(self):
         # at n=1, alpha=2, rho=0, C1=2^11 the assembled-chain margin is 5k
         p = params1()
-        levels = build_omega_sequence(3, default_certificate_grid(1))
+        levels = omega_levels(3, default_certificate_grid(1))
         recs = verify_induction_chain(levels, p)
         for rec in recs[1:]:
             assert rec.induction_margin_log2 == pytest.approx(5.0 * rec.k, abs=1e-9)
@@ -345,23 +365,24 @@ FFT_ROUNDOFF = 1e-13
 def fft_hierarchy(request):
     """The FFT bump hierarchy and, per level k >= 1, the weighted
     autoconvolution (|xi| w_{k-1}) * (|xi| w_{k-1}): the measured
-    counterparts of what certify derives."""
+    counterparts of what certify derives. The hierarchy comes as
+    (level, window) pairs."""
     grid, k_max = AUDIT_GRIDS[request.param]
-    levels = build_omega_sequence(k_max, grid)
-    convs = [None] + [weighted_autoconv(lev.window) for lev in levels[:-1]]
-    return grid, k_max, levels, convs
+    pairs = build_omega_sequence(k_max, grid)
+    convs = [None] + [weighted_autoconv(win) for _, win in pairs[:-1]]
+    return grid, k_max, pairs, convs
 
 
 class TestDerivedAgainstMeasured:
     @pytest.mark.parametrize("rho", [-4.0, 0.0, 2.0])
     def test_flags_and_l1_equal_measured(self, fft_hierarchy, rho):
-        grid, k_max, levels, convs = fft_hierarchy
+        grid, k_max, pairs, convs = fft_hierarchy
         n = grid.n
         p = CertificateParams(n=n, alpha=2.0, gamma=0.9, rho=rho,
                               C1=c1_threshold(n, 2.0, rho), A=2.0 ** (6 + n))
         report = certify(p, grid, k_max, 4)
         cap_log2 = max(0.0, rho / 2.0 - 1.0) + (rho / 2.0) * math.log2(n)
-        for lev, derived, rec in zip(levels, report.levels, report.records):
+        for (lev, win), derived, rec in zip(pairs, report.levels, report.records):
             k = lev.k
             assert derived.l1 == pytest.approx(lev.l1, rel=1e-14), k
             assert derived.l1_target == lev.l1_target
@@ -370,9 +391,9 @@ class TestDerivedAgainstMeasured:
             assert rec.support_ok and derived.hypercube_ok
             if k == 0:
                 continue
-            margin = (convs[k] - 4.0 ** (k - 1) * lev.window.values).min()
+            margin = (convs[k] - 4.0 ** (k - 1) * win.values).min()
             conv_ok = margin >= -FFT_ROUNDOFF * convs[k].max()
-            sup_log2 = ((rho / 2.0) * math.log2(measured_bessel_sup(lev.window))
+            sup_log2 = ((rho / 2.0) * math.log2(measured_bessel_sup(win))
                         if rho > 0 else 0.0)
             bessel_ok = sup_log2 <= cap_log2 + (k + 1) * rho + 1.0 + 1e-12
             assert (rec.conv_bound_ok, rec.bessel_bound_ok) == (conv_ok, bessel_ok), k
@@ -382,7 +403,7 @@ class TestDerivedAgainstMeasured:
     def test_measured_conv_bound_holds_with_factor_n(self, fft_hierarchy):
         # |xi| > sqrt(n) 2^(k-1) on the support of w_{k-1}, so the bound
         # holds with the factor n, up to FFT roundoff
-        grid, k_max, levels, convs = fft_hierarchy
+        grid, k_max, pairs, convs = fft_hierarchy
         for k in range(1, k_max + 1):
-            margin = convs[k] - grid.n * 4.0 ** (k - 1) * levels[k].window.values
+            margin = convs[k] - grid.n * 4.0 ** (k - 1) * pairs[k][1].values
             assert margin.min() >= -FFT_ROUNDOFF * convs[k].max(), k

@@ -167,6 +167,16 @@ class TestExitCodes:
         assert "domain error" in err and key in err and "Traceback" not in err
         assert list(outdir.iterdir()) == []
 
+    def test_auto_sized_kernel_grid_quotes_its_bound(self, outdir, capsys):
+        # no L or N: kernel-check sizes its own grid, and at t = 1e-300 the
+        # smoothed symbol has not decayed by the largest xi it may resolve
+        code = run(["kernel-check", "-o", str(outdir), "t_values=1e-300,1"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert ("the symbol smoothed to order s = 0.5 with alpha = 2.0 at the smallest "
+                "t = 1e-300 is 3.162e+04 at xi = 1e+09, which fails <= 1e-13") in err
+        assert "Traceback" not in err and list(outdir.iterdir()) == []
+
     def test_budget_skips_the_sweep_float_range_check(self, outdir, capsys):
         # the sweep's float-range check belongs to solve: budget takes a
         # threshold past it, and reports a coefficient past float range
@@ -322,6 +332,34 @@ class TestSubcommands:
         assert code == 0
         for k in range(3):
             assert (outdir / f"omega_k{k}.csv").exists()
+
+    def test_omega_reference_run(self, outdir, capsys):
+        # omega n=1 at the defaults, every printed digit pinned
+        assert run(["omega", "-o", str(outdir), "n=1"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            f"k={k}: l1={l1} target={target} rel_err={err} support_ok=True "
+            f"-> {outdir / f'omega_k{k}.csv'}"
+            for k, l1, target, err in (
+                (0, "0.9990234375", "0.9999999999999999", "9.766e-04"),
+                (1, "0.9980478286743164", "0.9999999999999998", "1.952e-03"),
+                (2, "0.9960994683215175", "0.9999999999999996", "3.901e-03"),
+                (3, "0.9922141507904099", "0.9999999999999991", "7.786e-03"))]
+
+    def test_omega_reports_a_level_outside_its_cube(self, outdir, capsys, monkeypatch):
+        # spacing 1/4.99: the seed's lowest lattice point is 1.002, so level 1
+        # starts at 2.004, and its window moved down one cell starts at
+        # 1.804, outside the cube (2, 4)
+        args = ["omega", "-o", str(outdir), "n=1", "k_max=1",
+                f"L={2 * math.pi * 4.99!r}", "N=64"]
+        assert run(args) == 0
+        assert capsys.readouterr().out.count("support_ok=True") == 2
+        convolve = cert.convolve_lattice
+        monkeypatch.setattr(cert, "convolve_lattice",
+                            lambda a, spacing: np.roll(convolve(a, spacing), -1, axis=0))
+        assert run(args) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0].startswith("k=0: ") and "support_ok=True" in out[0]
+        assert out[1].startswith("k=1: ") and "support_ok=False" in out[1]
 
     def test_budget_report(self, outdir, capsys):
         code = run(["budget", "-o", str(outdir), "kind=bessel_symbol", "rho=2",

@@ -8,7 +8,7 @@ import pytest
 
 from fraclap import build_omega_sequence, default_certificate_grid
 from fraclap.certificate import _seed_window, convolve_lattice
-from oracles import brute_window_conv, two_spectrum_autoconv
+from oracles import brute_window_conv, two_spectrum_autoconv, window_radius
 
 
 def test_direct_conv_1d_matches_oracle():
@@ -28,13 +28,14 @@ def test_direct_conv_2d_matches_oracle():
 def _level0_window_n3(weighted):
     # the certify n=3 level-0 window: 37^3 samples, padded to 128^3
     win = _seed_window(3, 1.0 / 32.0)
-    return win.radius_grid() * win.values if weighted else win.values
+    return window_radius(win) * win.values if weighted else win.values
 
 
 @pytest.fixture(scope="module")
 def level1_window_n3():
     # the certify n=3 level-1 window: 73^3 samples, padded to 256^3
-    return build_omega_sequence(1, default_certificate_grid(3))[1].window
+    _, window = build_omega_sequence(1, default_certificate_grid(3))[1]
+    return window
 
 
 @pytest.mark.parametrize("shape", [(37,), (1025,), (9, 11), (73, 73), (5, 8, 13)])
@@ -85,7 +86,7 @@ def test_autoconv_bits_equal_two_spectrum_irfftn_at_slab_edges(shape):
 def test_autoconv_bits_equal_two_spectrum_irfftn_certify_n3_level1(level1_window_n3,
                                                                     weighted):
     win = level1_window_n3
-    a = win.radius_grid() * win.values if weighted else win.values
+    a = window_radius(win) * win.values if weighted else win.values
     out = convolve_lattice(a, win.h)
     ref = two_spectrum_autoconv(a, win.h)
     assert out.shape == ref.shape == (145, 145, 145)

@@ -161,6 +161,68 @@ class TestDuhamelStep:
             assert np.abs(direct.coeffs - traj.fields[i].coeffs).max() <= 1e-9 * scale
 
 
+# the two-mode cascade on L = 8 pi (xi = m / 4) per dimension: the grid, a
+# mode k whose 2k the 2/3 rule keeps (|2k| <= N//3 per axis), and one whose
+# 2k it drops. The dropped shells hold no mode inside the band
+CASCADES = {
+    1: (GridSpec(1, 8 * np.pi, 64), (5,), (12,)),
+    2: (GridSpec(2, 8 * np.pi, 32), (2, 3), (6, 1)),
+    3: (GridSpec(3, 8 * np.pi, 16), (1, 2, 1), (3, 1, 0)),
+}
+
+
+def _cascade(g, k, dt, a=1.0, C=1.0):
+    """Solve the two-mode cascade from u0 = a (e_k + e_-k) at alpha = 2 on
+    [0, 1]. Returns the config, the trajectory, |xi_k|^2, the closed-form
+    c_2k at the nodes, and c_k, c_2k and the largest other |coefficient| of
+    every node."""
+    xi_k_sq = sum((2.0 * np.pi * m / g.L) ** 2 for m in k)
+    c = np.zeros(g.shape, dtype=complex)
+    minus = tuple(-m for m in k)
+    c[k] = c[minus] = a
+    cfg = ProblemConfig(grid=g, alpha=2.0, gamma=0.5,
+                        coefficient=oracles.ShellCoefficient(C, 4.0 * xi_k_sq),
+                        u0=SpectralField(g, c), T0=1.0, dt=dt)
+    traj = picard_solve(cfg)
+    k2 = tuple(2 * m for m in k)
+    own = (k, minus, k2, tuple(-m for m in k2))
+    other = []
+    for f in traj.fields:
+        rest = np.abs(f.coeffs)
+        for m in own:
+            rest[m] = 0.0
+        other.append(rest.max())
+    exact = oracles.cascade_exact(cfg.times, a, C, xi_k_sq, 2.0)
+    return (cfg, traj, xi_k_sq, exact, np.array([f.coeffs[k] for f in traj.fields]),
+            np.array([f.coeffs[k2] for f in traj.fields]), np.array(other))
+
+
+@pytest.mark.parametrize("n", sorted(CASCADES))
+def test_two_mode_cascade_is_exact(n):
+    # c_k decays linearly, c_2k is the trapezoid recurrence on the exact
+    # forcing (zero where the 2/3 rule drops 2k) to 1e-13 of its scale, every
+    # other mode stays at rounding level, and where z = dt lam_2k < 1 the
+    # error against the closed form falls 4x per halving of dt
+    g, kept, dropped = CASCADES[n]
+    errors = []
+    for k, dt in ((kept, 1.0 / 16.0), (kept, 1.0 / 32.0), (dropped, 1.0 / 16.0)):
+        cfg, traj, xi_k_sq, exact, c_k, c_2k, other = _cascade(g, k, dt)
+        assert traj.converged and traj.iterations <= 2
+        assert len(traj.times) == cfg.n_steps + 1
+        is_kept = max(abs(2 * m) for m in k) <= g.N // 3
+        assert is_kept == (k == kept)
+        scale = np.abs(exact).max()
+        recurrence = oracles.cascade_recurrence(cfg.times, 1.0, 1.0, xi_k_sq, 2.0,
+                                                is_kept)
+        assert np.abs(c_k - np.exp(-xi_k_sq * cfg.times)).max() <= 1e-13
+        assert np.abs(c_2k - recurrence).max() <= 1e-13 * scale
+        assert other.max() <= 1e-15 * scale
+        if is_kept:
+            assert dt * 4.0 * xi_k_sq < 1.0
+            errors.append(np.abs(c_2k - exact).max())
+    assert 4.0 / 1.1 <= errors[0] / errors[1] <= 4.0 * 1.1, errors
+
+
 class TestPicard:
     def test_linear_case_exact(self):
         cfg = make_config(alpha=1.3, gamma=0.2)
