@@ -38,9 +38,10 @@ sampled noise fills it. picard_solve reads every per-run multiplier off the
 lattice with BandLayout.stored and never handles a spectrum itself.
 picard_solve picks the stack's dtype once, from u0: for n >= 2 it is float64
 when every stored coefficient of u0 has imaginary part +0.0 (the CLI data,
-which are even fields), since the semigroup, |xi|, the square and b_hat keep
-coefficients real; otherwise, and on 1-D grids, complex128. So a 256^2 node
-takes a quarter of the bytes of its complex band. The iterate is one (M+1,
+which are even fields, u(-x) = u(x)), since the semigroup, |xi|, the square
+and b_hat keep coefficients real and even; otherwise, and on 1-D grids,
+complex128. So a 256^2 node takes a quarter of the bytes of its complex
+band, and its square takes the even-field transforms. The iterate is one (M+1,
 that length) stack, updated in place, and the only one a run holds: no table
 of S(t) u0 is kept, since each sweep starts its recurrence at u0, and the
 first iterate is the recurrence with G = 0. The out-of-band entries go
@@ -52,16 +53,21 @@ budget of complex full-lattice rows (dozens per chunk on 1-D grids, one on
 a 256^2 or 128^3 grid). Only G's transforms need more than the stored
 entries. G saturates the previous iterate's stored rows, multiplies them by
 |xi| and squares them with spectral.dealiased_square, which scatters them
-into a zeroed spectrum, transforms there, gathers the stored entries back
-(real parts for float rows), divides them by N^n and zeroes the out-of-band
-ones; then it multiplies by b_hat. On 1-D grids the square is one batched
-complex inverse and one forward FFT of the lattice. For n >= 2 the square
-runs real-field transforms over the half spectrum in irfftn's and rfftn's
-order, whose passes over the other axes skip the last-axis columns beyond
-the band, and each entry at last-axis mode 0 whose last nonzero mode is
-negative is then set to the conjugate of its mirror. That does about half
-the transform work of the complex square (0.83 against 1.89 ms at 256^2 on
-a 2-CPU x86 host).
+into a zeroed spectrum, transforms there, gathers the stored entries back,
+divides them by N^n and zeroes the out-of-band ones; then it multiplies by
+b_hat. On 1-D grids the square is one batched complex inverse and one
+forward FFT of the lattice. For n >= 2 complex rows (sampled noise) are
+squared by real-field transforms over the half spectrum in irfftn's and
+rfftn's order. Float rows hold even fields, which the physical rows 0..N/2
+of the first axis determine, so the first axis takes real transforms too:
+an rfft of the real spectrum, the inverse passes into those N/2 + 1 rows,
+the square, the forward passes and an irfft straight to real coefficients,
+with no pass that scales or conjugates. Both skip, in the passes over the
+other axes, the last-axis columns beyond the stored entries and the band,
+and each entry at last-axis mode 0 whose last nonzero mode is negative is
+then set to the conjugate of its mirror. At 256^2 one square of a float
+row takes 0.31 ms, against 0.53 ms through the half spectrum's complex
+passes and 1.89 ms with complex transforms of the lattice (2-CPU x86 host).
 The recurrence steps node by node on stored vectors, in place in
 preallocated buffers. The H1 norms and the residual sum the weighted
 stored entries in stored order (the band in lattice order, then the
@@ -430,8 +436,8 @@ def picard_solve(config):
     # recurrence's g_last) and, pipelined, the queued chunks'
     g_bufs = [np.empty_like(rows) for _ in range(_LOOKAHEAD + 2 if pipelined else 2)]
     # dealiased_square's scratch, one for each thread that runs G
-    scratch = square_scratch(grid, chunk)
-    worker_scratch = square_scratch(grid, chunk) if pipelined else None
+    scratch = square_scratch(grid, chunk, dtype)
+    worker_scratch = square_scratch(grid, chunk, dtype) if pipelined else None
     queued = {}     # chunk -> Future of its G on the worker
     taken = {}      # chunk -> its G, taken off the queue by this thread
 

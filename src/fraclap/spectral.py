@@ -269,15 +269,13 @@ class BandLayout:
         return spec
 
     def gather(self, spec, rows):
-        """The stored entries of the spectra spec, copied into rows; their
-        real parts for float rows."""
+        """The stored entries of the spectra spec, copied into rows of
+        spec's dtype."""
         band = self._band(rows)
-        real = not np.iscomplexobj(rows)
         for stored, lattice in self.blocks:
-            band[stored] = spec[lattice].real if real else spec[lattice]
+            band[stored] = spec[lattice]
         if self.size > self.band_size:
-            out = spec[(slice(None),) + self.ext]
-            rows[:, self.band_size:] = out.real if real else out
+            rows[:, self.band_size:] = spec[(slice(None),) + self.ext]
         return rows
 
     def stored(self, values):
@@ -305,15 +303,24 @@ class BandLayout:
         return full
 
 
-def square_scratch(grid, k):
-    """dealiased_square's scratch for up to k rows of fields on grid: for n
-    = 1 the complex spectrum, which is the lattice (k, N); for n >= 2 the
-    pair of a complex half spectrum (k, *grid.shape[:-1], N//2 + 1) and a
-    real lattice (k, *grid.shape)."""
+def square_scratch(grid, k, dtype):
+    """dealiased_square's scratch for up to k rows of dtype of fields on
+    grid, holding only the buffers that dtype's path transforms in: for n =
+    1 the complex spectrum, which is the lattice (k, N); for n >= 2 and
+    complex rows the pair of a complex half spectrum (k, *grid.shape[:-1],
+    N//2 + 1) and a real lattice (k, *grid.shape); for n >= 2 and float
+    rows the real spectrum (k, *grid.shape[:-1], N//2 + 1), the real
+    physical rows 0..N/2 (k, N//2 + 1, *grid.shape[1:]) and the complex
+    rfft output (k, N//2 + 1, *grid.shape[1:-1], N//2 + 1)."""
     if grid.n == 1:
         return np.empty((k,) + grid.shape, dtype=np.complex128)
-    half = np.empty((k,) + grid.shape[:-1] + (grid.N // 2 + 1,), dtype=np.complex128)
-    return half, np.empty((k,) + grid.shape)
+    N = grid.N
+    spectrum = (k,) + grid.shape[:-1] + (N // 2 + 1,)
+    if np.dtype(dtype) == np.complex128:
+        return np.empty(spectrum, dtype=np.complex128), np.empty((k,) + grid.shape)
+    physical = (k, N // 2 + 1) + grid.shape[1:]
+    return (np.empty(spectrum), np.empty(physical),
+            np.empty(physical[:-1] + (N // 2 + 1,), dtype=np.complex128))
 
 
 def dealiased_square(rows, layout, scratch):
@@ -321,27 +328,42 @@ def dealiased_square(rows, layout, scratch):
     stored coefficients (a BandLayout's) are rows, dealiased by the 2/3 rule,
     in place in rows, which is returned.
 
-    scratch is square_scratch(grid, k) for some k >= len(rows); its leading
-    len(rows) rows are zeroed, receive the rows, and the transforms run in
-    them. Computed as inverse transform -> square -> forward transform,
-    which equals the lattice autoconvolution of the coefficients on the
-    retained modes (the 2/3 rule removes exactly the aliased band); the
-    out-of-band entries come out +0.
+    scratch is square_scratch(grid, k, rows.dtype) for some k >= len(rows);
+    the transforms run in its leading len(rows) rows. Computed as inverse
+    transform -> square -> forward transform, which equals the lattice
+    autoconvolution of the coefficients on the retained modes (the 2/3 rule
+    removes exactly the aliased band); the out-of-band entries come out +0.
 
     The transforms run in the rows' spectrum (BandLayout): scatter the rows
-    there, transform, gather the stored entries back. 1-D grids take the
-    complex ifft and fft of the whole lattice. For n >= 2 the spectrum is
-    the half spectrum, and the transforms run there in the order and with
-    the bits of irfftn and rfftn on the full lattice: the inverse passes
-    over all but the last axis, the last axis's irfft into the real
-    lattice, the square in reals, its rfft, and the forward passes in
-    reverse axis order. The last-axis columns past the stored entries are
-    zero on input and past the band unread on output, so the passes over
-    the other axes skip them, and each transformed line is the one the
-    full-lattice transform takes. The gather takes real parts for float
-    rows, and then each entry at last-axis mode 0 whose last nonzero mode
-    is negative is set to the conjugate of its mirror, so that column,
-    which holds both members of each mirror pair, is exactly Hermitian.
+    into a zeroed spectrum, transform, gather the stored entries back. 1-D
+    grids take the complex ifft and fft of the whole lattice.
+
+    For n >= 2 the spectrum is the half spectrum. Complex rows (sampled
+    noise) take the transforms of irfftn and rfftn on the full lattice, in
+    their order and with their bits: the inverse passes over all but the
+    last axis, the last axis's irfft into the real lattice, the square in
+    reals, its rfft, and the forward passes in reverse axis order; the
+    gather takes the spectrum as it is.
+
+    Float rows stand for even real fields, u(-x) = u(x), whose coefficients
+    are real and even, and their square is one too. For them the physical
+    rows x1 = 0..N/2 of the first axis hold the whole field, and the
+    transforms take both symmetries: the rfft along the first axis of the
+    real spectrum (a forward transform, so it lands on the rows -x1, which
+    the even field equals), the unscaled inverse passes over the middle
+    axes (3-D), the last axis's unscaled irfft into those N/2 + 1 physical
+    rows, the square, its rfft, the forward passes over the middle axes,
+    and the unscaled irfft along the first axis (an inverse transform,
+    whose reflection cancels the first: the square is pointwise), straight
+    to real coefficients. No pass scales by N^n or conjugates.
+
+    Each transformed line is the one the same transform of the whole
+    spectrum takes. The last-axis columns past the stored entries are zero
+    on input and past the band unread on output, so the passes over the
+    other axes skip them (the last axis's irfft pads them with zeros). Then
+    each entry at last-axis mode 0 whose last nonzero mode is negative is
+    set to the conjugate of its mirror, so that column, which holds both
+    members of each mirror pair, is exactly Hermitian.
 
     1-D grids keep the complex transforms and their bits: the blow-up
     proxy's recorded trajectories (perfbench/reference.json) pin h1 to
@@ -350,7 +372,7 @@ def dealiased_square(rows, layout, scratch):
     fixed-point contract instead (ROADMAP item 1).
     """
     grid = layout.grid
-    Nn = grid.N ** grid.n
+    N, Nn = grid.N, grid.N ** grid.n
     k = len(rows)
     spec = (scratch if grid.n == 1 else scratch[0])[:k]
     spec[...] = 0.0
@@ -360,20 +382,33 @@ def dealiased_square(rows, layout, scratch):
         np.multiply(spec, Nn, out=spec)
         np.multiply(spec, spec, out=spec)
         np.fft.fftn(spec, axes=(1,), out=spec)
-        layout.gather(spec, rows)
     else:
         real = scratch[1][:k]
         cols = (Ellipsis, slice(0, layout.half_cols))
-        for ax in range(1, grid.n):
-            np.fft.ifft(spec[cols], axis=ax, out=spec[cols])
-        np.fft.irfft(spec, n=grid.N, axis=-1, out=real)
-        np.multiply(real, Nn, out=real)
-        np.multiply(real, real, out=real)
-        np.fft.rfft(real, axis=-1, out=spec)
         band = (Ellipsis, slice(0, grid.dealias_limit + 1))
-        for ax in range(grid.n - 1, 0, -1):
-            np.fft.fft(spec[band], axis=ax, out=spec[band])
-        stored = layout._band(layout.gather(spec, rows))
+        if np.iscomplexobj(rows):
+            for ax in range(1, grid.n):
+                np.fft.ifft(spec[cols], axis=ax, out=spec[cols])
+            np.fft.irfft(spec, n=N, axis=-1, out=real)
+            np.multiply(real, Nn, out=real)
+            np.multiply(real, real, out=real)
+            np.fft.rfft(real, axis=-1, out=spec)
+            for ax in range(grid.n - 1, 0, -1):
+                np.fft.fft(spec[band], axis=ax, out=spec[band])
+        else:
+            half = scratch[2][:k]
+            np.fft.rfft(spec[cols], axis=1, out=half[cols])
+            for ax in range(2, grid.n):
+                np.fft.ifft(half[cols], axis=ax, norm="forward", out=half[cols])
+            np.fft.irfft(half[cols], n=N, axis=-1, norm="forward", out=real)
+            np.multiply(real, real, out=real)
+            np.fft.rfft(real, axis=-1, out=half)
+            for ax in range(grid.n - 1, 1, -1):
+                np.fft.fft(half[band], axis=ax, out=half[band])
+            np.fft.irfft(half[band], n=N, axis=1, norm="forward", out=spec[band])
+    layout.gather(spec, rows)
+    if grid.n > 1:
+        stored = layout._band(rows)
         for dst, src in layout.mirrors:
             np.conjugate(stored[src], out=stored[dst])
     # divide the float view: numpy would divide complex rows by Nn as a

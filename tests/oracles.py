@@ -291,9 +291,11 @@ def assembled_induction_chain(levels, params):
 # it is kept verbatim: every node is the full lattice, and G squares through
 # the complex ifftn and fftn. For n >= 2 it holds each node as the solver
 # does, as its half spectrum (last-axis index 0..N//2), in float64 when
-# every coefficient of u0 there has imaginary part +0.0; G squares through
-# irfftn and rfftn, as the solver's pruned half-spectrum passes do, and
-# keeps the real parts of float nodes. As in the solver, G divides by N^n as
+# every coefficient of u0 there has imaginary part +0.0. G squares complex
+# nodes through irfftn and rfftn, as the solver's pruned half-spectrum
+# passes do, and float nodes, which hold even fields, through the whole
+# half spectrum's even-field transforms (even_square), as the solver's
+# pruned ones do. As in the solver, G divides by N^n as
 # floats, and each norm sums a node's terms in the solver's stored order,
 # counting an entry at last-axis index 1..N/2-1 twice for its mirror.
 
@@ -374,16 +376,37 @@ class _SweepState:
         dealiased by the 2/3 rule."""
         if self.complex_g:
             return self.complex_nonlinearity(coeffs)
-        axes = tuple(range(self.grid.n))
-        v = np.fft.irfftn(self.abs_xi * coeffs, s=self.grid.shape, axes=axes) * self.Nn
-        w = np.fft.rfftn(v * v, axes=axes)
+        if self.real:
+            w = self.even_square(self.abs_xi * coeffs)
+        else:
+            axes = tuple(range(self.grid.n))
+            v = np.fft.irfftn(self.abs_xi * coeffs, s=self.grid.shape, axes=axes) * self.Nn
+            w = np.fft.rfftn(v * v, axes=axes)
         mirror = w[..., 0]
         for ax in range(self.grid.n - 1):
             mirror = np.roll(np.flip(mirror, axis=ax), 1, axis=ax)
         w[..., 0] = np.where(self.own, w[..., 0], np.conj(mirror))
-        w = self.divide(w.real if self.real else w)
+        w = self.divide(w)
         w = np.where(self.mask, w, 0.0)
         return w * self.b_sym
+
+    def even_square(self, c):
+        """N^n times the coefficients of the square of the even real field
+        whose real half spectrum is c, before dealiasing: an rfft along the
+        first axis (its rows -x1 are the field's rows x1), the unscaled
+        inverse transforms of the other axes into the physical rows x1 =
+        0..N/2, the square, the forward transforms of the last axes, and
+        the unscaled irfft along the first axis, whose reflection cancels
+        the first."""
+        N, n = self.grid.N, self.grid.n
+        v = np.fft.rfft(c, axis=0)
+        for ax in range(1, n - 1):
+            v = np.fft.ifft(v, axis=ax, norm="forward")
+        v = np.fft.irfft(v, n=N, axis=-1, norm="forward")
+        w = np.fft.rfft(v * v, axis=-1)
+        for ax in range(n - 2, 0, -1):
+            w = np.fft.fft(w, axis=ax)
+        return np.fft.irfft(w, n=N, axis=0, norm="forward")
 
     def complex_nonlinearity(self, coeffs):
         """G(u) through complex transforms of the whole lattice."""

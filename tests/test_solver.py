@@ -10,7 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fraclap import solver
+from fraclap import cli, solver
 from fraclap import (CoefficientSpec, DomainError, GridSpec,
                      NonConvergenceError, ProblemConfig, SpectralField,
                      Trajectory, existence_budget,
@@ -402,7 +402,7 @@ class _StubPool:
         self.submitted = []
         self.queue = []
         self.busy = False
-        self.nested = 0
+        self.nested = []
 
     def __enter__(self):
         return self
@@ -418,7 +418,9 @@ class _StubPool:
         self.queue.append((future, fn, args))
         return future
 
-    def run_queued(self, nested=False):
+    def run_queued(self, inside=None):
+        """Run the queued calls; inside, for a run nested in the sweep
+        thread's own G, is the dtype of the rows that G squares."""
         if not self.run or self.busy:
             return
         self.busy = True
@@ -426,7 +428,8 @@ class _StubPool:
             while self.queue:
                 future, fn, args = self.queue.pop(0)
                 future.set_result(fn(*args))
-                self.nested += nested
+                if inside is not None:
+                    self.nested.append(inside)
         finally:
             self.busy = False
 
@@ -490,14 +493,27 @@ class TestChunkedSweepOracle:
         # takes all of it. worker-runs-all: the sweep's thread takes none,
         # and the queued calls run inside its own G, between filling its
         # scratch and transforming it (at the first transform: ifftn in 1-D,
-        # the first ifft pass for n >= 2), so scratch the two share fails
+        # the first ifft pass for complex rows with n >= 2, the first rfft
+        # for float rows), so scratch the two share fails
         pool = _StubPool(worker_runs)
         monkeypatch.setattr(solver, "_CHUNK_BYTES", 1)
         monkeypatch.setattr(solver, "_worker",
                             lambda needed: pool if needed else contextlib.nullcontext())
-        for name in ("ifftn", "ifft"):
+        squaring = []   # the row dtype of each G in progress on this thread
+        square = solver.dealiased_square
+
+        def tracked(rows, *args):
+            squaring.append(rows.dtype)
+            try:
+                return square(rows, *args)
+            finally:
+                squaring.pop()
+
+        monkeypatch.setattr(solver, "dealiased_square", tracked)
+        for name in ("ifftn", "ifft", "rfft"):
             def hooked(*args, transform=getattr(np.fft, name), **kwargs):
-                pool.run_queued(nested=True)
+                if squaring:
+                    pool.run_queued(inside=squaring[-1])
                 return transform(*args, **kwargs)
 
             monkeypatch.setattr(np.fft, name, hooked)
@@ -505,7 +521,11 @@ class TestChunkedSweepOracle:
         futures = [job[0] for job in pool.submitted]
         assert futures
         if worker_runs:
-            assert pool.nested > 0
+            # the nested runs happen inside G of the stack's rows: float64
+            # exactly for the n >= 2 data whose coefficients are real
+            cfg = ORACLE_CASES[case]()
+            real = cfg.grid.n > 1 and not np.any(cfg.u0.coeffs.imag)
+            assert set(pool.nested) == {np.dtype(np.float64 if real else np.complex128)}
             assert all(f.done() and not f.cancelled() for f in futures)
         else:
             assert all(f.cancelled() for f in futures)
@@ -707,6 +727,16 @@ def test_node_stacks_hold_the_band_only():
     band_node = 8 * (2 * (g.N // 3) + 1) * (g.N // 3 + 1)
     peak = _traced_peak(cfg)
     assert peak < (cfg.n_steps + 1) * band_node + 8 * full_node
+
+
+@pytest.mark.parametrize("u0", ["omega", "random", "zero"])
+@pytest.mark.parametrize("n", [2, 3])
+def test_cli_data_are_stored_as_float64(n, u0):
+    # every CLI datum is an even real field, so for n >= 2 its nodes are
+    # float64 half bands, which dealiased_square squares by the even-field
+    # transforms; complex rows would take the Hermitian-only path
+    cfg = cli.build_problem({"n": n, "N": 64, "u0": u0, "T0": 1.0 / 256.0})
+    assert picard_solve(cfg).fields.stack.dtype == np.float64
 
 
 def test_run_holds_one_node_stack():

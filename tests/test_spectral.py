@@ -138,7 +138,7 @@ def _square(c, g):
     layout that stores every spectrum entry."""
     layout = spectral.BandLayout(g, np.ones(g.shape, dtype=bool))
     rows = layout.stored(c)[None]
-    sq = spectral.dealiased_square(rows, layout, spectral.square_scratch(g, 1))
+    sq = spectral.dealiased_square(rows, layout, spectral.square_scratch(g, 1, rows.dtype))
     return layout.fields(sq)[0]
 
 
@@ -213,6 +213,39 @@ class TestPointwiseSquare:
         v = np.fft.ifftn(c) * Nn
         expect = np.where(g.dealias_mask, np.fft.fftn(v * v) / Nn, 0.0)
         assert np.abs(sq - expect).max() <= 1e-15 * np.abs(expect).max()
+
+    @pytest.mark.parametrize("N", [16, 40, 64])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_even_fields_match_complex_full_lattice(self, n, N):
+        # seeded even real fields, c(-m) = c(m) real, stored as float rows:
+        # the band and, past it, the modes |m| <= N//3 + 2 per axis, so some
+        # stored entries sit in last-axis columns past N//3. Two rows in a
+        # three-row scratch; the square agrees with the complex square of
+        # the full lattice, and its coefficients are real and even
+        g = GridSpec(n, L1D, N)
+        rng = np.random.default_rng(N + n)
+        near = np.abs(g.modes) <= g.dealias_limit + 2
+        support = np.ones(g.shape, dtype=bool)
+        for m in np.meshgrid(*((near,) * n), indexing="ij"):
+            support &= m
+        c = np.where(support, rng.uniform(-1.0, 1.0, (2,) + g.shape), 0.0)
+        for ax in range(1, n + 1):
+            c = c + np.roll(np.flip(c, axis=ax), 1, axis=ax)
+        layout = spectral.BandLayout(g, support)
+        assert layout.half_cols == g.dealias_limit + 3
+        rows = np.stack([layout.stored(ci) for ci in c])
+        assert rows.dtype == np.float64
+        sq = layout.fields(spectral.dealiased_square(
+            rows, layout, spectral.square_scratch(g, 3, rows.dtype)))
+        axes = tuple(range(1, n + 1))
+        v = np.fft.ifftn(c, axes=axes) * g.N ** n
+        expect = np.where(g.dealias_mask, np.fft.fftn(v * v, axes=axes) / g.N ** n, 0.0)
+        assert np.abs(sq - expect).max() <= 1e-14 * np.abs(expect).max()
+        assert not np.any(sq.imag)
+        mirror = sq
+        for ax in axes:
+            mirror = np.roll(np.flip(mirror, axis=ax), 1, axis=ax)
+        assert np.array_equal(sq, mirror)
 
 
 class TestSerialization:
